@@ -35,3 +35,6 @@ add_executable(micro_benchmarks ${CMAKE_SOURCE_DIR}/bench/micro_benchmarks.cc)
 target_link_libraries(micro_benchmarks PRIVATE dmap_sim benchmark::benchmark)
 set_target_properties(micro_benchmarks PROPERTIES
   RUNTIME_OUTPUT_DIRECTORY ${CMAKE_BINARY_DIR}/bench)
+
+# dmapbench (bench/perf/README.md) and its dmapbench_smoke test.
+include(${CMAKE_SOURCE_DIR}/bench/perf/perf.cmake)

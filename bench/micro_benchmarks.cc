@@ -289,30 +289,7 @@ void BM_BatchedKHash(benchmark::State& state) {
 BENCHMARK(BM_BatchedKHash)->Arg(3)->Arg(5)->Arg(8);
 
 void BM_ShardedLookup(benchmark::State& state) {
-  // Read path of the sharded store. Arg = shard count; Arg(0) = the
-  // stale-snapshot fallback (mutable unordered_map find) at one shard, for
-  // the map-vs-snapshot delta.
-  const unsigned shards = unsigned(state.range(0) == 0 ? 1 : state.range(0));
-  ShardedMappingStore store(1000, shards);
-  constexpr std::uint64_t kEntries = 100'000;
-  for (std::uint64_t i = 0; i < kEntries; ++i) {
-    store.Upsert(AsId(i % 1000), Guid::FromSequence(i),
-                 MappingEntry{NaSet(NetworkAddress{AsId(i % 1000), 1}), 1});
-  }
-  if (state.range(0) != 0) store.RefreshSnapshots();
-  std::uint64_t seq = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        store.Read(AsId(seq % 1000), Guid::FromSequence(seq % kEntries)));
-    ++seq;
-  }
-}
-BENCHMARK(BM_ShardedLookup)->Arg(0)->Arg(1)->Arg(4)->Arg(16);
-
-void BM_SnapshotRefresh(benchmark::State& state) {
-  // Cost of one serial write point: dirty a single entry, then republish
-  // the read snapshots. Only the written GUID's shard rebuilds (the epoch
-  // early-out skips the rest), so higher shard counts rebuild less.
+  // Read path of the sharded store. Arg = shard count.
   const unsigned shards = unsigned(state.range(0));
   ShardedMappingStore store(1000, shards);
   constexpr std::uint64_t kEntries = 100'000;
@@ -323,15 +300,40 @@ void BM_SnapshotRefresh(benchmark::State& state) {
   store.RefreshSnapshots();
   std::uint64_t seq = 0;
   for (auto _ : state) {
-    store.Upsert(AsId(seq % 1000), Guid::FromSequence(seq % kEntries),
-                 MappingEntry{NaSet(NetworkAddress{AsId(seq % 7), 1}),
-                              std::uint32_t(2 + seq)});
-    store.RefreshSnapshots();
-    benchmark::DoNotOptimize(store.snapshots_fresh());
+    benchmark::DoNotOptimize(
+        store.Read(AsId(seq % 1000), Guid::FromSequence(seq % kEntries)));
     ++seq;
   }
 }
-BENCHMARK(BM_SnapshotRefresh)->Arg(1)->Arg(4)->Arg(16)
+BENCHMARK(BM_ShardedLookup)->Arg(1)->Arg(4)->Arg(16);
+
+void BM_UpsertAndPublish(benchmark::State& state) {
+  // Cost of one serial write point: 1024 in-place upserts into a loaded
+  // store, then the publish that makes them the read state. The publish
+  // only records the written shards' epochs, so items/sec is the upsert
+  // rate. Arg = shard count.
+  const unsigned shards = unsigned(state.range(0));
+  ShardedMappingStore store(1000, shards);
+  constexpr std::uint64_t kEntries = 100'000;
+  constexpr std::uint64_t kWrites = 1024;
+  for (std::uint64_t i = 0; i < kEntries; ++i) {
+    store.Upsert(AsId(i % 1000), Guid::FromSequence(i),
+                 MappingEntry{NaSet(NetworkAddress{AsId(i % 1000), 1}), 1});
+  }
+  store.RefreshSnapshots();
+  std::uint64_t seq = 0;
+  for (auto _ : state) {
+    for (std::uint64_t w = 0; w < kWrites; ++w, ++seq) {
+      store.Upsert(AsId(seq % 1000), Guid::FromSequence(seq % kEntries),
+                   MappingEntry{NaSet(NetworkAddress{AsId(seq % 7), 1}),
+                                std::uint32_t(2 + seq)});
+    }
+    store.RefreshSnapshots();
+    benchmark::DoNotOptimize(store.snapshots_fresh());
+  }
+  state.SetItemsProcessed(state.iterations() * std::int64_t(kWrites));
+}
+BENCHMARK(BM_UpsertAndPublish)->Arg(1)->Arg(4)->Arg(16)
     ->Unit(benchmark::kMicrosecond);
 
 void BM_BatchUpdate(benchmark::State& state) {

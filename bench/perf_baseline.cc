@@ -141,10 +141,9 @@ int main(int argc, char** argv) {
   // ---- 4. serving: single-store serial vs sharded snapshot loop ----------
   // End-to-end mapping service: resolve every replica of each queried GUID
   // (Algorithm 1) and read the hosted entry from the mapping store. Leg A
-  // is the pre-sharding shape — one shard, mutable-map reads, scalar
-  // per-replica resolution, one thread. Leg B is the full serving stack:
-  // auto-sharded store behind refreshed read snapshots, batched
-  // ResolveBatch wavefronts, all workers. The legs must agree on the
+  // is the pre-sharding shape — one shard, scalar per-replica resolution,
+  // one thread. Leg B is the full serving stack: auto-sharded store,
+  // batched ResolveBatch wavefronts, all workers. The legs must agree on the
   // order-independent checksums (hits, serving-AS sum, hash evaluations);
   // only the throughput may differ.
   const std::uint64_t num_entries =
@@ -201,14 +200,14 @@ int main(int argc, char** argv) {
   }
   unsigned serving_shards = 0;
   {
-    // Leg B: sharded snapshots + batched resolution, all workers.
+    // Leg B: sharded store + batched resolution, all workers.
     HoleResolver resolver(serve_hashes, env.table, 10);
     resolver.EnableSnapshot();
     resolver.RefreshSnapshot();
     ShardedMappingStore store(n, unsigned(options.shards));
     serving_shards = store.num_shards();
     populate(store, resolver);
-    store.RefreshSnapshots();  // serial write point: publish read snapshots
+    store.RefreshSnapshots();  // serial write point: publish the writes
     constexpr std::uint64_t kBatch = 256;
     const std::uint64_t num_chunks = (num_serves + kBatch - 1) / kBatch;
     std::vector<ServeChecksum> partial(pool.size());

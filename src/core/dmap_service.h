@@ -210,12 +210,12 @@ class DMapService {
     resolver_.RefreshSnapshot();
   }
 
-  // Publishes every read snapshot the serving path probes: the resolver's
-  // DIR-24-8 table (above) and the mapping store's per-shard entry
-  // snapshots. Call from the serial section between the last write and a
-  // parallel lookup phase. Purely an optimisation — a stale snapshot
-  // always falls back to the authoritative structure — but the lock-free
-  // serving numbers come from reading fresh snapshots.
+  // Publishes everything the serving path reads: rebuilds the resolver's
+  // DIR-24-8 table (above) if stale, applies the buffered cache fills and
+  // publishes the store and cache shards (an O(shards) epoch update; both
+  // are written in place). Call from the serial section between the last
+  // write and a parallel lookup phase. Store reads are correct either way;
+  // an unpublished cache shard only misses.
   void RefreshReadSnapshots() REQUIRES_ALL_SHARDS() {
     resolver_.RefreshSnapshot();
     store_.RefreshSnapshots();
@@ -345,8 +345,7 @@ class DMapService {
 
   // Replica-store read for tests, the event-driven executor and the
   // staleness bookkeeping: the entry stored for `guid` at AS `as`, or
-  // nullptr. Goes through the shard snapshot when fresh (lock-free), the
-  // mutable shard map otherwise — always the same answer.
+  // nullptr. Lock-free; the pointer lasts until the next store write.
   const MappingEntry* StoreLookup(AsId as, const Guid& guid) const {
     return store_.Read(as, guid);
   }
@@ -400,16 +399,15 @@ class DMapService {
   HoleResolver resolver_;
   PathOracle oracle_;  // internally sharded; see REQUIRES_SHARD above
   // Mapping state: bulk-loaded/mutated at serial write points, read
-  // concurrently during parallel phases — lock-free via per-shard
-  // snapshots published by RefreshReadSnapshots().
+  // concurrently and lock-free during parallel phases.
   ShardedMappingStore store_ WRITE_SERIAL_READ_SHARED();
   std::unordered_map<Guid, OwnerState, GuidHash> owners_
       WRITE_SERIAL_READ_SHARED();
   FailureView failures_ WRITE_SERIAL_READ_SHARED();
   std::uint64_t total_entries_ = 0;
   // Resolver-side cache (null = disabled). Parallel phases only Probe the
-  // published snapshots and buffer fills per worker; mutation happens at
-  // the serial write points (ApplyFills/Invalidate/RefreshSnapshots).
+  // published shards and buffer fills per worker; mutation happens at the
+  // serial write points (ApplyFills/Invalidate/RefreshSnapshots).
   std::unique_ptr<ResolverCache> cache_;
   SimTime cache_now_ WRITE_SERIAL_READ_SHARED() = SimTime::Zero();
 

@@ -60,20 +60,28 @@ ShardedMappingStore::ShardedMappingStore(std::uint32_t num_ases,
 bool ShardedMappingStore::Upsert(AsId as, const Guid& guid,
                                  const MappingEntry& entry,
                                  Ipv4Address stored_address) {
-  Shard& shard = shards_[ShardOf(guid)];
-  const auto [it, inserted] = shard.map.try_emplace(
-      Key{guid, as}, Stored{entry, stored_address});
-  if (!inserted) {
-    if (entry.stamp() < it->second.entry.stamp()) return false;
-    it->second = Stored{entry, stored_address};
+  const std::uint64_t fingerprint = guid.Fingerprint64();
+  Shard& shard = shards_[ShardOfFingerprint(fingerprint)];
+  const std::size_t i = SlotOf(shard, as, guid, fingerprint);
+  const Slot stored{ProbeTag(fingerprint, as), stored_address, as, guid, entry};
+  Slot& slot = shard.table[i];
+  if (slot.empty()) {
+    shard.table.Insert(i, stored);
+  } else if (entry.stamp() < slot.entry.stamp()) {
+    return false;
+  } else {
+    slot = stored;
   }
   ++shard.epoch;
   return true;
 }
 
 bool ShardedMappingStore::Erase(AsId as, const Guid& guid) {
-  Shard& shard = shards_[ShardOf(guid)];
-  if (shard.map.erase(Key{guid, as}) == 0) return false;
+  const std::uint64_t fingerprint = guid.Fingerprint64();
+  Shard& shard = shards_[ShardOfFingerprint(fingerprint)];
+  const std::size_t i = SlotOf(shard, as, guid, fingerprint);
+  if (shard.table[i].empty()) return false;
+  shard.table.Erase(i);
   ++shard.epoch;
   return true;
 }
@@ -81,90 +89,34 @@ bool ShardedMappingStore::Erase(AsId as, const Guid& guid) {
 void ShardedMappingStore::RefreshSnapshots() {
   for (Shard& shard : shards_) {
     if (shard.snapshot_epoch == shard.epoch) continue;
-    RebuildSnapshot(shard);
     shard.snapshot_epoch = shard.epoch;
     ++snapshot_rebuilds_;
   }
 }
 
-void ShardedMappingStore::RebuildSnapshot(Shard& shard) {
-  // Power-of-two capacity at <= 50% load keeps linear-probe chains short;
-  // reuse the slot storage when the capacity is unchanged.
-  std::size_t capacity = 16;
-  while (capacity < shard.map.size() * 2) capacity <<= 1;
-  if (shard.slots.size() == capacity) {
-    std::fill(shard.slots.begin(), shard.slots.end(), Slot{});
-  } else {
-    shard.slots.assign(capacity, Slot{});
-  }
-  shard.slot_mask = capacity - 1;
-  // Insertion order only affects which of two tag-colliding entries sits
-  // first in a probe chain, never a probe's answer.
-  for (const auto& [key, stored] : shard.map) {
-    const std::uint64_t tag = MixTag(key.guid.Fingerprint64(), key.as);
-    std::size_t idx = std::size_t(tag) & shard.slot_mask;
-    while (shard.slots[idx].as != kInvalidAs) {
-      idx = (idx + 1) & shard.slot_mask;
-    }
-    Slot& slot = shard.slots[idx];
-    slot.tag = tag;
-    slot.as = key.as;
-    slot.guid = key.guid;
-    slot.entry = stored.entry;
-  }
-}
-
-const MappingEntry* ShardedMappingStore::Lookup(AsId as,
-                                                const Guid& guid) const {
-  const Shard& shard = shards_[ShardOf(guid)];
-  const auto it = shard.map.find(Key{guid, as});
-  return it == shard.map.end() ? nullptr : &it->second.entry;
-}
-
 const MappingEntry* ShardedMappingStore::Read(
     AsId as, const Guid& guid, std::uint64_t fingerprint) const {
   const Shard& shard = shards_[ShardOfFingerprint(fingerprint)];
-  if (shard.snapshot_epoch != shard.epoch) {
-    // Stale snapshot (mutations since the last serial refresh): the
-    // mutable map is the authority. Reaching this from a parallel phase is
-    // legal — the map is not being written by contract.
-    const auto it = shard.map.find(Key{guid, as});
-    return it == shard.map.end() ? nullptr : &it->second.entry;
-  }
-  if (shard.slots.empty()) return nullptr;
-  const std::uint64_t tag = MixTag(fingerprint, as);
-  std::size_t idx = std::size_t(tag) & shard.slot_mask;
-  while (shard.slots[idx].as != kInvalidAs) {
-    const Slot& slot = shard.slots[idx];
-    if (slot.tag == tag && slot.as == as && slot.guid == guid) {
-      return &slot.entry;
-    }
-    idx = (idx + 1) & shard.slot_mask;
-  }
-  return nullptr;
+  const Slot& slot = shard.table[SlotOf(shard, as, guid, fingerprint)];
+  return slot.empty() ? nullptr : &slot.entry;
 }
 
 bool ShardedMappingStore::snapshots_fresh() const {
-  for (const Shard& shard : shards_) {
-    if (shard.snapshot_epoch != shard.epoch) return false;
-  }
-  return true;
+  return std::all_of(shards_.begin(), shards_.end(), [](const Shard& shard) {
+    return shard.snapshot_epoch == shard.epoch;
+  });
 }
 
 std::size_t ShardedMappingStore::size() const {
   std::size_t total = 0;
-  for (const Shard& shard : shards_) total += shard.map.size();
+  for (const Shard& shard : shards_) total += shard.table.size();
   return total;
 }
 
 std::size_t ShardedMappingStore::SizeAt(AsId as) const {
   std::size_t count = 0;
   for (const Shard& shard : shards_) {
-    // lint:allow(determinism:unordered-iteration) integer count is iteration-order independent
-    for (const auto& [key, stored] : shard.map) {
-      (void)stored;
-      if (key.as == as) ++count;
-    }
+    shard.table.ForEach([&](const Slot& slot) { count += slot.as == as; });
   }
   return count;
 }
@@ -174,11 +126,9 @@ std::vector<std::size_t> ShardedMappingStore::SizesByAs() const {
   // Shards are visited in shard order and the per-AS tallies are integer
   // sums, so the merged vector is identical for every shard count.
   for (const Shard& shard : shards_) {
-    // lint:allow(determinism:unordered-iteration) integer tallies are iteration-order independent
-    for (const auto& [key, stored] : shard.map) {
-      (void)stored;
-      if (key.as < sizes.size()) ++sizes[key.as];
-    }
+    shard.table.ForEach([&](const Slot& slot) {
+      if (slot.as < sizes.size()) ++sizes[slot.as];
+    });
   }
   return sizes;
 }
@@ -187,12 +137,11 @@ std::vector<Guid> ShardedMappingStore::GuidsStoredIn(
     AsId as, const Cidr& prefix) const {
   std::vector<Guid> guids;
   for (const Shard& shard : shards_) {
-    // lint:allow(determinism:unordered-iteration) collected GUIDs are sorted before return
-    for (const auto& [key, stored] : shard.map) {
-      if (key.as == as && prefix.Contains(stored.stored_address)) {
-        guids.push_back(key.guid);
+    shard.table.ForEach([&](const Slot& slot) {
+      if (slot.as == as && prefix.Contains(slot.stored_address)) {
+        guids.push_back(slot.guid);
       }
-    }
+    });
   }
   std::sort(guids.begin(), guids.end());
   return guids;

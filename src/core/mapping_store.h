@@ -8,16 +8,15 @@
 // AS's table, organised for lock-free parallel serving: entries are
 // partitioned across N independent shards by a deterministic hash of the
 // GUID alone (so all K+1 replicas of a GUID live in one shard), and each
-// shard publishes an immutable, epoch-versioned open-addressing snapshot
-// that the read path probes with zero locking. Snapshots are rebuilt only
-// at serial write points (RefreshSnapshots); a reader that finds a shard's
-// snapshot stale silently falls back to the shard's mutable map, so reads
-// are always correct — fresh snapshots only make them faster.
+// shard is one open-addressing table (core/probe_table.h) that is both the
+// authoritative state and what readers probe. Writes mutate the table in
+// place, only at serial write points; reads run only between them, with
+// zero locking. RefreshSnapshots() publishes the shards written since the
+// last publish by recording their epochs — it copies nothing.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -25,6 +24,7 @@
 #include "common/ipv4.h"
 #include "common/thread_annotations.h"
 #include "core/mapping.h"
+#include "core/probe_table.h"
 
 namespace dmap {
 
@@ -81,13 +81,13 @@ class MappingStore {
   std::unordered_map<Guid, Stored, GuidHash> entries_;
 };
 
-// Shared-nothing sharded mapping state with lock-free snapshot reads (see
-// the file comment). Entries are keyed (AsId, Guid) — the replica of one
-// GUID at one host — and the shard is chosen by the GUID alone, so a
-// write of all replicas of a GUID touches exactly one shard and the shard
-// populations are identical for every thread count. Every query result is
-// independent of the shard count (asserted by the cross-shard equivalence
-// suite); enumeration results are sorted before being returned.
+// Shared-nothing sharded mapping state with lock-free reads (see the file
+// comment). Entries are keyed (AsId, Guid) — the replica of one GUID at
+// one host — and the shard is chosen by the GUID alone, so a write of all
+// replicas of a GUID touches exactly one shard and the shard populations
+// are identical for every thread count. Every query result is independent
+// of the shard count (asserted by the cross-shard equivalence suite);
+// enumeration results are sorted before being returned.
 class ShardedMappingStore {
  public:
   // Shard counts outside [1, kMaxShards] are clamped; 0 selects the
@@ -116,41 +116,41 @@ class ShardedMappingStore {
   // from serial sections; no reader runs concurrently with these). --------
 
   // Same version-gated semantics as MappingStore::Upsert, per (as, guid).
+  // `as` must name an AS: kInvalidAs marks empty table slots.
   bool Upsert(AsId as, const Guid& guid, const MappingEntry& entry,
               Ipv4Address stored_address = Ipv4Address(0)) REQUIRES_SERIAL();
 
   // Removes the replica of `guid` at `as`; true if present.
   bool Erase(AsId as, const Guid& guid) REQUIRES_SERIAL();
 
-  // Rebuilds the read snapshot of every shard whose mutable map changed
-  // since the last refresh (per-shard epoch comparison; untouched shards
-  // are skipped and their snapshot storage is reused). Must only be called
-  // from serial sections — the write point of the snapshot discipline.
+  // Publishes every shard written since the last publish: O(shards), no
+  // copying — the tables are already current. Must only be called from
+  // serial sections, the write point of the snapshot discipline.
   void RefreshSnapshots() REQUIRES_ALL_SHARDS() REQUIRES_SERIAL();
 
   // ---- Read API (safe to call concurrently from many workers while no
   // writer runs; never blocks, never locks). -----------------------------
 
-  // Authoritative lookup against the shard's mutable map. nullptr on miss.
-  // The pointer is invalidated by mutations of the same shard.
-  const MappingEntry* Lookup(AsId as, const Guid& guid) const;
-
-  // Snapshot read: probes the shard's immutable snapshot when it is fresh
-  // (one or two cache lines for the common hit) and silently falls back to
-  // Lookup() when stale, so the answer always matches Lookup(). The
-  // `fingerprint` overload lets a caller probing several ASs for the same
-  // GUID hash it once.
+  // Probes the shard's table (one or two cache lines for the common hit);
+  // nullptr on miss. The `fingerprint` overload lets a caller probing
+  // several ASs for the same GUID hash it once. Any Upsert or Erase on the
+  // same shard invalidates the pointer: slots move.
   const MappingEntry* Read(AsId as, const Guid& guid) const DMAP_HOT_PATH {
     return Read(as, guid, guid.Fingerprint64());
   }
   const MappingEntry* Read(AsId as, const Guid& guid,
                            std::uint64_t fingerprint) const DMAP_HOT_PATH;
 
-  // True when every shard's snapshot reflects its current epoch.
+  // The same answer as Read, for callers outside the serving hot path.
+  const MappingEntry* Lookup(AsId as, const Guid& guid) const {
+    return Read(as, guid);
+  }
+
+  // True when every shard's writes have been published.
   bool snapshots_fresh() const;
 
-  // Lifetime count of per-shard snapshot rebuilds — the regression handle
-  // for "refresh must not rebuild untouched shards".
+  // Lifetime count of publishes of a changed shard — the regression
+  // handle for "refresh must not touch untouched shards".
   std::uint64_t snapshot_rebuilds() const { return snapshot_rebuilds_; }
 
   // ---- Introspection (serial sections only; results are independent of
@@ -171,59 +171,33 @@ class ShardedMappingStore {
   std::vector<Guid> GuidsStoredIn(AsId as, const Cidr& prefix) const;
 
  private:
-  struct Key {
-    Guid guid;
-    AsId as = kInvalidAs;
-    bool operator==(const Key&) const = default;
-  };
-  struct KeyHash {
-    std::size_t operator()(const Key& key) const {
-      return std::size_t(
-          MixTag(key.guid.Fingerprint64(), key.as));
-    }
-  };
-  struct Stored {
-    MappingEntry entry;
-    Ipv4Address stored_address;
-  };
-  // One open-addressing snapshot slot. `as == kInvalidAs` marks an empty
-  // slot; occupied slots compare the mixed tag first, then the exact key.
+  // One table slot, 96 bytes: the probe compares the tag, then the exact
+  // key, all in the first 32 bytes. `as == kInvalidAs` marks an empty slot.
   struct Slot {
-    std::uint64_t tag = 0;
+    std::uint32_t tag = 0;
+    Ipv4Address stored_address;
     AsId as = kInvalidAs;
     Guid guid;
     MappingEntry entry;
+    bool empty() const { return as == kInvalidAs; }
   };
+  static_assert(sizeof(Slot) == 96);
   struct Shard {
-    // Mutable, authoritative state — written only from serial sections.
-    std::unordered_map<Key, Stored, KeyHash> map WRITE_SERIAL_READ_SHARED();
-    // Bumped on every applied mutation; equality with snapshot_epoch means
-    // the snapshot below answers exactly like `map`.
-    std::uint64_t epoch = 0;
-    std::uint64_t snapshot_epoch = 0;  // starts fresh: both empty
-    // Immutable published snapshot: power-of-two linear-probing table,
-    // rebuilt only by RefreshSnapshots.
-    std::vector<Slot> slots WRITE_SERIAL_READ_SHARED();
-    std::size_t slot_mask = 0;
+    ProbeTable<Slot> table WRITE_SERIAL_READ_SHARED();
+    std::uint64_t epoch = 0;  // == snapshot_epoch once published
+    std::uint64_t snapshot_epoch = 0;
   };
-
-  // SplitMix64-style finalizer mixing the (fingerprint, as) pair into the
-  // snapshot probe tag and the map bucket hash.
-  static std::uint64_t MixTag(std::uint64_t fingerprint, AsId as) {
-    std::uint64_t x = fingerprint ^ (std::uint64_t(as) * 0x9e3779b97f4a7c15ULL);
-    x ^= x >> 30;
-    x *= 0xbf58476d1ce4e5b9ULL;
-    x ^= x >> 27;
-    x *= 0x94d049bb133111ebULL;
-    x ^= x >> 31;
-    return x;
-  }
 
   unsigned ShardOfFingerprint(std::uint64_t fingerprint) const {
     return unsigned(fingerprint % shards_.size());
   }
-
-  void RebuildSnapshot(Shard& shard);
+  // Index of the (as, guid) slot, or of the empty slot ending its chain.
+  static std::size_t SlotOf(const Shard& shard, AsId as, const Guid& guid,
+                            std::uint64_t fingerprint) {
+    return shard.table.Find(ProbeTag(fingerprint, as), [&](const Slot& slot) {
+      return slot.as == as && slot.guid == guid;
+    });
+  }
 
   std::uint32_t num_ases_;
   std::vector<Shard> shards_;

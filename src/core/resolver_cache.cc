@@ -64,87 +64,122 @@ SimTime ResolverCache::ExpiryFor(SimTime now) const {
 
 const MappingEntry* ResolverCache::Get(AsId as, const Guid& guid,
                                        SimTime now) {
-  Shard& shard = shards_[ShardOfFingerprint(guid.Fingerprint64())];
-  const auto it = shard.index.find(Key{guid, as});
-  if (it == shard.index.end()) {
-    ++serial_.misses;
-    return nullptr;
-  }
-  if (it->second->expires < now) {
-    RemoveHolder(shard, it->second->key);
-    shard.lru.erase(it->second);
-    shard.index.erase(it);
-    ++shard.epoch;
+  const std::uint64_t fingerprint = guid.Fingerprint64();
+  Shard& shard = shards_[ShardOfFingerprint(fingerprint)];
+  const std::uint32_t n =
+      shard.index[IndexSlot(shard, as, guid, fingerprint)].node;
+  const bool expired = n != kNil && shard.nodes[n].expires < now;
+  if (expired) {
+    Remove(shard, n);
     ++serial_.evictions;
+  }
+  if (n == kNil || expired) {
     ++serial_.misses;
     return nullptr;
   }
-  shard.lru.splice(shard.lru.begin(), shard.lru, it->second);  // refresh
+  Unlink(shard, n);  // refresh
+  PushFront(shard, n);
   ++serial_.hits;
-  return &shard.lru.front().entry;
+  return &shard.nodes[n].entry;
 }
 
-void ResolverCache::RemoveHolder(Shard& shard, const Key& key) {
-  const auto holder_it = shard.holders.find(key.guid);
-  if (holder_it == shard.holders.end()) return;
-  std::vector<AsId>& holders = holder_it->second;
-  const auto as_it = std::find(holders.begin(), holders.end(), key.as);
-  if (as_it != holders.end()) {
-    *as_it = holders.back();
-    holders.pop_back();
+void ResolverCache::PushFront(Shard& shard, std::uint32_t n) {
+  Node& ring = shard.nodes[kRing];
+  Node& node = shard.nodes[n];
+  node.newer = kRing;
+  node.older = ring.older;
+  shard.nodes[ring.older].newer = n;
+  ring.older = n;
+}
+
+void ResolverCache::Unlink(Shard& shard, std::uint32_t n) {
+  const Node& node = shard.nodes[n];
+  shard.nodes[node.newer].older = node.older;
+  shard.nodes[node.older].newer = node.newer;
+}
+
+void ResolverCache::Remove(Shard& shard, std::uint32_t n) {
+  const auto is_n = [n](const Slot& slot) { return slot.node == n; };
+  Node& node = shard.nodes[n];
+  const std::uint64_t fingerprint = node.guid.Fingerprint64();
+  shard.index.Erase(shard.index.Find(ProbeTag(fingerprint, node.as), is_n));
+  Unlink(shard, n);
+  if (node.next_copy != kNil) {
+    shard.nodes[node.next_copy].prev_copy = node.prev_copy;
   }
-  if (holders.empty()) shard.holders.erase(holder_it);
-}
-
-void ResolverCache::EvictTail(Shard& shard) {
-  RemoveHolder(shard, shard.lru.back().key);
-  shard.index.erase(shard.lru.back().key);
-  shard.lru.pop_back();
-  ++serial_.evictions;
-}
-
-void ResolverCache::PutInShard(Shard& shard, const Key& key,
-                               const MappingEntry& entry, SimTime expires) {
-  const auto [it, inserted] = shard.index.try_emplace(key);
-  if (!inserted) {
-    it->second->entry = entry;
-    it->second->expires = expires;
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-    ++shard.epoch;
-    return;
+  if (node.prev_copy != kNil) {
+    shard.nodes[node.prev_copy].next_copy = node.next_copy;
+  } else {  // `n` heads its GUID's copy chain
+    const std::size_t head =
+        shard.heads.Find(ProbeTag(fingerprint, kInvalidAs), is_n);
+    if (node.next_copy == kNil) {
+      shard.heads.Erase(head);
+    } else {
+      shard.heads[head].node = node.next_copy;
+    }
   }
-  shard.lru.push_front(Cached{key, entry, expires});
-  it->second = shard.lru.begin();
-  shard.holders[key.guid].push_back(key.as);
-  if (shard.lru.size() > per_shard_capacity_) EvictTail(shard);
+  node.older = shard.free;
+  shard.free = n;
+  ++shard.epoch;
+}
+
+void ResolverCache::PutFill(const Node& fill) {
+  const std::uint64_t fingerprint = fill.guid.Fingerprint64();
+  Shard& shard = shards_[ShardOfFingerprint(fingerprint)];
+  std::size_t i = IndexSlot(shard, fill.as, fill.guid, fingerprint);
+  std::uint32_t n = shard.index[i].node;
+  if (n != kNil) {  // refresh
+    shard.nodes[n].entry = fill.entry;
+    shard.nodes[n].expires = fill.expires;
+    Unlink(shard, n);
+  } else {
+    if (shard.index.size() == per_shard_capacity_) {
+      // The new key is absent, so evicting before the insert picks the
+      // same LRU tail as evicting after it.
+      Remove(shard, shard.nodes[kRing].newer);
+      ++serial_.evictions;
+      i = IndexSlot(shard, fill.as, fill.guid, fingerprint);  // shifted
+    }
+    n = shard.free;
+    if (n == kNil) {
+      n = std::uint32_t(shard.nodes.size());
+      shard.nodes.push_back(fill);
+    } else {
+      shard.free = shard.nodes[n].older;
+      shard.nodes[n] = fill;
+    }
+    shard.index.Insert(i, Slot{ProbeTag(fingerprint, fill.as), n});
+    // The new copy becomes the head of its GUID's copy chain.
+    const std::size_t head = HeadSlot(shard, fill.guid, fingerprint);
+    if (shard.heads[head].empty()) {
+      shard.heads.Insert(head, Slot{ProbeTag(fingerprint, kInvalidAs), n});
+    } else {
+      shard.nodes[n].next_copy = shard.heads[head].node;
+      shard.nodes[shard.nodes[n].next_copy].prev_copy = n;
+      shard.heads[head].node = n;
+    }
+  }
+  PushFront(shard, n);
   ++shard.epoch;
 }
 
 void ResolverCache::Put(AsId as, const Guid& guid, const MappingEntry& entry,
                         SimTime now) {
-  Shard& shard = shards_[ShardOfFingerprint(guid.Fingerprint64())];
-  PutInShard(shard, Key{guid, as}, entry, ExpiryFor(now));
+  PutFill(Node{guid, as, entry, ExpiryFor(now)});
 }
 
 std::size_t ResolverCache::Invalidate(const Guid& guid) {
-  // All cached copies of `guid` — one per querier AS — live in the shard
-  // selected by the GUID fingerprint; the inverted index names the holder
-  // ASes, and each copy is erased through its stored list iterator, so the
-  // whole invalidation is O(copies), independent of the shard population.
-  Shard& shard = shards_[ShardOfFingerprint(guid.Fingerprint64())];
-  const auto holder_it = shard.holders.find(guid);
-  if (holder_it == shard.holders.end()) return 0;
-  const std::vector<AsId> holders = std::move(holder_it->second);
-  shard.holders.erase(holder_it);
-  for (const AsId as : holders) {
-    const auto it = shard.index.find(Key{guid, as});
-    if (it == shard.index.end()) continue;
-    shard.lru.erase(it->second);
-    shard.index.erase(it);
+  const std::uint64_t fingerprint = guid.Fingerprint64();
+  Shard& shard = shards_[ShardOfFingerprint(fingerprint)];
+  std::size_t dropped = 0;
+  for (std::uint32_t n = shard.heads[HeadSlot(shard, guid, fingerprint)].node;
+       n != kNil; ++dropped) {
+    const std::uint32_t next = shard.nodes[n].next_copy;
+    Remove(shard, n);
+    n = next;
   }
-  shard.epoch += holders.size();
-  serial_.invalidations += holders.size();
-  return holders.size();
+  serial_.invalidations += dropped;
+  return dropped;
 }
 
 void ResolverCache::EnsureWorkers(unsigned workers) {
@@ -156,24 +191,12 @@ const MappingEntry* ResolverCache::Probe(AsId as, const Guid& guid,
                                          std::uint64_t fingerprint,
                                          SimTime now) const {
   const Shard& shard = shards_[ShardOfFingerprint(fingerprint)];
-  if (shard.snapshot_epoch != shard.epoch) {
-    // Stale snapshot: report a miss. Unlike the sharded store there is no
-    // mutable-map fallback — a cache miss is always correct, and the
-    // mutable LRU may be mid-mutation on another discipline's path.
-    return nullptr;
-  }
-  if (shard.slots.empty()) return nullptr;
-  const std::uint64_t tag = MixTag(fingerprint, as);
-  std::size_t idx = std::size_t(tag) & shard.slot_mask;
-  while (true) {
-    const Slot& slot = shard.slots[idx];
-    if (slot.as == kInvalidAs) return nullptr;
-    if (slot.tag == tag && slot.as == as && slot.guid == guid) {
-      if (slot.expires < now) return nullptr;  // expired: miss, no evict
-      return &slot.entry;
-    }
-    idx = (idx + 1) & shard.slot_mask;
-  }
+  // Unpublished writes: a miss, which is always correct for a cache.
+  if (shard.snapshot_epoch != shard.epoch) return nullptr;
+  const Slot& slot = shard.index[IndexSlot(shard, as, guid, fingerprint)];
+  if (slot.empty()) return nullptr;
+  const Node& node = shard.nodes[slot.node];
+  return node.expires < now ? nullptr : &node.entry;  // expired: no evict
 }
 
 void ResolverCache::TallyProbe(unsigned worker, bool hit) {
@@ -187,104 +210,53 @@ void ResolverCache::TallyStaleServed(unsigned worker) {
 
 void ResolverCache::RecordFill(unsigned worker, AsId as, const Guid& guid,
                                const MappingEntry& entry, SimTime now) {
-  lanes_[worker].fills.push_back(Fill{Key{guid, as}, entry, ExpiryFor(now)});
+  lanes_[worker].fills.push_back(Node{guid, as, entry, ExpiryFor(now)});
 }
 
 void ResolverCache::ApplyFills() {
-  std::vector<Fill> all;
+  std::vector<Node> all;
   for (WorkerLane& lane : lanes_) {
     all.insert(all.end(), lane.fills.begin(), lane.fills.end());
     lane.fills.clear();
   }
-  if (all.empty()) return;
   // Canonical order: (guid words, as) groups duplicates; within a group
-  // the winner is the newest logical stamp, longest expiry as tie-break.
-  // The sort key is a pure function of the fill itself, so the merged
-  // cache state is independent of which worker buffered which fill.
-  std::sort(all.begin(), all.end(), [](const Fill& a, const Fill& b) {
-    for (int w = 0; w < Guid::kWords; ++w) {
-      if (a.key.guid.word(w) != b.key.guid.word(w)) {
-        return a.key.guid.word(w) < b.key.guid.word(w);
-      }
-    }
-    if (a.key.as != b.key.as) return a.key.as < b.key.as;
+  // the winner is the newest logical stamp, longest expiry as tie-break,
+  // sorted to the front. The sort key is a pure function of the fill
+  // itself, so the merged cache state is independent of which worker
+  // buffered which fill.
+  std::sort(all.begin(), all.end(), [](const Node& a, const Node& b) {
+    if (const auto order = a.guid <=> b.guid; order != 0) return order < 0;
+    if (a.as != b.as) return a.as < b.as;
     if (a.entry.stamp() != b.entry.stamp()) {
-      return a.entry.stamp() < b.entry.stamp();
+      return a.entry.stamp() > b.entry.stamp();
     }
-    return a.expires < b.expires;
+    return a.expires > b.expires;
   });
-  // Groups are contiguous; the last element of each group is its winner.
-  for (std::size_t i = 0; i < all.size(); ++i) {
-    if (i + 1 < all.size() && all[i + 1].key == all[i].key) continue;
-    Shard& shard =
-        shards_[ShardOfFingerprint(all[i].key.guid.Fingerprint64())];
-    PutInShard(shard, all[i].key, all[i].entry, all[i].expires);
-  }
+  const auto same_key = [](const Node& a, const Node& b) {
+    return a.guid == b.guid && a.as == b.as;
+  };
+  all.erase(std::unique(all.begin(), all.end(), same_key), all.end());
+  for (const Node& fill : all) PutFill(fill);
 }
 
 void ResolverCache::RefreshSnapshots() {
   for (Shard& shard : shards_) {
     if (shard.snapshot_epoch == shard.epoch) continue;
-    RebuildSnapshot(shard);
     shard.snapshot_epoch = shard.epoch;
     ++snapshot_rebuilds_;
   }
 }
 
-void ResolverCache::RebuildSnapshot(Shard& shard) {
-  std::size_t capacity = 16;
-  while (capacity < shard.lru.size() * 2) capacity <<= 1;
-  if (shard.slots.size() == capacity) {
-    std::fill(shard.slots.begin(), shard.slots.end(), Slot{});
-  } else {
-    shard.slots.assign(capacity, Slot{});
-  }
-  shard.slot_mask = capacity - 1;
-  for (const Cached& cached : shard.lru) {
-    const std::uint64_t tag =
-        MixTag(cached.key.guid.Fingerprint64(), cached.key.as);
-    std::size_t idx = std::size_t(tag) & shard.slot_mask;
-    while (shard.slots[idx].as != kInvalidAs) {
-      idx = (idx + 1) & shard.slot_mask;
-    }
-    Slot& slot = shard.slots[idx];
-    slot.tag = tag;
-    slot.as = cached.key.as;
-    slot.guid = cached.key.guid;
-    slot.entry = cached.entry;
-    slot.expires = cached.expires;
-  }
-}
-
 std::size_t ResolverCache::size() const {
   std::size_t total = 0;
-  for (const Shard& shard : shards_) total += shard.lru.size();
+  for (const Shard& shard : shards_) total += shard.index.size();
   return total;
 }
 
 bool ResolverCache::snapshots_fresh() const {
-  for (const Shard& shard : shards_) {
-    if (shard.snapshot_epoch != shard.epoch) return false;
-  }
-  return true;
-}
-
-std::uint64_t ResolverCache::hits() const {
-  std::uint64_t total = serial_.hits;
-  for (const WorkerLane& lane : lanes_) total += lane.hits;
-  return total;
-}
-
-std::uint64_t ResolverCache::misses() const {
-  std::uint64_t total = serial_.misses;
-  for (const WorkerLane& lane : lanes_) total += lane.misses;
-  return total;
-}
-
-std::uint64_t ResolverCache::stale_served() const {
-  std::uint64_t total = serial_.stale_served;
-  for (const WorkerLane& lane : lanes_) total += lane.stale_served;
-  return total;
+  return std::all_of(shards_.begin(), shards_.end(), [](const Shard& shard) {
+    return shard.snapshot_epoch == shard.epoch;
+  });
 }
 
 }  // namespace dmap

@@ -8,20 +8,21 @@
 // counters, scored against the PR 9 committed frontier), never assumed
 // away.
 //
-// Concurrency follows the ShardedMappingStore snapshot discipline exactly:
+// Concurrency follows the ShardedMappingStore discipline exactly:
 //
 //  * Entries are partitioned across shards by the GUID fingerprint alone,
 //    so every AS's cached copy of one GUID lives in one shard and
 //    Invalidate touches exactly one shard.
-//  * Each shard owns a mutable LRU (list + index map), written only from
-//    serial sections (Get/Put for single-owner executors, ApplyFills for
-//    the parallel closed-form sweeps), plus an immutable epoch-versioned
-//    open-addressing snapshot published by RefreshSnapshots().
-//  * The parallel read path (Probe) only ever touches the snapshot —
-//    lock-free, allocation-free, DMAP_HOT_PATH. A stale snapshot reports a
-//    miss rather than falling back to the mutable map: for a cache a miss
-//    is always correct (the caller falls through to the full probe), so
-//    freshness only buys hit rate, never correctness.
+//  * Each shard is one open-addressing table (core/probe_table.h) over a
+//    slab of entries that also carries the LRU order and the per-GUID copy
+//    chains. It is written in place, only from serial sections (Get/Put
+//    for single-owner executors, ApplyFills for the parallel closed-form
+//    sweeps); RefreshSnapshots() publishes the written shards by recording
+//    their epochs.
+//  * The parallel read path (Probe) is lock-free and allocation-free
+//    (DMAP_HOT_PATH). A shard with unpublished writes reports a miss: for
+//    a cache a miss is always correct (the caller falls through to the
+//    full probe), so publishing only buys hit rate, never correctness.
 //  * Fills discovered inside a parallel phase are buffered per worker
 //    (RecordFill) and applied at the next serial point (ApplyFills) in a
 //    canonical key order, so cache contents — and therefore hit/miss
@@ -30,14 +31,13 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <list>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/guid.h"
 #include "common/thread_annotations.h"
 #include "core/mapping.h"
+#include "core/probe_table.h"
 #include "event/sim_time.h"
 
 namespace dmap {
@@ -90,30 +90,31 @@ class ResolverCache {
   // on a shared instance instead). --------------------------------------
 
   // Returns the cached entry for (as, guid) if present and fresh at `now`,
-  // else nullptr. One hash: a single index find, then an O(1) splice to
-  // the LRU front. Expired entries are evicted on access.
+  // else nullptr; a hit moves the entry to the LRU front. Expired entries
+  // are evicted on access. The pointer is valid until the next write to
+  // the cache.
   const MappingEntry* Get(AsId as, const Guid& guid, SimTime now);
 
-  // Inserts or refreshes (as, guid). One hash via try_emplace on both the
-  // fresh-insert and refresh paths. Evicts the LRU tail on overflow.
+  // Inserts or refreshes (as, guid). Evicts the LRU tail on overflow.
   void Put(AsId as, const Guid& guid, const MappingEntry& entry, SimTime now);
 
   // ---- Serial write points (global: unreachable from parallel code). ---
 
   // Drops every AS's cached copy of `guid` — the invalidate-on-update
   // coherence rule. O(copies): the shard keyed by the GUID fingerprint
-  // holds all copies, found via the stored per-entry list iterators.
-  // Returns the number of copies dropped.
+  // holds all copies, chained from one per-GUID head slot. Returns the
+  // number of copies dropped.
   std::size_t Invalidate(const Guid& guid) REQUIRES_SERIAL();
 
-  // Drains every worker's fill buffer and applies the fills in canonical
-  // (fingerprint, guid, as) order, newest logical stamp winning per key —
-  // an order-independent merge, so cache contents are identical no matter
-  // which worker recorded which fill. Does NOT refresh snapshots.
+  // Drains every worker's fill buffer and applies one fill per key in
+  // canonical (GUID words, as) order; of several fills for one key the
+  // newest logical stamp wins, then the latest expiry. The order is a pure
+  // function of the fills, so cache contents are identical no matter which
+  // worker recorded which fill. Does NOT publish.
   void ApplyFills() REQUIRES_SERIAL();
 
-  // Republishes the per-shard read snapshots (only shards whose mutable
-  // state changed are rebuilt).
+  // Publishes every shard written since the last publish: O(shards), the
+  // tables are already current.
   void RefreshSnapshots() REQUIRES_SERIAL();
 
   // ---- Parallel phase (shared instance, closed-form sweeps). -----------
@@ -122,10 +123,10 @@ class ResolverCache {
   // only.
   void EnsureWorkers(unsigned workers) REQUIRES_ALL_SHARDS();
 
-  // Snapshot-only read: probes the shard's immutable table and returns the
-  // entry when present and fresh at `now`, nullptr otherwise. A stale
-  // snapshot (mutations since the last RefreshSnapshots) reports a miss —
-  // correct for a cache, the caller simply takes the full-probe path.
+  // Published-state read: returns the entry when present and fresh at
+  // `now`, nullptr otherwise. A shard with writes since the last
+  // RefreshSnapshots reports a miss — correct for a cache, the caller
+  // simply takes the full-probe path.
   const MappingEntry* Probe(AsId as, const Guid& guid,
                             std::uint64_t fingerprint,
                             SimTime now) const DMAP_HOT_PATH;
@@ -151,63 +152,61 @@ class ResolverCache {
 
   std::size_t size() const;
   bool snapshots_fresh() const;
+  // Lifetime count of publishes of a changed shard.
   std::uint64_t snapshot_rebuilds() const { return snapshot_rebuilds_; }
 
   // Lifetime totals: serial-path counters plus every worker slab.
-  std::uint64_t hits() const;
-  std::uint64_t misses() const;
+  std::uint64_t hits() const {
+    return serial_.hits + SumLanes(&WorkerLane::hits);
+  }
+  std::uint64_t misses() const {
+    return serial_.misses + SumLanes(&WorkerLane::misses);
+  }
   std::uint64_t evictions() const { return serial_.evictions; }
   std::uint64_t invalidations() const { return serial_.invalidations; }
-  std::uint64_t stale_served() const;
+  std::uint64_t stale_served() const {
+    return serial_.stale_served + SumLanes(&WorkerLane::stale_served);
+  }
 
  private:
-  struct Key {
+  static constexpr std::uint32_t kNil = ~std::uint32_t{0};
+  // Slab index of each shard's LRU sentinel: the LRU list is a ring
+  // through it, its `older` being the newest entry, its `newer` the oldest.
+  static constexpr std::uint32_t kRing = 0;
+
+  // One cached copy in its shard's slab, linked into the LRU list and into
+  // its GUID's copy chain; freed nodes chain through `older` into the free
+  // list. Fills are buffered as unlinked nodes.
+  struct Node {
     Guid guid;
     AsId as = kInvalidAs;
-    bool operator==(const Key&) const = default;
-  };
-  struct KeyHash {
-    std::size_t operator()(const Key& key) const {
-      return std::size_t(MixTag(key.guid.Fingerprint64(), key.as));
-    }
-  };
-  struct Cached {
-    Key key;
     MappingEntry entry;
     SimTime expires;
+    std::uint32_t newer = kRing;  // LRU neighbours
+    std::uint32_t older = kRing;
+    std::uint32_t next_copy = kNil;  // other ASes' copies of `guid`
+    std::uint32_t prev_copy = kNil;
   };
-  // One open-addressing snapshot slot; `as == kInvalidAs` marks empty.
+  // Table slot naming a node: keyed by the node's (as, guid) in the index,
+  // by its GUID alone in the copy-chain heads.
   struct Slot {
-    std::uint64_t tag = 0;
-    AsId as = kInvalidAs;
-    Guid guid;
-    MappingEntry entry;
-    SimTime expires;
+    std::uint32_t tag = 0;
+    std::uint32_t node = kNil;
+    bool empty() const { return node == kNil; }
   };
   struct Shard {
-    // Mutable authoritative LRU — front = most recent; written only from
-    // serial sections / the single-owner executor loop.
-    std::list<Cached> lru WRITE_SERIAL_READ_SHARED();
-    std::unordered_map<Key, std::list<Cached>::iterator, KeyHash> index
-        WRITE_SERIAL_READ_SHARED();
-    // Inverted index: which ASes hold a cached copy of each GUID, so
-    // Invalidate is O(copies) — each copy erased through its stored list
-    // iterator — instead of an O(shard) LRU walk.
-    std::unordered_map<Guid, std::vector<AsId>, GuidHash> holders
-        WRITE_SERIAL_READ_SHARED();
-    std::uint64_t epoch = 0;
-    std::uint64_t snapshot_epoch = 0;  // starts fresh: both empty
-    std::vector<Slot> slots WRITE_SERIAL_READ_SHARED();
-    std::size_t slot_mask = 0;
-  };
-  struct Fill {
-    Key key;
-    MappingEntry entry;
-    SimTime expires;
+    // Written only from serial sections / the single-owner executor loop.
+    ProbeTable<Slot> index WRITE_SERIAL_READ_SHARED();
+    ProbeTable<Slot> heads WRITE_SERIAL_READ_SHARED();
+    std::vector<Node> nodes WRITE_SERIAL_READ_SHARED() =
+        std::vector<Node>(1);  // the sentinel: an empty ring
+    std::uint32_t free = kNil;
+    std::uint64_t epoch = 0;  // == snapshot_epoch once published
+    std::uint64_t snapshot_epoch = 0;
   };
   // Padded so adjacent workers never share a cache line.
   struct alignas(64) WorkerLane {
-    std::vector<Fill> fills;  // SHARD_CONFINED(worker)
+    std::vector<Node> fills;  // SHARD_CONFINED(worker)
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
     std::uint64_t stale_served = 0;
@@ -220,30 +219,38 @@ class ResolverCache {
     std::uint64_t stale_served = 0;
   };
 
-  // SplitMix64-style finalizer mixing (fingerprint, as) into the snapshot
-  // probe tag and the index bucket hash — same kernel as the sharded
-  // store's.
-  static std::uint64_t MixTag(std::uint64_t fingerprint, AsId as) {
-    std::uint64_t x =
-        fingerprint ^ (std::uint64_t(as) * 0x9e3779b97f4a7c15ULL);
-    x ^= x >> 30;
-    x *= 0xbf58476d1ce4e5b9ULL;
-    x ^= x >> 27;
-    x *= 0x94d049bb133111ebULL;
-    x ^= x >> 31;
-    return x;
+  std::uint64_t SumLanes(std::uint64_t WorkerLane::*tally) const {
+    std::uint64_t total = 0;
+    for (const WorkerLane& lane : lanes_) total += lane.*tally;
+    return total;
   }
-
   unsigned ShardOfFingerprint(std::uint64_t fingerprint) const {
     return unsigned(fingerprint % shards_.size());
   }
+  // Index slot of (as, guid), or the empty slot ending its probe chain.
+  static std::size_t IndexSlot(const Shard& shard, AsId as, const Guid& guid,
+                               std::uint64_t fingerprint) {
+    return shard.index.Find(ProbeTag(fingerprint, as), [&](const Slot& slot) {
+      const Node& node = shard.nodes[slot.node];
+      return node.as == as && node.guid == guid;
+    });
+  }
+  // Copy-chain head slot of `guid`, or the empty slot ending its chain.
+  static std::size_t HeadSlot(const Shard& shard, const Guid& guid,
+                              std::uint64_t fingerprint) {
+    return shard.heads.Find(ProbeTag(fingerprint, kInvalidAs),
+                            [&](const Slot& slot) {
+                              return shard.nodes[slot.node].guid == guid;
+                            });
+  }
 
   SimTime ExpiryFor(SimTime now) const;
-  void PutInShard(Shard& shard, const Key& key, const MappingEntry& entry,
-                  SimTime expires);
-  void EvictTail(Shard& shard);
-  static void RemoveHolder(Shard& shard, const Key& key);
-  void RebuildSnapshot(Shard& shard);
+  // Inserts or refreshes the key of the unlinked node `fill`.
+  void PutFill(const Node& fill);
+  static void PushFront(Shard& shard, std::uint32_t n);
+  static void Unlink(Shard& shard, std::uint32_t n);
+  // Drops node `n`: its index slot, LRU and copy-chain links; bumps epoch.
+  static void Remove(Shard& shard, std::uint32_t n);
 
   CacheConfig config_;
   std::size_t per_shard_capacity_;

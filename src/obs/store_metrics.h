@@ -8,7 +8,7 @@
 //    identical for every thread AND shard count, so it stays at the default
 //    kDeterministic stability and lands in the byte-diffed exports.
 //  * "store.shards" / "store.snapshot_rebuilds" — how the store happened to
-//    be partitioned and how often its read snapshots were rebuilt. Both
+//    be partitioned and how often a changed shard was published. Both
 //    depend on --shards (and, for auto, on the machine), so they are tagged
 //    MetricStability::kExecution and excluded from default exports —
 //    keeping metrics_summary files byte-identical across shard counts.

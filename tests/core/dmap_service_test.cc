@@ -630,7 +630,7 @@ TEST_F(DMapServiceTest, RefreshReadSnapshotsFreshensStoreAndResolver) {
   service.RefreshReadSnapshots();
   EXPECT_TRUE(service.store().snapshots_fresh());
   EXPECT_TRUE(service.resolver().snapshot_fresh());
-  // Reads served from the fresh snapshots agree with the mutable maps.
+  // Reads after the publish still find the stored entry.
   EXPECT_NE(service.StoreLookup(service.Lookup(Guid::FromSequence(1), 200)
                                     .serving_as,
                                 Guid::FromSequence(1)),

@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <list>
+#include <map>
+#include <random>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 namespace dmap {
@@ -117,8 +123,8 @@ TEST(ResolverCacheTest, ProbeSeesOnlyPublishedSnapshots) {
   ResolverCache cache(SmallConfig());
   const Guid g = Guid::FromSequence(6);
   cache.Put(7, g, Entry(42), SimTime::Zero());
-  // Mutations since the last RefreshSnapshots: Probe must miss, not fall
-  // back to the mutable LRU.
+  // Writes since the last RefreshSnapshots: Probe must miss although the
+  // shard's table already holds the entry.
   EXPECT_FALSE(cache.snapshots_fresh());
   EXPECT_EQ(cache.Probe(7, g, SimTime::Seconds(1)), nullptr);
   cache.RefreshSnapshots();
@@ -227,6 +233,248 @@ TEST(ResolverCacheTest, SnapshotRebuildsOnlyDirtyShards) {
   cache.RefreshSnapshots();  // exactly one shard went stale
   EXPECT_EQ(cache.snapshot_rebuilds(), after_first + 1);
 }
+
+// The list + map LRU the cache was before its shards became slab-backed
+// tables, kept as the reference: same sharding, capacity split, expiry,
+// publish and fill-merge rules, written the straightforward way.
+class ReferenceCache {
+ public:
+  explicit ReferenceCache(const CacheConfig& config)
+      : config_(config),
+        per_shard_((config.capacity + config.shards - 1) / config.shards),
+        shards_(config.shards) {}
+
+  const MappingEntry* Get(AsId as, const Guid& guid, SimTime now) {
+    Shard& shard = ShardOf(guid);
+    const auto it = shard.index.find({as, guid});
+    if (it == shard.index.end()) {
+      ++misses;
+      return nullptr;
+    }
+    if (it->second->expires < now) {
+      shard.lru.erase(it->second);
+      shard.index.erase(it);
+      ++shard.epoch;
+      ++evictions;
+      ++misses;
+      return nullptr;
+    }
+    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+    ++hits;
+    return &shard.lru.front().entry;
+  }
+
+  void Put(AsId as, const Guid& guid, const MappingEntry& entry, SimTime now) {
+    PutExpiring(Cached{as, guid, entry, Expiry(now)});
+  }
+
+  std::size_t Invalidate(const Guid& guid) {
+    Shard& shard = ShardOf(guid);
+    std::size_t dropped = 0;
+    for (auto it = shard.lru.begin(); it != shard.lru.end();) {
+      if (it->guid != guid) {
+        ++it;
+        continue;
+      }
+      shard.index.erase({it->as, it->guid});
+      it = shard.lru.erase(it);
+      ++dropped;
+    }
+    shard.epoch += dropped;
+    invalidations += dropped;
+    return dropped;
+  }
+
+  void RecordFill(AsId as, const Guid& guid, const MappingEntry& entry,
+                  SimTime now) {
+    fills_.push_back(Cached{as, guid, entry, Expiry(now)});
+  }
+
+  // Sorted by (guid, as, stamp, expiry); the last fill of each key wins.
+  void ApplyFills() {
+    std::sort(fills_.begin(), fills_.end(),
+              [](const Cached& a, const Cached& b) {
+                if (a.guid != b.guid) return a.guid < b.guid;
+                if (a.as != b.as) return a.as < b.as;
+                if (a.entry.stamp() != b.entry.stamp()) {
+                  return a.entry.stamp() < b.entry.stamp();
+                }
+                return a.expires < b.expires;
+              });
+    for (std::size_t i = 0; i < fills_.size(); ++i) {
+      if (i + 1 < fills_.size() && fills_[i + 1].guid == fills_[i].guid &&
+          fills_[i + 1].as == fills_[i].as) {
+        continue;
+      }
+      PutExpiring(fills_[i]);
+    }
+    fills_.clear();
+  }
+
+  void RefreshSnapshots() {
+    for (Shard& shard : shards_) {
+      if (shard.published == shard.epoch) continue;
+      shard.published = shard.epoch;
+      ++snapshot_rebuilds;
+    }
+  }
+
+  const MappingEntry* Probe(AsId as, const Guid& guid, SimTime now) const {
+    const Shard& shard = shards_[guid.Fingerprint64() % shards_.size()];
+    if (shard.published != shard.epoch) return nullptr;
+    const auto it = shard.index.find({as, guid});
+    if (it == shard.index.end() || it->second->expires < now) return nullptr;
+    return &it->second->entry;
+  }
+
+  std::size_t size() const {
+    std::size_t total = 0;
+    for (const Shard& shard : shards_) total += shard.lru.size();
+    return total;
+  }
+  bool snapshots_fresh() const {
+    return std::all_of(shards_.begin(), shards_.end(), [](const Shard& s) {
+      return s.published == s.epoch;
+    });
+  }
+
+  std::uint64_t hits = 0;
+  std::uint64_t misses = 0;
+  std::uint64_t evictions = 0;
+  std::uint64_t invalidations = 0;
+  std::uint64_t snapshot_rebuilds = 0;
+
+ private:
+  struct Cached {
+    AsId as;
+    Guid guid;
+    MappingEntry entry;
+    SimTime expires;
+  };
+  struct Shard {
+    std::list<Cached> lru;  // front = most recent
+    std::map<std::pair<AsId, Guid>, std::list<Cached>::iterator> index;
+    std::uint64_t epoch = 0;
+    std::uint64_t published = 0;
+  };
+
+  Shard& ShardOf(const Guid& guid) {
+    return shards_[guid.Fingerprint64() % shards_.size()];
+  }
+  SimTime Expiry(SimTime now) const {
+    return config_.ttl_ms > 0.0 ? now + SimTime::Millis(config_.ttl_ms)
+                                : SimTime::Millis(1e300);
+  }
+  void PutExpiring(const Cached& cached) {
+    Shard& shard = ShardOf(cached.guid);
+    const auto it = shard.index.find({cached.as, cached.guid});
+    if (it != shard.index.end()) {
+      it->second->entry = cached.entry;
+      it->second->expires = cached.expires;
+      shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+    } else {
+      shard.lru.push_front(cached);
+      shard.index[{cached.as, cached.guid}] = shard.lru.begin();
+      if (shard.lru.size() > per_shard_) {
+        shard.index.erase({shard.lru.back().as, shard.lru.back().guid});
+        shard.lru.pop_back();
+        ++evictions;
+      }
+    }
+    ++shard.epoch;
+  }
+
+  CacheConfig config_;
+  std::size_t per_shard_;
+  std::vector<Shard> shards_;
+  std::vector<Cached> fills_;
+};
+
+// Seeded Put/Get/Invalidate/RecordFill+ApplyFills/RefreshSnapshots/Probe
+// sequences against the reference at a small capacity and a short TTL, so
+// evictions, expiry on Get, invalidations and duplicate fills are all
+// frequent. Every counter must match after every step, and so must the
+// Probe answer for every key of the universe — including the misses of
+// shards with unpublished writes and of expired entries. Since a Probe of
+// a published shard sees the shard's whole contents, that also pins each
+// eviction's victim.
+class ResolverCacheModelTest : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(ResolverCacheModelTest, RandomOpsMatchListLruReference) {
+  constexpr std::uint32_t kAses = 5;
+  std::vector<Guid> guids;
+  for (std::uint64_t i = 0; i < 10; ++i) {
+    guids.push_back(Guid::FromSequence(100 + i));
+  }
+  for (const double ttl_ms : {30.0, 0.0}) {
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      const CacheConfig config = SmallConfig(12, ttl_ms, GetParam());
+      ResolverCache cache(config);
+      ReferenceCache model(config);
+      cache.EnsureWorkers(3);
+      std::mt19937_64 rng(seed);
+      SimTime now = SimTime::Zero();
+      for (int step = 0; step < 3000; ++step) {
+        now += SimTime::Millis(double(rng() % 6));
+        const AsId as = AsId(rng() % kAses);
+        const Guid& guid = guids[rng() % guids.size()];
+        // One write per stamp: equal stamps carry equal entries.
+        const std::uint64_t version = rng() % 3;
+        const AsId writer = AsId(rng() % 2);
+        const MappingEntry entry{
+            NaSet(NetworkAddress{AsId(2 * version + writer), 1}), version,
+            writer};
+        const unsigned roll = unsigned(rng() % 100);
+        if (roll < 25) {
+          cache.Put(as, guid, entry, now);
+          model.Put(as, guid, entry, now);
+        } else if (roll < 45) {
+          const MappingEntry* got = cache.Get(as, guid, now);
+          const MappingEntry* want = model.Get(as, guid, now);
+          ASSERT_EQ(got == nullptr, want == nullptr) << "step " << step;
+          if (want != nullptr) {
+            ASSERT_EQ(*got, *want);
+          }
+        } else if (roll < 52) {
+          ASSERT_EQ(cache.Invalidate(guid), model.Invalidate(guid));
+        } else if (roll < 80) {
+          cache.RecordFill(unsigned(rng() % 3), as, guid, entry, now);
+          model.RecordFill(as, guid, entry, now);
+        } else if (roll < 88) {
+          cache.ApplyFills();
+          model.ApplyFills();
+        } else if (roll < 96) {
+          cache.RefreshSnapshots();
+          model.RefreshSnapshots();
+        }
+        ASSERT_EQ(cache.hits(), model.hits) << "step " << step;
+        ASSERT_EQ(cache.misses(), model.misses);
+        ASSERT_EQ(cache.evictions(), model.evictions);
+        ASSERT_EQ(cache.invalidations(), model.invalidations);
+        ASSERT_EQ(cache.snapshot_rebuilds(), model.snapshot_rebuilds);
+        ASSERT_EQ(cache.snapshots_fresh(), model.snapshots_fresh());
+        ASSERT_EQ(cache.size(), model.size());
+        for (const Guid& g : guids) {
+          for (AsId a = 0; a < kAses; ++a) {
+            const MappingEntry* got = cache.Probe(a, g, now);
+            const MappingEntry* want = model.Probe(a, g, now);
+            ASSERT_EQ(got == nullptr, want == nullptr)
+                << "step " << step << " as " << a;
+            if (want != nullptr) {
+              ASSERT_EQ(*got, *want);
+            }
+          }
+        }
+      }
+      EXPECT_GT(model.evictions, 0u);
+      EXPECT_GT(model.invalidations, 0u);
+      EXPECT_GT(model.hits, 0u);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(ShardCounts, ResolverCacheModelTest,
+                         ::testing::Values(1u, 2u, 4u));
 
 }  // namespace
 }  // namespace dmap
