@@ -77,6 +77,13 @@ int main(int argc, char** argv) {
 
   SimEnvironment env = BuildEnvironment(EnvironmentParams::Scaled(
       bench::ScaledU32(2000, options.scale, 200)));
+  // Wire-path distances are point queries: with --path-oracle=hub (the
+  // default) every trial's oracle answers them from the shared labels;
+  // lru runs per-source Dijkstra. Exports are identical either way.
+  const HubLabels* labels =
+      bench::ParsedPathOracle(options) == PathOracleBackend::kHub
+          ? EnsureHubLabels(env, options.threads)
+          : nullptr;
 
   bench::BenchObservability obs(options);
   if (obs.registry() != nullptr) obs.registry()->EnsureWorkers(pool.size());
@@ -96,24 +103,33 @@ int main(int argc, char** argv) {
   std::size_t point = 0;
   for (const double drop_p : drop_points) {
     for (const int retries : retry_points) {
+      ProtocolNetworkOptions net_options;
+      net_options.k = 3;
+      net_options.probe_retries = retries;
+      // -1 = flag not given: keep the network defaults (majority writes,
+      // single-response reads). --write-quorum=1 reproduces the pre-quorum
+      // legacy behaviour byte-for-byte (CI diffs it against the golden).
+      if (options.write_quorum >= 0) {
+        net_options.write_quorum = options.write_quorum;
+      }
+      if (options.read_quorum >= 1) {
+        net_options.read_quorum = options.read_quorum;
+      }
+      // Metric registration is a serial phase (obs/metrics_registry.h): a
+      // throwaway network registers this point's instruments before the
+      // trials share the registry, so their SetMetrics calls only look up.
+      if (obs.registry() != nullptr) {
+        ProtocolNetwork(env.graph, env.table, net_options)
+            .SetMetrics(obs.registry());
+      }
+
       std::vector<TrialResult> results(trials);
       pool.ParallelFor(0, trials, [&](std::size_t trial, unsigned worker) {
         FaultPlan plan = base_plan;
         plan.drop_probability = drop_p;
 
-        ProtocolNetworkOptions net_options;
-        net_options.k = 3;
-        net_options.probe_retries = retries;
-        // -1 = flag not given: keep the network defaults (majority writes,
-        // single-response reads). --write-quorum=1 reproduces the pre-quorum
-        // legacy behaviour byte-for-byte (CI diffs it against the golden).
-        if (options.write_quorum >= 0) {
-          net_options.write_quorum = options.write_quorum;
-        }
-        if (options.read_quorum >= 1) {
-          net_options.read_quorum = options.read_quorum;
-        }
         ProtocolNetwork net(env.graph, env.table, net_options);
+        net.oracle().SetHubLabels(labels);
         net.SetMetrics(obs.registry(), worker);
         net.SetTracer(obs.tracer(), worker);
 

@@ -140,6 +140,13 @@ int main(int argc, char** argv) {
 
   SimEnvironment env = BuildEnvironment(EnvironmentParams::Scaled(
       bench::ScaledU32(2000, options.scale, 200)));
+  // Wire-path distances are point queries: with --path-oracle=hub (the
+  // default) every trial's oracle answers them from the shared labels;
+  // lru runs per-source Dijkstra. Exports are identical either way.
+  const HubLabels* labels =
+      bench::ParsedPathOracle(options) == PathOracleBackend::kHub
+          ? EnsureHubLabels(env, options.threads)
+          : nullptr;
 
   bench::BenchObservability obs(options);
   if (obs.registry() != nullptr) obs.registry()->EnsureWorkers(pool.size());
@@ -156,18 +163,27 @@ int main(int argc, char** argv) {
   bool any_truncated = false;
   for (std::size_t leg_index = 0; leg_index < legs.size(); ++leg_index) {
     const Leg& leg = legs[leg_index];
+    ProtocolNetworkOptions net_options;
+    net_options.k = 3;
+    // No local replica: every read must cross the wire, so replica
+    // staleness is actually observable from the querier.
+    net_options.local_replica = false;
+    net_options.probe_retries = 2;
+    net_options.write_quorum = leg.write_quorum;
+    net_options.read_quorum = leg.read_quorum;
+    net_options.anti_entropy_budget = leg.anti_entropy;
+    // Metric registration is a serial phase (obs/metrics_registry.h): a
+    // throwaway network registers this leg's instruments before the trials
+    // share the registry, so their SetMetrics calls only look up.
+    if (obs.registry() != nullptr) {
+      ProtocolNetwork(env.graph, env.table, net_options)
+          .SetMetrics(obs.registry());
+    }
+
     std::vector<TrialResult> results(trials);
     pool.ParallelFor(0, trials, [&](std::size_t trial, unsigned worker) {
-      ProtocolNetworkOptions net_options;
-      net_options.k = 3;
-      // No local replica: every read must cross the wire, so replica
-      // staleness is actually observable from the querier.
-      net_options.local_replica = false;
-      net_options.probe_retries = 2;
-      net_options.write_quorum = leg.write_quorum;
-      net_options.read_quorum = leg.read_quorum;
-      net_options.anti_entropy_budget = leg.anti_entropy;
       ProtocolNetwork net(env.graph, env.table, net_options);
+      net.oracle().SetHubLabels(labels);
       net.SetMetrics(obs.registry(), worker);
       net.SetTracer(obs.tracer(), worker);
 

@@ -581,13 +581,14 @@ LookupResult DMapService::LookupWithView(const Guid& guid, AsId querier,
 }
 
 std::vector<std::pair<AsId, double>> DMapService::ProbePlan(const Guid& guid,
-                                                            AsId querier) {
+                                                            AsId querier,
+                                                            unsigned shard) {
   std::vector<AsId> hosts;
   hosts.reserve(std::size_t(options_.k));
   for (const HostResolution& r : resolver_.ResolveAll(guid)) {
     hosts.push_back(r.host);
   }
-  return OrderReplicas(querier, hosts);
+  return OrderReplicas(querier, hosts, shard);
 }
 
 void DMapService::SetFailedAses(const std::vector<AsId>& failed) {

@@ -334,9 +334,12 @@ class DMapService {
   // The ordered global probe plan (host, RTT ms) a lookup from `querier`
   // would follow — first element is probed first. Exposed so the event-
   // driven executor in sim/ can replay the identical exchange on the
-  // discrete-event kernel.
+  // discrete-event kernel. `shard` selects the latency-oracle shard, as
+  // for Lookup.
   std::vector<std::pair<AsId, double>> ProbePlan(const Guid& guid,
-                                                 AsId querier);
+                                                 AsId querier,
+                                                 unsigned shard = 0)
+      REQUIRES_SHARD(shard);
 
   bool IsFailed(AsId as) const { return failures_.IsFailed(as); }
   bool IsFailedAt(AsId as, SimTime t) const {

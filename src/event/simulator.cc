@@ -3,6 +3,23 @@
 #include <stdexcept>
 
 namespace dmap {
+namespace {
+
+// One tick of a ScheduleRepeating series. Copyable: each queued event owns
+// its own copy, and only the action is shared between them, so once no
+// tick is queued (the series ended, was cancelled, or the simulator was
+// stopped or destroyed) nothing keeps the action alive.
+struct RepeatingTick {
+  Simulator* sim;
+  SimTime period;
+  std::shared_ptr<std::function<bool()>> action;
+
+  void operator()() const {
+    if ((*action)()) sim->Schedule(period, *this);
+  }
+};
+
+}  // namespace
 
 bool EventHandle::Cancel() {
   if (!record_ || record_->done) return false;
@@ -29,21 +46,12 @@ EventHandle Simulator::ScheduleRepeating(SimTime period,
     throw std::invalid_argument(
         "Simulator::ScheduleRepeating: period must be positive");
   }
-  // Each tick reschedules itself while the action keeps returning true.
-  // The lambda owns the action; self-capture is by value through the
-  // shared wrapper so the chain stays alive across ticks.
-  auto tick = std::make_shared<std::function<void()>>();
-  *tick = [this, period, action = std::move(action), tick]() {
-    // The executing closure is the event record's own copy, so resetting
-    // *tick here (to break the self-reference cycle once the series ends)
-    // never destroys the code currently running.
-    if (action()) {
-      Schedule(period, *tick);
-    } else {
-      *tick = nullptr;
-    }
-  };
-  return Schedule(period, *tick);
+  // Each tick reschedules a copy of itself while the action keeps
+  // returning true.
+  return Schedule(period,
+                  RepeatingTick{this, period,
+                                std::make_shared<std::function<bool()>>(
+                                    std::move(action))});
 }
 
 bool Simulator::SkipCancelled() {

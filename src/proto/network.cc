@@ -819,17 +819,13 @@ void ProtocolNetwork::LookupAsync(
   }
 
   // Probe order: lowest RTT first (the paper's main configuration).
-  const auto latencies = oracle_.LatenciesFrom(querier);
+  // K point queries, not a full source vector: with hub labels attached
+  // each is an O(|label|) merge and no lookup runs Dijkstra.
   for (int replica = 0; replica < options_.k; ++replica) {
     const HostResolution resolution = resolver_.Resolve(guid, replica);
     const AsId host = resolution.host;
-    const double rtt = host == querier
-                           ? 2.0 * graph_->IntraLatencyMs(querier)
-                           : 2.0 * (graph_->IntraLatencyMs(querier) +
-                                    double(latencies[host]) +
-                                    graph_->IntraLatencyMs(host));
-    op->plan.push_back(
-        LookupOp::Probe{host, rtt, resolution.stored_address});
+    op->plan.push_back(LookupOp::Probe{host, oracle_.RttMs(querier, host),
+                                       resolution.stored_address});
   }
   std::sort(op->plan.begin(), op->plan.end(),
             [](const LookupOp::Probe& a, const LookupOp::Probe& b) {

@@ -46,6 +46,9 @@ struct ProtocolNetworkOptions {
   bool local_replica = true;
   std::uint64_t hash_seed = 0x5eedf00dULL;
   double failure_timeout_ms = 200.0;
+  // Per-source vectors the path oracle keeps. Only the label-less fallback
+  // uses them: once hub labels are attached (oracle().SetHubLabels) every
+  // wire-path distance is a label point query.
   std::size_t oracle_cache = 64;
   // Retransmission budget per probe before the client falls through to the
   // next replica; attempt r waits TimeoutForAttemptMs(failure_timeout_ms,

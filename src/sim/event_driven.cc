@@ -76,7 +76,7 @@ void EventDrivenLookup::LookupAsync(const Guid& guid, AsId querier,
       }
     }
 
-    flow->plan = service_->ProbePlan(flow->guid, flow->querier);
+    flow->plan = service_->ProbePlan(flow->guid, flow->querier, shard_);
 
     // Local resolution races the global one (Section III-C): a hit in the
     // querier's own store replies after one intra-AS round trip. The local
@@ -130,14 +130,15 @@ void EventDrivenLookup::UpdateAsync(const Guid& guid, NetworkAddress na,
       if (w <= 1) {
         done_at = 0;
         for (const AsId host : result.replicas) {
-          done_at = std::max(done_at, service_->oracle().RttMs(na.as, host));
+          done_at = std::max(done_at,
+                             service_->oracle().RttMs(na.as, host, shard_));
         }
       } else {
         std::vector<double> acks;
         acks.reserve(std::size_t(participants));
         if (opts.local_replica) acks.push_back(0.0);
         for (const AsId host : result.replicas) {
-          acks.push_back(service_->oracle().RttMs(na.as, host));
+          acks.push_back(service_->oracle().RttMs(na.as, host, shard_));
         }
         std::sort(acks.begin(), acks.end());
         done_at = acks[std::size_t(w - 1)];
@@ -167,7 +168,8 @@ void EventDrivenLookup::BatchUpdateAsync(
         const AsId src = moves.front().second.as;
         for (const UpdateResult& per : result.per_guid) {
           for (const AsId host : per.replicas) {
-            done_at = std::max(done_at, service_->oracle().RttMs(src, host));
+            done_at = std::max(done_at,
+                               service_->oracle().RttMs(src, host, shard_));
           }
         }
       }

@@ -30,9 +30,11 @@ namespace dmap {
 
 class EventDrivenLookup {
  public:
-  // Both references must outlive the wrapper.
-  EventDrivenLookup(Simulator& sim, DMapService& service)
-      : sim_(&sim), service_(&service) {}
+  // Both references must outlive the wrapper. `shard` is the service's
+  // path-oracle shard this executor queries: executors driven concurrently
+  // against one service need distinct shards (DMapService::Lookup's rule).
+  EventDrivenLookup(Simulator& sim, DMapService& service, unsigned shard = 0)
+      : sim_(&sim), service_(&service), shard_(shard) {}
 
   using Callback = std::function<void(const LookupResult&)>;
 
@@ -96,6 +98,7 @@ class EventDrivenLookup {
 
   Simulator* sim_;
   DMapService* service_;
+  unsigned shard_;
   ServingTier* serving_ = nullptr;
   std::unique_ptr<ResolverCache> cache_;
 };

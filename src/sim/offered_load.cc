@@ -83,7 +83,8 @@ OfferedLoadResult RunOfferedLoadSweep(SimEnvironment& env,
 
   // Serial setup: one service, one placement, shared read snapshots. The
   // measurement phase only reads (ProbePlan/StoreLookup/oracle), which is
-  // the same share-across-workers pattern as RunResponseTimeExperiment.
+  // the same share-across-workers pattern as RunResponseTimeExperiment:
+  // worker w's executor queries oracle shard w.
   DMapService service(env.graph, env.table, MakeOptions(config.base));
   if (config.base.path_oracle == PathOracleBackend::kHub) {
     service.oracle().SetHubLabels(EnsureHubLabels(env, config.base.threads));
@@ -95,6 +96,7 @@ OfferedLoadResult RunOfferedLoadSweep(SimEnvironment& env,
   service.RefreshReadSnapshots();
 
   ThreadPool pool(config.base.threads);
+  service.oracle().SetNumShards(pool.size());
   MetricsRegistry* metrics = config.base.metrics;
   ProbeTracer* tracer = config.base.tracer;
   SweepInstruments shared{};
@@ -126,7 +128,7 @@ OfferedLoadResult RunOfferedLoadSweep(SimEnvironment& env,
     const std::vector<ArrivalOp> stream = generator.Generate();
 
     Simulator sim;
-    EventDrivenLookup exec(sim, service);
+    EventDrivenLookup exec(sim, service, worker);
     ServingTier tier(serving);
     exec.SetServingTier(&tier);
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <stdexcept>
 #include <vector>
 
@@ -191,6 +192,30 @@ TEST(SimulatorTest, CancellingFirstTickStopsSeriesBeforeItStarts) {
   sim.Run();
   EXPECT_EQ(fired, 0);
   EXPECT_TRUE(sim.Empty());
+}
+
+// Only queued ticks own a series: destroying the simulator while one is
+// pending, or stopping it, must release everything the action captured.
+TEST(SimulatorTest, PendingSeriesReleasesItsActionWithTheSimulator) {
+  const auto sentinel = std::make_shared<int>(0);
+  {
+    Simulator sim;
+    sim.ScheduleRepeating(SimTime::Millis(10), [sentinel] { return true; });
+    EXPECT_EQ(sentinel.use_count(), 2);
+  }
+  EXPECT_EQ(sentinel.use_count(), 1);
+
+  Simulator sim;
+  sim.ScheduleRepeating(SimTime::Millis(10), [sentinel] { return true; });
+  sim.RunUntil(SimTime::Millis(35));  // three ticks, the fourth queued
+  EXPECT_EQ(sentinel.use_count(), 2);
+  sim.Stop();
+  EXPECT_EQ(sentinel.use_count(), 1);
+
+  EventHandle first =
+      sim.ScheduleRepeating(SimTime::Millis(10), [sentinel] { return true; });
+  EXPECT_TRUE(first.Cancel());
+  EXPECT_EQ(sentinel.use_count(), 1);
 }
 
 TEST(SimulatorTest, ScheduleRepeatingRejectsNonPositivePeriod) {

@@ -5,6 +5,8 @@
 #include <optional>
 
 #include "bgp/churn.h"
+#include "fault/fault_plan.h"
+#include "obs/probe_trace.h"
 #include "sim/environment.h"
 #include "workload/workload.h"
 
@@ -311,6 +313,108 @@ TEST_F(ProtocolNetworkTest, TrafficAccountingIsConsistent) {
   EXPECT_EQ(net.messages_sent(), 6u);
   // Each message is at least header + guid.
   EXPECT_GE(net.bytes_sent(), net.messages_sent() * 40);
+}
+
+// The wire lookup plans its probes from point queries. With hub labels
+// attached they are label merges; on the LRU backend they index cached
+// Dijkstra vectors. Both must give bit-identical runs, fault-free and
+// under drops, jitter and retransmission, and the labelled network must
+// never run Dijkstra.
+TEST_F(ProtocolNetworkTest, HubLabelsAndLruBackendsRunIdentically) {
+  const HubLabels* labels = EnsureHubLabels(env_, /*threads=*/1);
+
+  struct Run {
+    std::vector<LookupResult> lookups;
+    std::vector<ProbeTrace> traces;
+    std::uint64_t messages = 0;
+    std::uint64_t bytes = 0;
+    std::uint64_t dijkstra_runs = 0;
+    std::uint64_t retransmissions = 0;
+  };
+  const auto run = [&](bool hub, bool faults) {
+    ProtocolNetworkOptions options = Options();
+    if (faults) options.probe_retries = 2;
+    ProtocolNetwork net(env_.graph, env_.table, options);
+    if (hub) net.oracle().SetHubLabels(labels);
+    ProbeTracer tracer;
+    net.SetTracer(&tracer);
+    if (faults) {
+      FaultPlan plan;
+      plan.drop_probability = 0.2;
+      plan.jitter_ms = 20.0;
+      net.ApplyFaultPlan(plan, /*seed=*/9);
+    }
+
+    WorkloadParams params;
+    params.num_guids = 60;
+    params.seed = 21;
+    WorkloadGenerator workload(env_.graph, params);
+    for (const InsertOp& op : workload.Inserts()) {
+      net.InsertAsync(op.guid, op.na, [](const UpdateResult&) {});
+    }
+    net.simulator().Run();
+
+    Run out;
+    std::size_t i = 0;
+    for (const LookupOp& op : workload.Lookups(200)) {
+      net.simulator().Schedule(
+          SimTime::Millis(double(i++) * 3.0),
+          [&net, &out, guid = op.guid, source = op.source] {
+            net.LookupAsync(guid, source, [&out](const LookupResult& r) {
+              out.lookups.push_back(r);
+            });
+          });
+    }
+    net.simulator().Run();
+    out.traces = tracer.Drain();
+    out.messages = net.messages_sent();
+    out.bytes = net.bytes_sent();
+    out.dijkstra_runs = net.oracle().dijkstra_runs();
+    out.retransmissions = net.retransmissions();
+    return out;
+  };
+
+  for (const bool faults : {false, true}) {
+    SCOPED_TRACE(faults ? "with faults" : "fault-free");
+    const Run hub = run(/*hub=*/true, faults);
+    const Run lru = run(/*hub=*/false, faults);
+    EXPECT_EQ(hub.dijkstra_runs, 0u);
+    EXPECT_GT(lru.dijkstra_runs, 0u);
+    EXPECT_EQ(hub.messages, lru.messages);
+    EXPECT_EQ(hub.bytes, lru.bytes);
+    EXPECT_EQ(hub.retransmissions, lru.retransmissions);
+    if (faults) {
+      EXPECT_GT(hub.retransmissions, 0u);
+    }
+
+    ASSERT_EQ(hub.lookups.size(), 200u);
+    ASSERT_EQ(hub.lookups.size(), lru.lookups.size());
+    for (std::size_t i = 0; i < hub.lookups.size(); ++i) {
+      const LookupResult& a = hub.lookups[i];
+      const LookupResult& b = lru.lookups[i];
+      EXPECT_EQ(a.latency_ms, b.latency_ms) << "lookup " << i;
+      EXPECT_EQ(a.found, b.found) << "lookup " << i;
+      EXPECT_EQ(a.nas, b.nas) << "lookup " << i;
+      EXPECT_EQ(a.serving_as, b.serving_as) << "lookup " << i;
+      EXPECT_EQ(a.served_locally, b.served_locally) << "lookup " << i;
+      EXPECT_EQ(a.attempts, b.attempts) << "lookup " << i;
+    }
+
+    ASSERT_EQ(hub.traces.size(), 200u);
+    ASSERT_EQ(hub.traces.size(), lru.traces.size());
+    for (std::size_t i = 0; i < hub.traces.size(); ++i) {
+      const ProbeTrace& a = hub.traces[i];
+      const ProbeTrace& b = lru.traces[i];
+      EXPECT_EQ(a.guid_fp, b.guid_fp) << "trace " << i;
+      EXPECT_EQ(a.latency_ms, b.latency_ms) << "trace " << i;
+      ASSERT_EQ(a.probes.size(), b.probes.size()) << "trace " << i;
+      for (std::size_t p = 0; p < a.probes.size(); ++p) {
+        EXPECT_EQ(a.probes[p].replica, b.probes[p].replica);
+        EXPECT_EQ(a.probes[p].rtt_ms, b.probes[p].rtt_ms);
+        EXPECT_EQ(a.probes[p].outcome, b.probes[p].outcome);
+      }
+    }
+  }
 }
 
 TEST_F(ProtocolNetworkTest, InvalidArgumentsThrow) {
