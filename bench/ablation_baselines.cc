@@ -27,7 +27,6 @@ int main(int argc, char** argv) {
   ResponseTimeConfig config;
   config.threads = options.threads;
   config.shards = options.shards;
-  config.path_oracle = dmap::bench::ParsedPathOracle(options);
   config.metrics = obs.registry();
   config.tracer = obs.tracer();
   config.k = 5;

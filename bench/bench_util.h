@@ -3,10 +3,14 @@
 // (--metrics-out / --trace-out / --trace-sample, DESIGN.md section 6).
 #pragma once
 
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <optional>
 #include <string>
 
@@ -17,7 +21,6 @@
 #include "obs/probe_trace.h"
 #include "serve/serving_config.h"
 #include "sim/metrics.h"
-#include "topo/shortest_path.h"
 
 namespace dmap::bench {
 
@@ -30,10 +33,6 @@ struct BenchOptions {
   // Mapping-store shards (DMapOptions::store_shards); 0 = auto. Results
   // are bit-identical for any value; only serving throughput differs.
   int shards = 0;
-  // Point-distance engine: "hub" (precomputed exact hub labels, the
-  // default) or "lru" (per-source Dijkstra/BFS memoised in an LRU — the
-  // original scheme). Results are bit-identical; only speed differs.
-  std::string path_oracle = "hub";
   // Observability sinks; empty = off (no registry/tracer is even created,
   // so the measured loops keep their uninstrumented hot path).
   std::string metrics_out;  // metrics_summary file; ".json" or CSV
@@ -85,8 +84,12 @@ inline BenchOptions ParseBenchArgs(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     if (const char* value = BenchArgValue(arg, "--scale", argc, argv, &i)) {
-      options.scale = std::atof(value);
-      if (options.scale <= 0) {
+      // strtod with end-pointer validation; NaN and inf must never reach
+      // Scaled()'s integer cast.
+      char* end = nullptr;
+      options.scale = std::strtod(value, &end);
+      if (end == value || *end != '\0' || !std::isfinite(options.scale) ||
+          options.scale <= 0) {
         std::fprintf(stderr, "bad --scale value: %s\n", value);
         std::exit(2);
       }
@@ -110,14 +113,6 @@ inline BenchOptions ParseBenchArgs(int argc, char** argv) {
         std::exit(2);
       }
       options.shards = int(shards);
-    } else if (const char* value =
-                   BenchArgValue(arg, "--path-oracle", argc, argv, &i)) {
-      if (std::strcmp(value, "lru") != 0 && std::strcmp(value, "hub") != 0) {
-        std::fprintf(stderr, "bad --path-oracle value: %s (lru|hub)\n",
-                     value);
-        std::exit(2);
-      }
-      options.path_oracle = value;
     } else if (const char* value =
                    BenchArgValue(arg, "--metrics-out", argc, argv, &i)) {
       options.metrics_out = value;
@@ -166,7 +161,8 @@ inline BenchOptions ParseBenchArgs(int argc, char** argv) {
                    BenchArgValue(arg, "--anti-entropy", argc, argv, &i)) {
       char* end = nullptr;
       const long budget = std::strtol(value, &end, 10);
-      if (end == value || *end != '\0' || budget < 0) {
+      if (end == value || *end != '\0' || budget < 0 ||
+          budget > std::numeric_limits<int>::max()) {
         std::fprintf(stderr, "bad --anti-entropy value: %s\n", value);
         std::exit(2);
       }
@@ -190,9 +186,12 @@ inline BenchOptions ParseBenchArgs(int argc, char** argv) {
       }
     } else if (const char* value =
                    BenchArgValue(arg, "--fault-seed", argc, argv, &i)) {
+      // strtoull wraps "-1" to 2^64-1 and saturates on overflow.
       char* end = nullptr;
+      errno = 0;
       const unsigned long long seed = std::strtoull(value, &end, 10);
-      if (end == value || *end != '\0') {
+      if (!std::isdigit(static_cast<unsigned char>(value[0])) ||
+          *end != '\0' || errno == ERANGE) {
         std::fprintf(stderr, "bad --fault-seed value: %s\n", value);
         std::exit(2);
       }
@@ -200,16 +199,14 @@ inline BenchOptions ParseBenchArgs(int argc, char** argv) {
     } else if (std::strcmp(arg, "--help") == 0) {
       std::printf(
           "usage: %s [--scale=<f>] [--threads=<n>] [--shards=<n>]\n"
-          "          [--path-oracle=lru|hub] [--metrics-out=<file>]\n"
-          "          [--trace-out=<file>] [--trace-sample=<N>]\n"
-          "          [--fault-plan=<file>] [--fault-seed=<n>]\n"
+          "          [--metrics-out=<file>] [--trace-out=<file>]\n"
+          "          [--trace-sample=<N>] [--fault-plan=<file>]\n"
+          "          [--fault-seed=<n>]\n"
           "          [--serving=<file|k=v,...>] [--write-quorum=<W>]\n"
           "          [--read-quorum=<R>] [--anti-entropy=<budget>]\n"
           "          [--batch-updates=<B>] [--cache=<capacity|k=v,...>]\n"
           "  --shards        mapping-store shards (default 0 = auto;\n"
           "                  identical results for any value)\n"
-          "  --path-oracle   point-distance engine (default hub; identical\n"
-          "                  results, hub is faster)\n"
           "  --metrics-out   write a metrics_summary (.json, else CSV)\n"
           "  --trace-out     write a per-lookup op_trace CSV\n"
           "  --trace-sample  trace 1 in N lookups (default 1 = all)\n"
@@ -277,13 +274,6 @@ class BenchObservability {
   std::optional<MetricsRegistry> registry_;
   std::optional<ProbeTracer> tracer_;
 };
-
-// The --path-oracle flag as the experiment-config enum (validated at parse
-// time, so this cannot fail).
-inline PathOracleBackend ParsedPathOracle(const BenchOptions& options) {
-  return options.path_oracle == "lru" ? PathOracleBackend::kLru
-                                      : PathOracleBackend::kHub;
-}
 
 // The --serving flag as a validated ServingConfig; a missing flag yields
 // the disabled default (infinite capacity). Exits with the parser's

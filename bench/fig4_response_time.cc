@@ -28,7 +28,6 @@ int main(int argc, char** argv) {
   ResponseTimeConfig config;
   config.threads = options.threads;
   config.shards = options.shards;
-  config.path_oracle = dmap::bench::ParsedPathOracle(options);
   // Lookup-only sweep: inserts are unmeasured, so every quorum setting
   // produces identical output — CI pins --write-quorum=1 here to assert
   // exactly that against the pre-quorum golden export.

@@ -25,7 +25,6 @@ int main(int argc, char** argv) {
   ChurnExperimentConfig config;
   config.base.threads = options.threads;
   config.base.shards = options.shards;
-  config.base.path_oracle = dmap::bench::ParsedPathOracle(options);
   config.base.metrics = obs.registry();
   config.base.tracer = obs.tracer();
   config.base.k = 5;

@@ -100,7 +100,6 @@ int main(int argc, char** argv) {
       config.base.workload.popularity_q = skew.q;
       config.base.threads = options.threads;
       config.base.shards = options.shards;
-      config.base.path_oracle = bench::ParsedPathOracle(options);
       config.base.serving = serving;
       config.base.metrics = obs.registry();
       config.base.tracer = obs.tracer();

@@ -140,13 +140,9 @@ int main(int argc, char** argv) {
 
   SimEnvironment env = BuildEnvironment(EnvironmentParams::Scaled(
       bench::ScaledU32(2000, options.scale, 200)));
-  // Wire-path distances are point queries: with --path-oracle=hub (the
-  // default) every trial's oracle answers them from the shared labels;
-  // lru runs per-source Dijkstra. Exports are identical either way.
-  const HubLabels* labels =
-      bench::ParsedPathOracle(options) == PathOracleBackend::kHub
-          ? EnsureHubLabels(env, options.threads)
-          : nullptr;
+  // Wire-path distances are point queries: every trial's oracle answers
+  // them from the shared labels.
+  const HubLabels* labels = EnsureHubLabels(env, options.threads);
 
   bench::BenchObservability obs(options);
   if (obs.registry() != nullptr) obs.registry()->EnsureWorkers(pool.size());

@@ -18,7 +18,7 @@
 //   churn_fractions = 0.0, 0.05, 0.10
 //   local_replica   = true
 //   threads    = 0                  # experiment workers; 0 = all cores
-//   path_oracle = hub               # point-distance engine: hub | lru
+//   shards     = 0                  # mapping-store shards; 0 = auto
 //   metrics_out  =                  # metrics summary (.json => JSON)
 //   trace_out    =                  # per-lookup probe-trace CSV
 //   trace_sample = 1                # trace 1-in-N GUIDs
@@ -81,8 +81,6 @@ int Run(const Config& config) {
   ResponseTimeConfig rt;
   rt.threads = sim.threads;
   rt.shards = sim.shards;
-  rt.path_oracle = sim.path_oracle == "lru" ? PathOracleBackend::kLru
-                                            : PathOracleBackend::kHub;
   rt.metrics = registry.has_value() ? &*registry : nullptr;
   rt.tracer = tracer.has_value() ? &*tracer : nullptr;
   rt.workload.num_guids = std::uint64_t(config.GetInt("guids", 20'000));
@@ -311,7 +309,7 @@ int main(int argc, char** argv) {
         "workload_seed = 1\nks = 1, 3, 5\n"
         "churn_fractions = 0.0, 0.05, 0.10\nlocal_replica = true\n"
         "replications = 1\ntopology_file =\nmove_intervals = 300, 60, 20, 5\n"
-        "threads = 0\nshards = 0\npath_oracle = hub\nmetrics_out =\n"
+        "threads = 0\nshards = 0\nmetrics_out =\n"
         "trace_out =\n"
         "trace_sample = 1\nserving =\n"
         "offered_rates = 500, 1000, 2000, 4000\nhorizon_s = 5\n");

@@ -185,8 +185,9 @@ unsigned SimConfig::EffectiveThreads() const {
 SimConfig SimConfig::FromConfig(const Config& config) {
   SimConfig sim;
   const std::int64_t threads = config.GetInt("threads", 0);
-  if (threads < 0) {
-    throw std::runtime_error("config: 'threads' must be >= 0");
+  if (threads < 0 || threads > std::int64_t(kMaxThreads)) {
+    throw std::runtime_error("config: 'threads' must be in [0, " +
+                             std::to_string(kMaxThreads) + "]");
   }
   sim.threads = unsigned(threads);
   const std::int64_t shards = config.GetInt("shards", 0);
@@ -194,12 +195,6 @@ SimConfig SimConfig::FromConfig(const Config& config) {
     throw std::runtime_error("config: 'shards' must be in [0, 256]");
   }
   sim.shards = int(shards);
-  sim.path_oracle = config.GetString("path_oracle", "hub");
-  if (sim.path_oracle != "hub" && sim.path_oracle != "lru") {
-    throw std::runtime_error(
-        "config: 'path_oracle' must be \"hub\" or \"lru\" (got '" +
-        sim.path_oracle + "')");
-  }
   sim.metrics_out = config.GetString("metrics_out", "");
   sim.trace_out = config.GetString("trace_out", "");
   const std::int64_t sample = config.GetInt("trace_sample", 1);

@@ -66,18 +66,14 @@ class Config {
 // workload — results are bit-identical for any value of `threads`.
 struct SimConfig {
   // 0 = one worker per hardware thread ($DMAP_THREADS overrides);
-  // 1 = the serial code path.
+  // 1 = the serial code path. At most kMaxThreads, as on the bench CLI.
+  static constexpr unsigned kMaxThreads = 4096;
   unsigned threads = 0;
 
   // Mapping-store shard count handed to DMapOptions::store_shards; 0 =
   // auto (one shard per hardware thread, clamped to a power of two).
   // Results are bit-identical for any value of `shards`.
   int shards = 0;
-
-  // Point-distance engine: "hub" (precomputed exact hub labels, default)
-  // or "lru" (per-source SSSP memoised in an LRU). Identical results
-  // either way; hub is faster for point-query workloads.
-  std::string path_oracle = "hub";
 
   // Observability sinks (src/obs/). Empty paths disable the corresponding
   // export; exports are bit-identical for every value of `threads`.
@@ -95,8 +91,8 @@ struct SimConfig {
   // $DMAP_THREADS — that hook lives in ThreadPool::Resolve).
   unsigned EffectiveThreads() const;
 
-  // Reads the `threads`, `shards`, `path_oracle`, `metrics_out`,
-  // `trace_out`, `trace_sample` and `serving` keys (defaults above).
+  // Reads the `threads`, `shards`, `metrics_out`, `trace_out`,
+  // `trace_sample` and `serving` keys (defaults above).
   static SimConfig FromConfig(const Config& config);
 };
 

@@ -8,35 +8,36 @@
 
 namespace dmap {
 
-void DMapOptions::Validate() const {
-  if (k < 1) {
-    throw std::invalid_argument("DMapOptions: k must be >= 1 (got " +
-                                std::to_string(k) + ")");
-  }
+void ProtocolOptions::Validate() const {
+  const auto reject = [](const std::string& what) {
+    throw std::invalid_argument("ProtocolOptions: " + what);
+  };
+  if (k < 1) reject("k must be >= 1 (got " + std::to_string(k) + ")");
   if (max_hashes < 1) {
-    throw std::invalid_argument("DMapOptions: max_hashes must be >= 1 (got " +
-                                std::to_string(max_hashes) + ")");
+    reject("max_hashes must be >= 1 (got " + std::to_string(max_hashes) +
+           ")");
   }
   if (!(failure_timeout_ms >= 0.0)) {  // also rejects NaN
-    throw std::invalid_argument(
-        "DMapOptions: failure_timeout_ms must be >= 0 (got " +
-        std::to_string(failure_timeout_ms) + ")");
+    reject("failure_timeout_ms must be >= 0 (got " +
+           std::to_string(failure_timeout_ms) + ")");
   }
   if (probe_retries < 0) {
-    throw std::invalid_argument(
-        "DMapOptions: probe_retries must be >= 0 (got " +
-        std::to_string(probe_retries) + ")");
+    reject("probe_retries must be >= 0 (got " +
+           std::to_string(probe_retries) + ")");
   }
   if (!(retry_backoff >= 1.0)) {  // also rejects NaN
-    throw std::invalid_argument(
-        "DMapOptions: retry_backoff must be >= 1 (got " +
-        std::to_string(retry_backoff) + ")");
+    reject("retry_backoff must be >= 1 (got " +
+           std::to_string(retry_backoff) + ")");
   }
   if (write_quorum < 0) {
-    throw std::invalid_argument(
-        "DMapOptions: write_quorum must be >= 0 (0 = majority; got " +
-        std::to_string(write_quorum) + ")");
+    reject("write_quorum must be >= 0 (0 = majority; got " +
+           std::to_string(write_quorum) + ")");
   }
+  cache.Validate();
+}
+
+void DMapOptions::Validate() const {
+  ProtocolOptions::Validate();
   if (store_shards < 0 ||
       store_shards > int(ShardedMappingStore::kMaxShards)) {
     throw std::invalid_argument(
@@ -44,7 +45,6 @@ void DMapOptions::Validate() const {
         std::to_string(ShardedMappingStore::kMaxShards) + "] (got " +
         std::to_string(store_shards) + ")");
   }
-  cache.Validate();
 }
 
 DMapService::DMapService(const AsGraph& graph, const PrefixTable& table,
@@ -56,12 +56,10 @@ DMapService::DMapService(const AsGraph& graph, const PrefixTable& table,
       resolver_(hashes_, table, options.max_hashes),
       oracle_(graph),
       store_(graph.num_nodes(), unsigned(options.store_shards)) {
-  if (options_.resolver_snapshot) {
-    // Arm the snapshot but defer the (64 MB) build to the first serial
-    // write point — the prefix table is typically still being announced
-    // when the service is constructed.
-    resolver_.EnableSnapshot();
-  }
+  // Arm the DIR-24-8 snapshot but defer the (64 MB) build to the first
+  // serial write point — the prefix table is typically still being
+  // announced when the service is constructed.
+  resolver_.EnableSnapshot();
   if (options_.cache.enabled()) {
     cache_ = std::make_unique<ResolverCache>(options_.cache);
   }

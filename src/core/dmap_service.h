@@ -50,16 +50,22 @@ enum class ReplicaSelection {
                 // increased latencies")
 };
 
-struct DMapOptions {
+// The protocol parameters every DMap executor shares: K and Algorithm 1's
+// M (Section III-B), the local replica (Section III-C), the failure
+// timeout and retry geometry (Section III-D), the write quorum and the
+// resolver-side cache. The closed form (DMapOptions) and the wire protocol
+// (ProtocolNetworkOptions) derive from this, so each shared field is
+// declared, defaulted and validated once.
+struct ProtocolOptions {
   int k = 5;                    // number of global replicas
   int max_hashes = 10;          // M of Algorithm 1
   bool local_replica = true;    // Section III-C optimisation
-  ReplicaSelection selection = ReplicaSelection::kLowestRtt;
+  std::uint64_t hash_seed = 0x5eedf00dULL;
   double failure_timeout_ms = 200.0;  // wait before trying the next replica
   // Retransmissions to an unresponsive replica before falling through to
-  // the next one; each retry multiplies the timeout by retry_backoff
-  // (fault/retry_policy.h). 0 = the single-shot behaviour, where one
-  // timeout costs exactly failure_timeout_ms.
+  // the next one; attempt r waits TimeoutForAttemptMs(failure_timeout_ms,
+  // r, retry_backoff) (fault/retry_policy.h). 0 = the single-shot
+  // behaviour, where one timeout costs exactly failure_timeout_ms.
   int probe_retries = 0;
   double retry_backoff = 2.0;
   // Write-quorum discipline (DESIGN.md section 14). An update writes all
@@ -73,34 +79,38 @@ struct DMapOptions {
   //        replica counts as an instant ack); fewer than W reachable
   //        replicas yields ResolverStatus::kQuorumFailed, never a silent
   //        partial write.
+  // All K messages are always sent regardless of W, so the wire message
+  // stream (and thus every injected fault fate) is identical across W.
   int write_quorum = 0;
-  std::uint64_t hash_seed = 0x5eedf00dULL;
+  // Resolver-side mapping cache (core/resolver_cache.h). Disabled by
+  // default (capacity 0): every lookup takes the full probe path, byte-
+  // identical with the pre-cache behaviour. When enabled, a lookup
+  // consults the querier's cached copy before any probe leaves the AS,
+  // serves fresh hits in one intra-AS round trip, and records the
+  // staleness it serves.
+  CacheConfig cache;
+
+  // Throws std::invalid_argument naming the offending field (k < 1,
+  // max_hashes < 1, negative or NaN timeout, probe_retries < 0,
+  // retry_backoff < 1, write_quorum < 0, a bad cache field). Both
+  // executors validate on construction; callers building options from
+  // external input can validate earlier for better diagnostics.
+  void Validate() const;
+};
+
+struct DMapOptions : ProtocolOptions {
+  ReplicaSelection selection = ReplicaSelection::kLowestRtt;
   // When false, Insert/Update skip the RTT computation (latency_ms = -1);
   // used by bulk loads where only lookups are being measured.
   bool measure_update_latency = true;
-  // Route the resolver's LPM probes through an owned, epoch-versioned
-  // DIR-24-8 snapshot (64 MB; rebuilt lazily at serial write points after
-  // BGP churn). Resolutions are identical either way — the snapshot only
-  // replaces trie walks with 1-2 array reads. Off: always walk the trie.
-  bool resolver_snapshot = true;
   // Shard count of the sharded mapping store (ShardedMappingStore).
   // 0 = automatic (a power of two sized to the hardware threads). Every
   // result — lookups, latencies, exports — is identical for every value
   // (asserted by the cross-shard equivalence suite); the count only sets
   // how much read parallelism the serving path can absorb.
   int store_shards = 0;
-  // Resolver-side mapping cache (core/resolver_cache.h). Disabled by
-  // default (capacity 0): every lookup takes the full probe path, byte-
-  // identical with the pre-cache behaviour. When enabled, Lookup and
-  // LookupWithView consult the querier's cached copy before resolving any
-  // replica, serve fresh hits in one intra-AS round trip, and record the
-  // staleness they serve.
-  CacheConfig cache;
 
-  // Throws std::invalid_argument naming the offending field when the
-  // options are inconsistent (k < 1, max_hashes < 1, negative timeout).
-  // DMapService validates on construction; callers building options from
-  // external input can validate earlier for better diagnostics.
+  // ProtocolOptions::Validate plus the store_shards range.
   void Validate() const;
 };
 
@@ -200,12 +210,11 @@ class DMapService {
   PathOracle& oracle() { return oracle_; }
 
   // Rebuilds the resolver's DIR-24-8 snapshot if BGP churn made it stale
-  // (no-op when fresh or when options().resolver_snapshot is off). Serial
-  // write points (Insert/Update/Rehome) call it automatically; harnesses
-  // that mutate the prefix table and then go straight into a parallel
-  // lookup phase should call it from the serial section in between —
-  // lookups are correct either way (a stale snapshot falls back to the
-  // trie), this only restores the fast path.
+  // (no-op when fresh). Serial write points (Insert/Update/Rehome) call it
+  // automatically; harnesses that mutate the prefix table and then go
+  // straight into a parallel lookup phase should call it from the serial
+  // section in between — lookups are correct either way (a stale snapshot
+  // falls back to the trie), this only restores the fast path.
   void RefreshResolverSnapshot() WRITE_SERIAL_READ_SHARED() {
     resolver_.RefreshSnapshot();
   }

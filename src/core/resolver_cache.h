@@ -1,5 +1,5 @@
-// Resolver-side mapping cache — the promotion of the ablation-only
-// MappingCache (core/cache.h) onto the lookup hot path. Every border
+// Resolver-side mapping cache — the in-network caching the paper's
+// concluding remarks sketch, on the lookup hot path. Every border
 // gateway keeps recently resolved GUID->NA mappings with a TTL; a fresh
 // hit answers in one intra-AS round trip instead of an inter-AS probe
 // (the locality argument of the Kademlia-caching literature in PAPERS.md).

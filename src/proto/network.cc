@@ -101,20 +101,10 @@ ProtocolNetwork::ProtocolNetwork(const AsGraph& graph,
                                  const PrefixTable& table,
                                  const ProtocolNetworkOptions& options)
     : graph_(&graph),
-      options_(options),
+      options_((options.Validate(), options)),
       hashes_(options.k, options.hash_seed),
       resolver_(hashes_, table, options.max_hashes),
-      oracle_(graph, options.oracle_cache) {
-  if (options.k < 1) throw std::invalid_argument("ProtocolNetwork: k < 1");
-  if (options.probe_retries < 0) {
-    throw std::invalid_argument("ProtocolNetwork: probe_retries < 0");
-  }
-  if (!(options.retry_backoff >= 1.0)) {  // also rejects NaN
-    throw std::invalid_argument("ProtocolNetwork: retry_backoff < 1");
-  }
-  if (options.write_quorum < 0) {
-    throw std::invalid_argument("ProtocolNetwork: write_quorum < 0");
-  }
+      oracle_(graph) {
   if (options.read_quorum < 1) {
     throw std::invalid_argument("ProtocolNetwork: read_quorum < 1");
   }
@@ -125,7 +115,6 @@ ProtocolNetwork::ProtocolNetwork(const AsGraph& graph,
   write_quorum_effective_ = ResolveQuorum(options.write_quorum, participants);
   read_quorum_effective_ =
       options.read_quorum > options.k ? options.k : options.read_quorum;
-  options_.cache.Validate();
   if (options_.cache.enabled()) {
     cache_ = std::make_unique<ResolverCache>(options_.cache);
   }
@@ -401,8 +390,7 @@ void ProtocolNetwork::CompleteLookup(const std::shared_ptr<LookupOp>& op,
     trace.attempts = result.attempts;
     if (tracer_ != nullptr) tracer_->Record(trace_shard_, trace);
   }
-  if (found_entry != nullptr && options_.repair_on_lookup &&
-      !op->miss_indices.empty()) {
+  if (found_entry != nullptr && !op->miss_indices.empty()) {
     RepairEmptyReplicas(*op, *found_entry);
   }
   // Cache fill on globally served answers only: a local win already costs

@@ -40,40 +40,11 @@
 
 namespace dmap {
 
-struct ProtocolNetworkOptions {
-  int k = 5;
-  int max_hashes = 10;
-  bool local_replica = true;
-  std::uint64_t hash_seed = 0x5eedf00dULL;
-  double failure_timeout_ms = 200.0;
-  // Per-source vectors the path oracle keeps. Only the label-less fallback
-  // uses them: once hub labels are attached (oracle().SetHubLabels) every
-  // wire-path distance is a label point query.
-  std::size_t oracle_cache = 64;
-  // Retransmission budget per probe before the client falls through to the
-  // next replica; attempt r waits TimeoutForAttemptMs(failure_timeout_ms,
-  // r, retry_backoff) (fault/retry_policy.h). 0 keeps the single-shot
-  // behaviour and timings of the pre-fault-model protocol.
-  int probe_retries = 0;
-  double retry_backoff = 2.0;
-  // Lookup-triggered re-replication: when a lookup ultimately finds the
-  // mapping after some replica answered "GUID missing" — e.g. the replica
-  // crashed, lost its store, and recovered empty — the client re-inserts
-  // the found entry there (version-gated, so concurrent repairs and stale
-  // copies are harmless).
-  bool repair_on_lookup = true;
-  // Write quorum W over the K + local_replica replica writes of a client
-  // insert/update. 0 (default) = majority of the replica set; 1 = the
-  // legacy fire-and-wait-all mode, bit-identical to the pre-quorum
-  // protocol (completes at the slowest ack/stand-in timeout, always kOk);
-  // W >= 2 completes at the W-th *applied* ack (the local copy counts as
-  // an instant ack) and reports ResolverStatus::kQuorumFailed when fewer
-  // than W replicas applied the write by the time every slot resolved —
-  // never a silent partial write: replicas that did apply keep the entry
-  // and read-repair/anti-entropy converge the rest. All K messages are
-  // always sent regardless of W, so the message stream (and thus every
-  // injected fault fate) is identical across W settings.
-  int write_quorum = 0;
+// The wire protocol's options: the shared ProtocolOptions plus the read
+// side of the quorum discipline. Lookups that find the mapping after some
+// replica answered "GUID missing" always re-insert the found entry there
+// (version-gated, so concurrent repairs and stale copies are harmless).
+struct ProtocolNetworkOptions : ProtocolOptions {
   // Read quorum R: how many distinct replicas must answer (found or
   // "GUID missing") before a lookup reports. 1 (default) keeps the
   // paper's sequential lowest-RTT-first probing bit-identical; R > 1
@@ -85,12 +56,6 @@ struct ProtocolNetworkOptions {
   // (calls become no-ops) and keeps the consistency.* instruments
   // unregistered when W and R are also at their legacy settings.
   int anti_entropy_budget = 0;
-  // Resolver-side mapping cache (core/resolver_cache.h). Disabled by
-  // default (capacity 0): the message stream, timings, and exports are
-  // bit-identical to the cacheless protocol. When enabled, LookupAsync
-  // consults the querier's cached copy before any probe leaves the AS; a
-  // fresh hit answers in one intra-AS round trip.
-  CacheConfig cache;
 };
 
 class ProtocolNetwork {
@@ -147,7 +112,7 @@ class ProtocolNetwork {
 
   // Registers/refreshes `guid` from the AS in `na`: K parallel replica
   // writes plus the local copy. Completion follows the write-quorum
-  // discipline (see ProtocolNetworkOptions::write_quorum): the legacy
+  // discipline (see ProtocolOptions::write_quorum): the legacy
   // mode completes when the slowest ack (or, for an unreachable replica,
   // its stand-in timeout) returns; quorum mode completes at the W-th
   // applied ack and reports kQuorumFailed when W is unreachable.

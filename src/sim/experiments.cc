@@ -56,16 +56,6 @@ void EnsureObsWorkers(const ResponseTimeConfig& config, unsigned workers) {
   if (config.tracer != nullptr) config.tracer->EnsureWorkers(workers);
 }
 
-// Attaches the configured point-distance backend to `oracle`. Serial setup
-// only (SetHubLabels must not race with queries); building the labels is
-// itself parallelized over `config.threads` workers.
-void ApplyOracleBackend(PathOracle& oracle, SimEnvironment& env,
-                        const ResponseTimeConfig& config) {
-  if (config.path_oracle == PathOracleBackend::kHub) {
-    oracle.SetHubLabels(EnsureHubLabels(env, config.threads));
-  }
-}
-
 // An index range [begin, end) of the lookup (or GUID) stream handled by one
 // partition of a parallel measurement loop.
 struct Partition {
@@ -117,7 +107,7 @@ SampleSet RunResponseTimeExperiment(SimEnvironment& env,
                                     const ResponseTimeConfig& config) {
   DMapService service(env.graph, env.table, MakeOptions(config));
   WireObservability(service, config);
-  ApplyOracleBackend(service.oracle(), env, config);
+  service.oracle().SetHubLabels(EnsureHubLabels(env, config.threads));
   WorkloadGenerator workload(env.graph, config.workload);
   LoadMappings(service, workload);
 
@@ -170,7 +160,7 @@ std::vector<std::pair<int, SampleSet>> RunResponseTimeSweep(
   max_config.k = k_max;
   DMapService service(env.graph, env.table, MakeOptions(max_config));
   WireObservability(service, config);
-  ApplyOracleBackend(service.oracle(), env, config);
+  service.oracle().SetHubLabels(EnsureHubLabels(env, config.threads));
   WorkloadGenerator workload(env.graph, config.workload);
   LoadMappings(service, workload);
 
@@ -274,7 +264,7 @@ SampleSet RunChurnExperiment(SimEnvironment& env,
                              const ChurnExperimentConfig& config) {
   DMapService service(env.graph, env.table, MakeOptions(config.base));
   WireObservability(service, config.base);
-  ApplyOracleBackend(service.oracle(), env, config.base);
+  service.oracle().SetHubLabels(EnsureHubLabels(env, config.base.threads));
   WorkloadGenerator workload(env.graph, config.base.workload);
   LoadMappings(service, workload);
 
@@ -343,7 +333,7 @@ std::vector<std::pair<double, SampleSet>> RunChurnSweep(
     const ChurnExperimentConfig& config) {
   DMapService service(env.graph, env.table, MakeOptions(config.base));
   WireObservability(service, config.base);
-  ApplyOracleBackend(service.oracle(), env, config.base);
+  service.oracle().SetHubLabels(EnsureHubLabels(env, config.base.threads));
   WorkloadGenerator workload(env.graph, config.base.workload);
   LoadMappings(service, workload);
 
@@ -459,7 +449,7 @@ std::vector<BaselineComparisonRow> RunBaselineComparison(
     SimEnvironment& env, const ResponseTimeConfig& config,
     std::uint64_t num_moves) {
   PathOracle shared_oracle(env.graph);
-  ApplyOracleBackend(shared_oracle, env, config);
+  shared_oracle.SetHubLabels(EnsureHubLabels(env, config.threads));
 
   std::vector<std::unique_ptr<NameResolver>> schemes;
   DMapResolver* dmap_scheme = nullptr;
@@ -468,7 +458,8 @@ std::vector<BaselineComparisonRow> RunBaselineComparison(
     options.measure_update_latency = true;
     auto dmap = std::make_unique<DMapResolver>(env.graph, env.table, options);
     dmap_scheme = dmap.get();
-    ApplyOracleBackend(dmap->service().oracle(), env, config);
+    dmap->service().oracle().SetHubLabels(
+        EnsureHubLabels(env, config.threads));
     schemes.push_back(std::move(dmap));
   }
   schemes.push_back(std::make_unique<ChordDht>(env.graph, shared_oracle));

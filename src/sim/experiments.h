@@ -40,10 +40,6 @@ struct ResponseTimeConfig {
   // `threads`, a pure execution knob: results are bit-identical for any
   // value — asserted by tests and the CI --shards byte-diff job.
   int shards = 0;
-  // Point-distance engine for the measurement loop (see PathOracleBackend).
-  // kHub builds/reuses env.hub_labels; results are bit-identical to kLru,
-  // only faster — asserted by tests and the CI byte-diff job.
-  PathOracleBackend path_oracle = PathOracleBackend::kHub;
 
   // Mapping-server capacity model (src/serve/). Consulted only by the
   // executors that play messages out in time — the event-driven path and

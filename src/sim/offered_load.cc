@@ -86,9 +86,7 @@ OfferedLoadResult RunOfferedLoadSweep(SimEnvironment& env,
   // the same share-across-workers pattern as RunResponseTimeExperiment:
   // worker w's executor queries oracle shard w.
   DMapService service(env.graph, env.table, MakeOptions(config.base));
-  if (config.base.path_oracle == PathOracleBackend::kHub) {
-    service.oracle().SetHubLabels(EnsureHubLabels(env, config.base.threads));
-  }
+  service.oracle().SetHubLabels(EnsureHubLabels(env, config.base.threads));
   WorkloadGenerator workload(env.graph, config.base.workload);
   for (const InsertOp& op : workload.Inserts()) {
     (void)service.Insert(op.guid, op.na);

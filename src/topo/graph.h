@@ -22,8 +22,8 @@ constexpr AsId kInvalidAs = ~AsId{0};
 // "shortest path distance" is a well-defined quantity rather than a
 // property of one particular Dijkstra implementation. This is what lets the
 // hub-label distance oracle (topo/hub_labels.h) return bit-identically the
-// same floats as DijkstraLatency — the --path-oracle=lru|hub byte-diff
-// guarantee. The quantization error (<= 1/128 ms) is far below the
+// same floats as DijkstraLatency, so attaching labels never changes a
+// result. The quantization error (<= 1/128 ms) is far below the
 // generator's own modelling error.
 constexpr double kLatencyGridMs = 0.015625;  // 1/64 ms
 inline double QuantizeLatencyMs(double latency_ms) {

@@ -23,8 +23,8 @@
 // d(u,v) exactly. With link latencies on the 1/64 ms grid the topology
 // generator emits (topo/graph.h QuantizeLatencyMs), every float path sum is
 // exact, so the merge returns bit-identically the same float as
-// DijkstraLatency — the property the `--path-oracle=lru|hub` byte-diff CI
-// job locks in.
+// DijkstraLatency — the property the labels-vs-Dijkstra equivalence tests
+// (hub_labels_test, dmap_service_test, network_test) lock in.
 #pragma once
 
 #include <cstdint>

@@ -19,14 +19,6 @@ namespace dmap {
 
 class HubLabels;
 
-// Which engine answers PathOracle point queries. kLru memoises full
-// per-source Dijkstra/BFS vectors (the original scheme, still used for
-// full-vector requests); kHub answers from a precomputed exact 2-hop hub
-// labeling (topo/hub_labels.h) — no SSSP, no cache, no lock. Both return
-// bit-identical answers on grid-quantized topologies; the default is kHub
-// wherever a labeling has been built.
-enum class PathOracleBackend { kLru, kHub };
-
 // Dijkstra over link latencies. dist[v] = one-way latency (ms) over links
 // only — intra-AS components are added by the caller, matching the paper's
 // response-time decomposition. Unreachable nodes get +infinity.
@@ -86,13 +78,12 @@ class PathOracle {
   // with nullptr) and must be built over the same graph. The answers are
   // bit-identical to the LRU backend on grid-quantized topologies, so
   // attaching a labeling never changes experiment output, only its speed.
+  // Every experiment harness attaches one (EnsureHubLabels); without it
+  // point queries take the Dijkstra+LRU path, which the tests keep as the
+  // reference.
   // Must not race with oracle queries.
   void SetHubLabels(const HubLabels* labels) REQUIRES_ALL_SHARDS();
   const HubLabels* hub_labels() const { return labels_; }
-  PathOracleBackend backend() const {
-    return labels_ != nullptr ? PathOracleBackend::kHub
-                              : PathOracleBackend::kLru;
-  }
 
   // One-way latency over links from src to dst, ms.
   double LinkLatencyMs(AsId src, AsId dst, unsigned shard = 0)

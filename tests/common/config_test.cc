@@ -82,6 +82,19 @@ TEST(ConfigTest, UnusedKeysCatchTypos) {
   EXPECT_EQ(unused[0], "asse");
 }
 
+TEST(ConfigTest, SimConfigBoundsThreads) {
+  EXPECT_EQ(SimConfig::FromConfig(Config::ParseString("threads = 4096\n"))
+                .threads,
+            4096u);
+  // 2^32 + 1 would wrap to 1 through the unsigned narrowing.
+  for (const char* bad : {"threads = -1\n", "threads = 4097\n",
+                          "threads = 4294967297\n"}) {
+    EXPECT_THROW(SimConfig::FromConfig(Config::ParseString(bad)),
+                 std::runtime_error)
+        << bad;
+  }
+}
+
 TEST(ConfigTest, FileRoundTrip) {
   const std::string path = testing::TempDir() + "/config_test.conf";
   {

@@ -2,15 +2,21 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <limits>
 #include <numeric>
 #include <tuple>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "bgp/churn.h"
 #include "obs/metrics_registry.h"
 #include "obs/probe_trace.h"
+#include "proto/network.h"
 #include "sim/environment.h"
+#include "workload/workload.h"
 
 namespace dmap {
 namespace {
@@ -481,29 +487,187 @@ TEST_F(DMapServiceTest, LargerKNeverHurtsLatency) {
 }
 
 TEST_F(DMapServiceTest, OptionsValidationNamesTheBadField) {
-  const auto expect_rejects = [&](DMapOptions options,
-                                  const std::string& field) {
+  // One validator for both executors: the closed form and the wire
+  // protocol reject every bad shared field, naming it.
+  const auto expect_rejects = [](const auto& construct,
+                                 const std::string& field) {
     try {
-      DMapService service(env_.graph, env_.table, options);
-      FAIL() << "expected invalid_argument for " << field;
+      construct();
+      ADD_FAILURE() << "expected invalid_argument for " << field;
     } catch (const std::invalid_argument& e) {
       EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
           << e.what();
     }
   };
-  DMapOptions bad_k = Options();
-  bad_k.k = 0;
-  expect_rejects(bad_k, "k");
-  DMapOptions bad_m = Options();
-  bad_m.max_hashes = 0;
-  expect_rejects(bad_m, "max_hashes");
-  DMapOptions bad_timeout = Options();
-  bad_timeout.failure_timeout_ms = -1.0;
-  expect_rejects(bad_timeout, "failure_timeout_ms");
-  DMapOptions nan_timeout = Options();
-  nan_timeout.failure_timeout_ms =
-      std::numeric_limits<double>::quiet_NaN();
-  expect_rejects(nan_timeout, "failure_timeout_ms");
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<
+      std::pair<std::string, std::function<void(ProtocolOptions&)>>>
+      shared = {
+          {"k", [](ProtocolOptions& o) { o.k = 0; }},
+          {"max_hashes", [](ProtocolOptions& o) { o.max_hashes = 0; }},
+          {"failure_timeout_ms",
+           [](ProtocolOptions& o) { o.failure_timeout_ms = -1.0; }},
+          {"failure_timeout_ms",
+           [nan](ProtocolOptions& o) { o.failure_timeout_ms = nan; }},
+          {"probe_retries", [](ProtocolOptions& o) { o.probe_retries = -1; }},
+          {"retry_backoff", [](ProtocolOptions& o) { o.retry_backoff = 0.5; }},
+          {"retry_backoff",
+           [nan](ProtocolOptions& o) { o.retry_backoff = nan; }},
+          {"write_quorum", [](ProtocolOptions& o) { o.write_quorum = -1; }},
+          {"shards",
+           [](ProtocolOptions& o) {
+             o.cache.capacity = 16;
+             o.cache.shards = 0;
+           }},
+          {"ttl_ms",
+           [](ProtocolOptions& o) {
+             o.cache.capacity = 16;
+             o.cache.ttl_ms = -1.0;
+           }},
+      };
+  for (const auto& [field, corrupt] : shared) {
+    SCOPED_TRACE(field);
+    DMapOptions closed = Options();
+    corrupt(closed);
+    expect_rejects(
+        [&] { DMapService service(env_.graph, env_.table, closed); }, field);
+    ProtocolNetworkOptions wire;
+    corrupt(wire);
+    expect_rejects(
+        [&] { ProtocolNetwork net(env_.graph, env_.table, wire); }, field);
+  }
+
+  DMapOptions bad_shards = Options();
+  bad_shards.store_shards = -1;
+  expect_rejects(
+      [&] { DMapService service(env_.graph, env_.table, bad_shards); },
+      "store_shards");
+  ProtocolNetworkOptions bad_read;
+  bad_read.read_quorum = 0;
+  expect_rejects(
+      [&] { ProtocolNetwork net(env_.graph, env_.table, bad_read); },
+      "read_quorum");
+  ProtocolNetworkOptions bad_budget;
+  bad_budget.anti_entropy_budget = -1;
+  expect_rejects(
+      [&] { ProtocolNetwork net(env_.graph, env_.table, bad_budget); },
+      "anti_entropy_budget");
+}
+
+TEST_F(DMapServiceTest, HubLabelsAndDijkstraRunIdentically) {
+  // Attaching hub labels changes only the speed of the closed form: a
+  // labelled and a label-less service answer one seeded workload
+  // bit-identically, probe for probe, through Lookup and through
+  // LookupWithView under a churned view, with a failed AS and retries.
+  PrefixTable view = env_.table;
+  Rng rng(17);
+  ChurnParams churn;
+  churn.withdraw_space_fraction = 0.10;
+  churn.announce_fraction = 0.05;
+  churn.num_ases = env_.graph.num_nodes();
+  ApplyChurn(view, SampleChurn(env_.table, churn, rng));
+
+  DMapOptions options = Options(5);
+  options.probe_retries = 2;
+  WorkloadParams params;
+  params.num_guids = 200;
+  params.seed = 21;
+  WorkloadGenerator workload(env_.graph, params);
+  const std::vector<InsertOp> inserts = workload.Inserts();
+  const std::vector<LookupOp> lookups = workload.Lookups(1000);
+  const HubLabels* labels = EnsureHubLabels(env_, /*threads=*/1);
+
+  struct Run {
+    std::vector<LookupResult> results;
+    std::uint64_t dijkstra_runs = 0;
+  };
+  const auto run = [&](const HubLabels* attached) {
+    DMapService service(env_.graph, env_.table, options);
+    service.oracle().SetHubLabels(attached);
+    ProbeTracer tracer;
+    service.SetTracer(&tracer);
+    for (const InsertOp& op : inserts) (void)service.Insert(op.guid, op.na);
+    // Fail the first replica the first lookup probes.
+    const LookupOp& first = lookups.front();
+    service.SetFailedAses(
+        {service.ProbePlan(first.guid, first.source).front().first});
+    Run out;
+    for (const LookupOp& op : lookups) {
+      out.results.push_back(service.Lookup(op.guid, op.source));
+      out.results.push_back(service.LookupWithView(op.guid, op.source, view));
+    }
+    out.dijkstra_runs = service.oracle().dijkstra_runs();
+    return out;
+  };
+  const Run hub = run(labels);
+  const Run dijkstra = run(nullptr);
+  EXPECT_EQ(hub.dijkstra_runs, 0u);
+  EXPECT_GT(dijkstra.dijkstra_runs, 0u);
+
+  ASSERT_EQ(hub.results.size(), dijkstra.results.size());
+  std::size_t failed = 0, missed = 0;
+  for (std::size_t i = 0; i < hub.results.size(); ++i) {
+    SCOPED_TRACE(i);
+    const LookupResult& a = hub.results[i];
+    const LookupResult& b = dijkstra.results[i];
+    EXPECT_EQ(a.latency_ms, b.latency_ms);
+    EXPECT_EQ(a.attempts, b.attempts);
+    EXPECT_EQ(a.status, b.status);
+    EXPECT_EQ(a.found, b.found);
+    EXPECT_EQ(a.nas, b.nas);
+    EXPECT_EQ(a.serving_as, b.serving_as);
+    EXPECT_EQ(a.served_locally, b.served_locally);
+    ASSERT_TRUE(a.trace.has_value());
+    ASSERT_TRUE(b.trace.has_value());
+    EXPECT_EQ(a.trace->op, b.trace->op);
+    EXPECT_EQ(a.trace->latency_ms, b.trace->latency_ms);
+    EXPECT_EQ(a.trace->hash_evaluations, b.trace->hash_evaluations);
+    ASSERT_EQ(a.trace->probes.size(), b.trace->probes.size());
+    for (std::size_t p = 0; p < a.trace->probes.size(); ++p) {
+      EXPECT_EQ(a.trace->probes[p].replica, b.trace->probes[p].replica);
+      EXPECT_EQ(a.trace->probes[p].rtt_ms, b.trace->probes[p].rtt_ms);
+      EXPECT_EQ(a.trace->probes[p].outcome, b.trace->probes[p].outcome);
+      failed += a.trace->probes[p].outcome == ProbeOutcome::kFailed;
+      missed += a.trace->probes[p].outcome == ProbeOutcome::kMiss;
+    }
+  }
+  // The scenario exercised both fall-through paths.
+  EXPECT_GT(failed, 0u);
+  EXPECT_GT(missed, 0u);
+}
+
+TEST_F(DMapServiceTest, CacheServesRepeatsPerAsAndScoresStaleness) {
+  DMapOptions options = Options();
+  options.cache.capacity = 1024;
+  options.cache.ttl_ms = 30'000.0;
+  DMapService service(env_.graph, env_.table, options);
+  const Guid g = Guid::FromSequence(1);
+  (void)service.Insert(g, NetworkAddress{10, 1});
+
+  const LookupResult first = service.Lookup(g, 200);
+  ASSERT_TRUE(first.found);
+  EXPECT_FALSE(first.served_from_cache);
+  service.RefreshReadSnapshots();  // applies and publishes the fill
+  const LookupResult second = service.Lookup(g, 200);
+  ASSERT_TRUE(second.found);
+  EXPECT_TRUE(second.served_from_cache);
+  EXPECT_EQ(second.attempts, 0);
+  EXPECT_DOUBLE_EQ(second.latency_ms, 2.0 * env_.graph.IntraLatencyMs(200));
+  // Another AS has its own cold copy.
+  EXPECT_FALSE(service.Lookup(g, 100).served_from_cache);
+
+  // TTL-only coherence: after the host moves, AS 200 keeps serving the old
+  // NA until the TTL runs out, and the stale serve is scored.
+  (void)service.Update(g, NetworkAddress{20, 2});
+  service.RefreshReadSnapshots();
+  const LookupResult stale = service.Lookup(g, 200);
+  EXPECT_TRUE(stale.served_from_cache);
+  EXPECT_TRUE(stale.nas.AttachedTo(10));
+  EXPECT_EQ(service.cache()->stale_served(), 1u);
+  service.AdvanceCacheTime(SimTime::Seconds(40));
+  const LookupResult fresh = service.Lookup(g, 200);
+  EXPECT_FALSE(fresh.served_from_cache);
+  EXPECT_TRUE(fresh.nas.AttachedTo(20));
 }
 
 TEST_F(DMapServiceTest, MetricsAccountInsertsAndLookups) {

@@ -82,16 +82,38 @@ TEST(ResolverCacheTest, SerialGetPutRoundTrip) {
   EXPECT_EQ(cache.Get(8, g, SimTime::Seconds(1)), nullptr);
   EXPECT_EQ(cache.hits(), 1u);
   EXPECT_EQ(cache.misses(), 2u);
+
+  // Repeats: 20 GUIDs looked up 5 times, filling on each miss, miss once
+  // and hit every time after.
+  for (int round = 0; round < 5; ++round) {
+    for (std::uint64_t i = 100; i < 120; ++i) {
+      const Guid repeat = Guid::FromSequence(i);
+      if (cache.Get(9, repeat, SimTime::Seconds(round)) == nullptr) {
+        cache.Put(9, repeat, Entry(42), SimTime::Seconds(round));
+      }
+    }
+  }
+  EXPECT_EQ(cache.hits(), 1u + 80u);
+  EXPECT_EQ(cache.misses(), 2u + 20u);
 }
 
 TEST(ResolverCacheTest, TtlExpiryEvictsOnSerialAccess) {
   ResolverCache cache(SmallConfig(64, /*ttl_ms=*/100.0));
   const Guid g = Guid::FromSequence(2);
   cache.Put(7, g, Entry(42), SimTime::Zero());
-  EXPECT_NE(cache.Get(7, g, SimTime::Millis(100)), nullptr);
+  EXPECT_NE(cache.Get(7, g, SimTime::Millis(100)), nullptr);  // at the TTL
   EXPECT_EQ(cache.Get(7, g, SimTime::Millis(101)), nullptr);
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_EQ(cache.evictions(), 1u);
+
+  // A second Put refreshes both the value and the TTL.
+  const Guid h = Guid::FromSequence(8);
+  cache.Put(7, h, Entry(42), SimTime::Zero());
+  cache.Put(7, h, Entry(43), SimTime::Millis(80));
+  const MappingEntry* refreshed = cache.Get(7, h, SimTime::Millis(150));
+  ASSERT_NE(refreshed, nullptr);  // fresh until t = 180 ms
+  EXPECT_TRUE(refreshed->nas.AttachedTo(43));
+  EXPECT_EQ(cache.size(), 1u);
 }
 
 TEST(ResolverCacheTest, ZeroTtlNeverExpires) {

@@ -395,40 +395,6 @@ TEST_F(NetworkFaultTest, RecoveredEmptyReplicaIsRepairedByLookup) {
   EXPECT_NEAR(second->latency_ms, plan[0].second, 1e-4);
 }
 
-TEST_F(NetworkFaultTest, RepairCanBeDisabled) {
-  ProtocolNetworkOptions options = Options();
-  const NetworkAddress na{10, 1};
-  const AsId querier = 123;
-  const std::uint64_t seq = FindRepairableSeq(options, querier, na);
-  ASSERT_NE(seq, 0u) << "no repairable GUID found";
-
-  options.repair_on_lookup = false;
-  ProtocolNetwork net(env_.graph, env_.table, options);
-  const Guid g = Guid::FromSequence(seq);
-  bool inserted = false;
-  net.InsertAsync(g, na, [&](const UpdateResult&) { inserted = true; });
-  net.simulator().Run();
-  ASSERT_TRUE(inserted);
-
-  const auto plan = ReferencePlan(options, g, na, querier);
-  net.node(plan[0].first).store().Clear();
-
-  std::optional<LookupResult> result;
-  net.LookupAsync(g, querier, [&](const LookupResult& r) { result = r; });
-  net.simulator().Run();
-  ASSERT_TRUE(result.has_value());
-  EXPECT_TRUE(result->found);  // the fall-through still resolves it
-  EXPECT_EQ(net.repairs_sent(), 0u);
-  // With repair off, the empty replica stays empty and keeps costing a
-  // wasted probe.
-  EXPECT_EQ(net.node(plan[0].first).store().Lookup(g), nullptr);
-  std::optional<LookupResult> second;
-  net.LookupAsync(g, querier, [&](const LookupResult& r) { second = r; });
-  net.simulator().Run();
-  ASSERT_TRUE(second.has_value());
-  EXPECT_EQ(second->attempts, 2);
-}
-
 // The whole tentpole arc through the declarative plan: a scheduled crash
 // wipes the store, the AS recovers empty, and the first lookup that finds
 // the mapping elsewhere repairs it.

@@ -34,27 +34,6 @@ TEST_F(ExperimentsTest, ResponseTimeSamplesEveryLookup) {
   EXPECT_GT(samples.min(), 0.0);
 }
 
-TEST_F(ExperimentsTest, PathOracleBackendsProduceIdenticalSamples) {
-  // --path-oracle=lru|hub is a speed knob, not a modelling knob: the sample
-  // sequences must match bit-for-bit (grid-quantized latencies make hub
-  // merges reproduce Dijkstra's float sums exactly).
-  ResponseTimeConfig lru = SmallConfig(3);
-  lru.path_oracle = PathOracleBackend::kLru;
-  ResponseTimeConfig hub = SmallConfig(3);
-  hub.path_oracle = PathOracleBackend::kHub;
-  const SampleSet a = RunResponseTimeExperiment(env_, lru);
-  const SampleSet b = RunResponseTimeExperiment(env_, hub);
-  EXPECT_EQ(a.samples(), b.samples());
-
-  ChurnExperimentConfig churn_lru, churn_hub;
-  churn_lru.base = lru;
-  churn_hub.base = hub;
-  churn_lru.churn_fraction = churn_hub.churn_fraction = 0.10;
-  const SampleSet ca = RunChurnExperiment(env_, churn_lru);
-  const SampleSet cb = RunChurnExperiment(env_, churn_hub);
-  EXPECT_EQ(ca.samples(), cb.samples());
-}
-
 TEST_F(ExperimentsTest, MoreReplicasReduceTailLatency) {
   // Figure 4's headline: the K = 5 CDF dominates K = 1.
   const SampleSet k1 = RunResponseTimeExperiment(env_, SmallConfig(1));

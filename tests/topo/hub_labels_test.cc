@@ -143,9 +143,9 @@ TEST(PathOracleHubBackendTest, RoutesPointQueriesThroughLabels) {
   const AsGraph g = MakeDiamond();
   const HubLabels labels(g);
   PathOracle oracle(g);
-  EXPECT_EQ(oracle.backend(), PathOracleBackend::kLru);
+  EXPECT_EQ(oracle.hub_labels(), nullptr);
   oracle.SetHubLabels(&labels);
-  EXPECT_EQ(oracle.backend(), PathOracleBackend::kHub);
+  EXPECT_EQ(oracle.hub_labels(), &labels);
   EXPECT_DOUBLE_EQ(oracle.LinkLatencyMs(0, 2), 2.0);
   EXPECT_EQ(oracle.Hops(0, 3), 2u);
   EXPECT_DOUBLE_EQ(oracle.OneWayMs(0, 2), 3.0);
@@ -160,7 +160,7 @@ TEST(PathOracleHubBackendTest, RoutesPointQueriesThroughLabels) {
   EXPECT_EQ(oracle.dijkstra_runs(), 1u);
   // Detaching restores the LRU backend.
   oracle.SetHubLabels(nullptr);
-  EXPECT_EQ(oracle.backend(), PathOracleBackend::kLru);
+  EXPECT_EQ(oracle.hub_labels(), nullptr);
 }
 
 TEST(PathOracleHubBackendTest, BackendsAgreeBitForBit) {
