@@ -33,7 +33,6 @@ void ProtocolOptions::Validate() const {
     reject("write_quorum must be >= 0 (0 = majority; got " +
            std::to_string(write_quorum) + ")");
   }
-  cache.Validate();
 }
 
 void DMapOptions::Validate() const {
@@ -45,6 +44,7 @@ void DMapOptions::Validate() const {
         std::to_string(ShardedMappingStore::kMaxShards) + "] (got " +
         std::to_string(store_shards) + ")");
   }
+  cache.Validate();
 }
 
 DMapService::DMapService(const AsGraph& graph, const PrefixTable& table,
@@ -224,6 +224,9 @@ UpdateResult DMapService::Insert(const Guid& guid, NetworkAddress na) {
 }
 
 UpdateResult DMapService::Update(const Guid& guid, NetworkAddress na) {
+  if (na.as >= graph_->num_nodes()) {
+    throw std::invalid_argument("Update: NA references unknown AS");
+  }
   const auto it = owners_.find(guid);
   if (it == owners_.end()) {
     throw std::invalid_argument("Update: unknown GUID (insert first)");
@@ -297,6 +300,9 @@ BatchUpdateResult DMapService::BatchUpdate(
 }
 
 UpdateResult DMapService::AddAttachment(const Guid& guid, NetworkAddress na) {
+  if (na.as >= graph_->num_nodes()) {
+    throw std::invalid_argument("AddAttachment: NA references unknown AS");
+  }
   const auto it = owners_.find(guid);
   if (it == owners_.end()) {
     throw std::invalid_argument("AddAttachment: unknown GUID");

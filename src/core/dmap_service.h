@@ -52,10 +52,10 @@ enum class ReplicaSelection {
 
 // The protocol parameters every DMap executor shares: K and Algorithm 1's
 // M (Section III-B), the local replica (Section III-C), the failure
-// timeout and retry geometry (Section III-D), the write quorum and the
-// resolver-side cache. The closed form (DMapOptions) and the wire protocol
-// (ProtocolNetworkOptions) derive from this, so each shared field is
-// declared, defaulted and validated once.
+// timeout and retry geometry (Section III-D) and the write quorum. The
+// closed form (DMapOptions) and the wire protocol (ProtocolNetworkOptions)
+// derive from this, so each shared field is declared, defaulted and
+// validated once.
 struct ProtocolOptions {
   int k = 5;                    // number of global replicas
   int max_hashes = 10;          // M of Algorithm 1
@@ -82,19 +82,12 @@ struct ProtocolOptions {
   // All K messages are always sent regardless of W, so the wire message
   // stream (and thus every injected fault fate) is identical across W.
   int write_quorum = 0;
-  // Resolver-side mapping cache (core/resolver_cache.h). Disabled by
-  // default (capacity 0): every lookup takes the full probe path, byte-
-  // identical with the pre-cache behaviour. When enabled, a lookup
-  // consults the querier's cached copy before any probe leaves the AS,
-  // serves fresh hits in one intra-AS round trip, and records the
-  // staleness it serves.
-  CacheConfig cache;
 
   // Throws std::invalid_argument naming the offending field (k < 1,
   // max_hashes < 1, negative or NaN timeout, probe_retries < 0,
-  // retry_backoff < 1, write_quorum < 0, a bad cache field). Both
-  // executors validate on construction; callers building options from
-  // external input can validate earlier for better diagnostics.
+  // retry_backoff < 1, write_quorum < 0). Both executors validate on
+  // construction; callers building options from external input can
+  // validate earlier for better diagnostics.
   void Validate() const;
 };
 
@@ -109,8 +102,16 @@ struct DMapOptions : ProtocolOptions {
   // (asserted by the cross-shard equivalence suite); the count only sets
   // how much read parallelism the serving path can absorb.
   int store_shards = 0;
+  // Resolver-side mapping cache (core/resolver_cache.h), a closed-form
+  // feature only. Disabled by default (capacity 0): every lookup takes
+  // the full probe path, byte-identical with the pre-cache behaviour.
+  // When enabled, a lookup consults the querier's cached copy before any
+  // probe leaves the AS, serves fresh hits in one intra-AS round trip,
+  // and records the staleness it serves.
+  CacheConfig cache;
 
-  // ProtocolOptions::Validate plus the store_shards range.
+  // ProtocolOptions::Validate plus the store_shards range and the cache
+  // fields.
   void Validate() const;
 };
 
@@ -124,8 +125,8 @@ enum class ResolverStatus : std::uint8_t { kOk, kUnsupported, kQuorumFailed };
 
 // Resolves a configured write/read quorum against `n` participating
 // replicas: 0 selects a majority (n/2 + 1), any other value is clamped to
-// [1, n]. Shared by the closed-form, event-driven and wire paths so the
-// three agree on when a quorum operation completes.
+// [1, n]. Shared by the closed-form and wire paths so the two agree on
+// when a quorum operation completes.
 inline int ResolveQuorum(int configured, int n) {
   if (n < 1) return 1;
   if (configured == 0) return n / 2 + 1;
@@ -247,12 +248,6 @@ class DMapService {
     if (now > cache_now_) cache_now_ = now;
   }
   SimTime cache_now() const { return cache_now_; }
-
-  // True when `stamp` is strictly behind the owner table's authoritative
-  // stamp for `guid` (false for unknown GUIDs) — the staleness score for
-  // cache-served reads. Read-shared: the owner table mutates only at
-  // serial write points.
-  bool IsStaleStamp(const Guid& guid, const LogicalStamp& stamp) const;
 
   // Observability (src/obs/). Both default to off: the uninstrumented hot
   // path pays a single predictable `if (ptr)` branch per operation.
@@ -382,6 +377,11 @@ class DMapService {
 
   UpdateResult WriteReplicas(const Guid& guid, OwnerState& state,
                              AsId src_as, unsigned shard = 0);
+  // True when `stamp` is strictly behind the owner table's authoritative
+  // stamp for `guid` (false for unknown GUIDs) — the staleness score for
+  // cache-served reads. Read-shared: the owner table mutates only at
+  // serial write points.
+  bool IsStaleStamp(const Guid& guid, const LogicalStamp& stamp) const;
   // Cache-hit service: builds the one-intra-AS-round-trip result and does
   // the staleness bookkeeping (owners_ is the authoritative stamp oracle).
   LookupResult ServeFromCache(const Guid& guid, AsId querier,

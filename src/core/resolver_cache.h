@@ -5,8 +5,8 @@
 // (the locality argument of the Kademlia-caching literature in PAPERS.md).
 // The cost is bounded staleness: a cached entry can outlive a mobility
 // update for up to the TTL, and that staleness is *measured* (stale_served
-// counters, scored against the PR 9 committed frontier), never assumed
-// away.
+// counters, scored against DMapService's authoritative owner stamps),
+// never assumed away.
 //
 // Concurrency follows the ShardedMappingStore discipline exactly:
 //
@@ -84,10 +84,10 @@ class ResolverCache {
 
   const CacheConfig& config() const { return config_; }
 
-  // ---- Single-owner serial path (wire / event-driven executors, each of
-  // which owns a private instance and drives it from one simulator loop;
-  // NOT safe for concurrent callers — parallel phases use Probe/RecordFill
-  // on a shared instance instead). --------------------------------------
+  // ---- Single-owner serial path (a caller that owns a private instance
+  // and drives it from one thread, like ablation_dmap's table (f); NOT
+  // safe for concurrent callers — parallel phases use Probe/RecordFill on
+  // a shared instance instead). -----------------------------------------
 
   // Returns the cached entry for (as, guid) if present and fresh at `now`,
   // else nullptr; a hit moves the entry to the LRU front. Expired entries
@@ -139,8 +139,6 @@ class ResolverCache {
   // no locks, no allocation.
   void TallyProbe(unsigned worker, bool hit) REQUIRES_SHARD(worker);
   void TallyStaleServed(unsigned worker) REQUIRES_SHARD(worker);
-  // Serial-path variant of the staleness tally.
-  void CountStaleServed() { ++serial_.stale_served; }
 
   // Buffers a fill discovered during a parallel sweep; applied at the next
   // ApplyFills(). `worker` must be the caller's exclusive lane.
@@ -165,7 +163,7 @@ class ResolverCache {
   std::uint64_t evictions() const { return serial_.evictions; }
   std::uint64_t invalidations() const { return serial_.invalidations; }
   std::uint64_t stale_served() const {
-    return serial_.stale_served + SumLanes(&WorkerLane::stale_served);
+    return SumLanes(&WorkerLane::stale_served);
   }
 
  private:
@@ -216,7 +214,6 @@ class ResolverCache {
     std::uint64_t misses = 0;
     std::uint64_t evictions = 0;
     std::uint64_t invalidations = 0;
-    std::uint64_t stale_served = 0;
   };
 
   std::uint64_t SumLanes(std::uint64_t WorkerLane::*tally) const {

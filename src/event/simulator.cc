@@ -30,8 +30,9 @@ bool EventHandle::Cancel() {
 }
 
 EventHandle Simulator::ScheduleAt(SimTime when, std::function<void()> action) {
-  if (when < now_) {
-    throw std::invalid_argument("Simulator::ScheduleAt: time in the past");
+  if (!(when >= now_)) {  // also rejects NaN
+    throw std::invalid_argument(
+        "Simulator::ScheduleAt: time in the past or NaN");
   }
   auto record = std::make_shared<EventHandle::Record>();
   record->action = std::move(action);

@@ -55,12 +55,13 @@ class Simulator {
   SimTime Now() const { return now_; }
 
   // Schedules `action` to run `delay` after the current time. Negative
-  // delays are a programming error and throw.
+  // and NaN delays are a programming error and throw.
   EventHandle Schedule(SimTime delay, std::function<void()> action) {
     return ScheduleAt(now_ + delay, std::move(action));
   }
 
-  // Schedules `action` at absolute time `when` (must be >= Now()).
+  // Schedules `action` at absolute time `when`; throws
+  // std::invalid_argument unless when >= Now() (so NaN throws too).
   EventHandle ScheduleAt(SimTime when, std::function<void()> action);
 
   // Schedules `action` every `period` starting one period from now, for

@@ -1,6 +1,8 @@
 #include "fault/fault_plan.h"
 
 #include <algorithm>
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <sstream>
 #include <stdexcept>
@@ -8,6 +10,32 @@
 
 namespace dmap {
 namespace {
+
+// Parses a decimal AS id: digits only (a sign is rejected, so "-1" cannot
+// wrap), at most kInvalidAs - 1. Returns false on anything else.
+bool ParseAsId(const std::string& text, AsId* as) {
+  if (text.empty() || text[0] < '0' || text[0] > '9') return false;
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
+  if (*end != '\0' || errno == ERANGE || value > kInvalidAs - 1) {
+    return false;
+  }
+  *as = AsId(value);
+  return true;
+}
+
+// Parses a finite time in ms; with `allow_inf`, the keyword "inf" means
+// FailureView::kForever. NaN and infinite spellings are rejected.
+bool ParseMs(const std::string& text, bool allow_inf, double* ms) {
+  if (allow_inf && text == "inf") {
+    *ms = FailureView::kForever.millis();
+    return true;
+  }
+  char* end = nullptr;
+  *ms = std::strtod(text.c_str(), &end);
+  return !text.empty() && *end == '\0' && std::isfinite(*ms);
+}
 
 // Parses one "as:down_ms:up_ms" triple; `up_ms` may be "inf".
 CrashWindow ParseWindow(const std::string& spec, const char* key,
@@ -27,21 +55,15 @@ CrashWindow ParseWindow(const std::string& spec, const char* key,
   const std::string down_str = spec.substr(first + 1, second - first - 1);
   const std::string up_str = spec.substr(second + 1);
 
-  char* end = nullptr;
-  const unsigned long as = std::strtoul(as_str.c_str(), &end, 10);
-  if (as_str.empty() || *end != '\0') bad("AS id is not a number");
-  const double down = std::strtod(down_str.c_str(), &end);
-  if (down_str.empty() || *end != '\0') bad("down_ms is not a number");
-  double up;
-  if (up_str == "inf") {
-    up = FailureView::kForever.millis();
-  } else {
-    up = std::strtod(up_str.c_str(), &end);
-    if (up_str.empty() || *end != '\0') bad("up_ms is not a number or inf");
-  }
+  AsId as = kInvalidAs;
+  if (!ParseAsId(as_str, &as)) bad("AS id is not an unsigned AS number");
+  double down = 0.0;
+  double up = 0.0;
+  if (!ParseMs(down_str, false, &down)) bad("down_ms is not a finite number");
+  if (!ParseMs(up_str, true, &up)) bad("up_ms is not a finite number or inf");
 
   CrashWindow window;
-  window.as = AsId(as);
+  window.as = as;
   window.down_at = SimTime::Millis(down);
   window.up_at = SimTime::Millis(up);
   window.wipe_storage = wipe_storage;
@@ -86,25 +108,19 @@ PartitionWindow ParsePartition(const std::string& spec) {
   const std::string down_str = spec.substr(first + 1, second - first - 1);
   const std::string up_str = spec.substr(second + 1);
 
-  char* end = nullptr;
-  const unsigned long a = std::strtoul(a_str.c_str(), &end, 10);
-  if (a_str.empty() || *end != '\0') bad("first AS id is not a number");
-  const unsigned long b = std::strtoul(b_str.c_str(), &end, 10);
-  if (b_str.empty() || *end != '\0') bad("second AS id is not a number");
+  AsId a = kInvalidAs;
+  AsId b = kInvalidAs;
+  if (!ParseAsId(a_str, &a)) bad("first AS id is not an unsigned AS number");
+  if (!ParseAsId(b_str, &b)) bad("second AS id is not an unsigned AS number");
   if (a == b) bad("endpoints must differ");
-  const double down = std::strtod(down_str.c_str(), &end);
-  if (down_str.empty() || *end != '\0') bad("down_ms is not a number");
-  double up;
-  if (up_str == "inf") {
-    up = FailureView::kForever.millis();
-  } else {
-    up = std::strtod(up_str.c_str(), &end);
-    if (up_str.empty() || *end != '\0') bad("up_ms is not a number or inf");
-  }
+  double down = 0.0;
+  double up = 0.0;
+  if (!ParseMs(down_str, false, &down)) bad("down_ms is not a finite number");
+  if (!ParseMs(up_str, true, &up)) bad("up_ms is not a finite number or inf");
 
   PartitionWindow window;
-  window.a = AsId(a);
-  window.b = AsId(b);
+  window.a = a;
+  window.b = b;
   window.down_at = SimTime::Millis(down);
   window.up_at = SimTime::Millis(up);
   return window;

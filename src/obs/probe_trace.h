@@ -36,9 +36,9 @@ struct ProbeEvent {
 };
 
 // How the serving tier treated the request that resolved an operation.
-// Backends without a capacity model (the closed form, all baselines)
-// report the default — zero-delay kServed — so the cross-backend contract
-// stays uniform (resolver_contract_test pins this).
+// Backends without a capacity model (the closed form, the wire network,
+// all baselines) report the default — zero-delay kServed — so the
+// cross-backend contract stays uniform (resolver_contract_test pins this).
 enum class AdmissionOutcome : char {
   kServed = 'S',  // started service immediately (no queue wait)
   kQueued = 'Q',  // admitted but waited in the server's FIFO queue

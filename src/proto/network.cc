@@ -30,7 +30,6 @@ struct ProtocolNetwork::LookupOp {
   EventHandle timeout;
   EventHandle local_reply;
   std::vector<std::size_t> miss_indices;  // live replicas that had no entry
-  int sheds = 0;  // probes the serving tier rejected (server-side view)
   std::function<void(const LookupResult&)> done;
   std::optional<ProbeTrace> trace;
 
@@ -115,9 +114,6 @@ ProtocolNetwork::ProtocolNetwork(const AsGraph& graph,
   write_quorum_effective_ = ResolveQuorum(options.write_quorum, participants);
   read_quorum_effective_ =
       options.read_quorum > options.k ? options.k : options.read_quorum;
-  if (options_.cache.enabled()) {
-    cache_ = std::make_unique<ResolverCache>(options_.cache);
-  }
   nodes_.reserve(graph.num_nodes());
   for (AsId as = 0; as < graph.num_nodes(); ++as) {
     nodes_.push_back(
@@ -247,32 +243,6 @@ void ProtocolNetwork::Deliver(const Message& message) {
     if (HandleBatchUpdateResponse(*batch)) return;
   }
 
-  // Serving tier: a LookupRequest reaching a mapping server meets its
-  // admission machinery at delivery time. Shed = silence (the client's
-  // timeout takes over); admitted = the node answers after queue wait +
-  // service. Writes are not rate-limited (see SetServingTier).
-  if (serving_ != nullptr) {
-    if (const auto* request = std::get_if<LookupRequest>(&message)) {
-      const AdmitResult admit =
-          serving_->Admit(request->header.dst, sim_.Now());
-      if (admit.outcome == AdmissionOutcome::kShed) {
-        if (const auto it = lookups_.find(request->header.request_id);
-            it != lookups_.end()) {
-          ++it->second.op->sheds;
-        }
-        return;
-      }
-      probe_admits_[request->header.request_id] = admit;
-      sim_.Schedule(SimTime::Millis(admit.DelayMs()),
-                    [this, message] { DeliverToNode(message); });
-      return;
-    }
-  }
-
-  DeliverToNode(message);
-}
-
-void ProtocolNetwork::DeliverToNode(const Message& message) {
   const MessageHeader& header = HeaderOf(message);
   // Node-to-node protocol traffic. (Responses whose client op already
   // completed also land here; nodes ignore them.)
@@ -293,17 +263,8 @@ bool ProtocolNetwork::HandleLookupResponse(const LookupResponse& response) {
   if (op->completed) return true;
   const bool at_frontier = index == op->frontier;
 
-  // The serving tier's verdict for this request, if one was recorded: the
-  // reply charges its queue wait + service to the probe that paid it.
-  AdmitResult admit;
-  if (const auto admit_it = probe_admits_.find(header.request_id);
-      admit_it != probe_admits_.end()) {
-    admit = admit_it->second;
-    probe_admits_.erase(admit_it);
-  }
-
   if (op->read_target > 1) {
-    HandleReadResponse(op, index, response, admit);
+    HandleReadResponse(op, index, response);
     return true;
   }
 
@@ -315,16 +276,13 @@ bool ProtocolNetwork::HandleLookupResponse(const LookupResponse& response) {
     if (at_frontier && op->trace.has_value()) {
       op->trace->probes.push_back(
           ProbeEvent{header.src,
-                     op->frontier_charged_ms + op->plan[index].rtt +
-                         admit.DelayMs(),
+                     op->frontier_charged_ms + op->plan[index].rtt,
                      ProbeOutcome::kHit});
     }
     LookupResult result;
     result.found = true;
     result.nas = response.entry.nas;
     result.serving_as = header.src;
-    result.queue_delay_ms = admit.queue_delay_ms;
-    result.admission = admit.outcome;
     CompleteLookup(op, result, &response.entry);
     return true;
   }
@@ -343,9 +301,7 @@ bool ProtocolNetwork::HandleLookupResponse(const LookupResponse& response) {
   op->timeout.Cancel();
   if (op->trace.has_value()) {
     op->trace->probes.push_back(
-        ProbeEvent{header.src,
-                   op->frontier_charged_ms + op->plan[index].rtt +
-                       admit.DelayMs(),
+        ProbeEvent{header.src, op->frontier_charged_ms + op->plan[index].rtt,
                    ProbeOutcome::kMiss});
   }
   SendProbe(op, index + 1);
@@ -359,10 +315,7 @@ void ProtocolNetwork::CompleteLookup(const std::shared_ptr<LookupOp>& op,
   op->timeout.Cancel();
   op->local_reply.Cancel();
   for (LookupOp::Stream& stream : op->streams) stream.timeout.Cancel();
-  for (const std::uint64_t id : op->request_ids) {
-    lookups_.erase(id);
-    probe_admits_.erase(id);
-  }
+  for (const std::uint64_t id : op->request_ids) lookups_.erase(id);
   // Stale-read accounting against the committed frontier: a found answer
   // whose stamp is behind the last quorum-committed write of this GUID is
   // the consistency violation Fig. 9 measures. committed_ is only
@@ -392,13 +345,6 @@ void ProtocolNetwork::CompleteLookup(const std::shared_ptr<LookupOp>& op,
   }
   if (found_entry != nullptr && !op->miss_indices.empty()) {
     RepairEmptyReplicas(*op, *found_entry);
-  }
-  // Cache fill on globally served answers only: a local win already costs
-  // the one intra-AS round trip a cache hit would, and a cache-served
-  // answer must not refresh its own TTL.
-  if (cache_ != nullptr && result.found && !result.served_locally &&
-      !result.served_from_cache && found_entry != nullptr) {
-    cache_->Put(op->querier, op->guid, *found_entry, sim_.Now());
   }
   op->done(result);
 }
@@ -449,13 +395,6 @@ void ProtocolNetwork::InsertAsync(
   entry.version = op->version;
   entry.writer = na.as;
   op->stamp = entry.stamp();
-
-  // Invalidate-on-update coherence: every AS's cached copy dies with the
-  // write that supersedes it. TTL-only mode keeps the copies (bounded
-  // staleness is the measured trade).
-  if (cache_ != nullptr && options_.cache.invalidate_on_update) {
-    cache_->Invalidate(guid);
-  }
 
   // Client writes follow the quorum discipline; 1 keeps the legacy
   // all-slots-resolved completion bit-exactly. All K messages go out
@@ -684,9 +623,6 @@ void ProtocolNetwork::BatchUpdateAsync(
     } else {
       ae_owner_[guid] = na.as;
     }
-    if (cache_ != nullptr && options_.cache.invalidate_on_update) {
-      cache_->Invalidate(guid);
-    }
   }
 
   // One message per destination; a per-slot timeout stands in for a lost
@@ -777,35 +713,6 @@ void ProtocolNetwork::LookupAsync(
     op->trace->querier = querier;
   }
 
-  // Resolver-side cache: a fresh cached copy answers after one intra-AS
-  // round trip, and nothing leaves the querier AS. Consulted before the
-  // local-replica race — the cache sits at the border gateway, in front
-  // of the store. A stale answer (behind the committed quorum frontier)
-  // is still served — that is the measured trade — but tallied.
-  if (cache_ != nullptr) {
-    if (const MappingEntry* cached = cache_->Get(querier, guid, sim_.Now())) {
-      const MappingEntry hit = *cached;
-      sim_.Schedule(SimTime::Millis(2.0 * graph_->IntraLatencyMs(querier)),
-                    [this, op, hit] {
-                      if (op->completed) return;
-                      if (!committed_.empty()) {
-                        const auto committed = committed_.find(op->guid);
-                        if (committed != committed_.end() &&
-                            hit.stamp() < committed->second) {
-                          cache_->CountStaleServed();
-                        }
-                      }
-                      LookupResult result;
-                      result.found = true;
-                      result.nas = hit.nas;
-                      result.serving_as = op->querier;
-                      result.served_from_cache = true;
-                      CompleteLookup(op, result, &hit);
-                    });
-      return;
-    }
-  }
-
   // Probe order: lowest RTT first (the paper's main configuration).
   // K point queries, not a full source vector: with hub labels attached
   // each is an O(|label|) merge and no lookup runs Dijkstra.
@@ -855,6 +762,9 @@ void ProtocolNetwork::LookupAsync(
 void ProtocolNetwork::WithdrawPrefixAsync(
     const Cidr& prefix, AsId owner, PrefixTable& table,
     std::function<void(int migrated)> done) {
+  if (owner >= graph_->num_nodes()) {
+    throw std::invalid_argument("WithdrawPrefixAsync: unknown owner AS");
+  }
   // 1. Collect the mappings this withdrawal orphans (placed under the
   //    prefix at this AS).
   struct Affected {
@@ -930,12 +840,8 @@ void ProtocolNetwork::SendProbe(const std::shared_ptr<LookupOp>& op,
   if (op->completed) return;
   if (index >= op->plan.size()) {
     // Every replica missed or timed out: report the failure at the time
-    // the last timeout fired or miss came back. When the serving tier shed
-    // at least one probe, overload — not absence — is the likely cause.
-    LookupResult result;
-    result.admission = op->sheds > 0 ? AdmissionOutcome::kShed
-                                     : AdmissionOutcome::kServed;
-    CompleteLookup(op, result, nullptr);
+    // the last timeout fired or miss came back.
+    CompleteLookup(op, LookupResult{}, nullptr);
     return;
   }
   op->frontier = index;
@@ -1073,8 +979,7 @@ void ProtocolNetwork::ReadProbeTimedOut(const std::shared_ptr<LookupOp>& op,
 
 void ProtocolNetwork::HandleReadResponse(const std::shared_ptr<LookupOp>& op,
                                          std::size_t index,
-                                         const LookupResponse& response,
-                                         const AdmitResult& admit) {
+                                         const LookupResponse& response) {
   if (op->index_responded[index] != 0) {
     // An injected duplicate of a reply already consumed: pure noise.
     Bump(late_replies_, ins_.late_replies);
@@ -1101,8 +1006,7 @@ void ProtocolNetwork::HandleReadResponse(const std::shared_ptr<LookupOp>& op,
     op->answers.emplace_back(index, response.entry);
     if (op->trace.has_value()) {
       op->trace->probes.push_back(
-          ProbeEvent{op->plan[index].host,
-                     op->plan[index].rtt + admit.DelayMs(),
+          ProbeEvent{op->plan[index].host, op->plan[index].rtt,
                      ProbeOutcome::kHit});
     }
     // A found stream's job is done; it does not claim further replicas —
@@ -1118,8 +1022,7 @@ void ProtocolNetwork::HandleReadResponse(const std::shared_ptr<LookupOp>& op,
     }
     if (op->trace.has_value()) {
       op->trace->probes.push_back(
-          ProbeEvent{op->plan[index].host,
-                     op->plan[index].rtt + admit.DelayMs(),
+          ProbeEvent{op->plan[index].host, op->plan[index].rtt,
                      ProbeOutcome::kMiss});
     }
     if (owner < op->streams.size()) {
@@ -1159,9 +1062,6 @@ void ProtocolNetwork::CompleteReadLookup(
     result.found = true;
     result.nas = winner->nas;
     result.serving_as = op->plan[winner_index].host;
-  } else {
-    result.admission = op->sheds > 0 ? AdmissionOutcome::kShed
-                                     : AdmissionOutcome::kServed;
   }
 
   // Read-repair of *stale* answerers: replicas that replied with an older

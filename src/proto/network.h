@@ -16,7 +16,10 @@
 // whether it is dropped, duplicated, or delayed.
 //
 // This is the "production" execution path; DMapService is the closed-form
-// fast path. Tests assert the two report identical timings.
+// fast path. Tests assert the two report identical timings. Replicas have
+// infinite serving capacity here and queriers keep no resolver cache: the
+// serving tier lives in EventDrivenLookup and the cache in DMapService,
+// the executors their workloads drive.
 #pragma once
 
 #include <cstdint>
@@ -28,14 +31,12 @@
 #include "common/thread_annotations.h"
 #include "core/dmap_service.h"
 #include "core/hole_resolver.h"
-#include "core/resolver_cache.h"
 #include "event/simulator.h"
 #include "fault/failure_view.h"
 #include "fault/fault_injector.h"
 #include "obs/metrics_registry.h"
 #include "obs/probe_trace.h"
 #include "proto/node.h"
-#include "serve/serving_tier.h"
 #include "topo/shortest_path.h"
 
 namespace dmap {
@@ -89,19 +90,6 @@ class ProtocolNetwork {
   void ApplyFaultPlan(const FaultPlan& plan, std::uint64_t seed);
   const FaultInjector* injector() const { return injector_.get(); }
 
-  // Installs the per-AS serving tier (src/serve/): every LookupRequest
-  // delivered to a mapping server passes its admission machinery at
-  // delivery time — a shed request vanishes (the client's timeout fires
-  // and the retry/fall-through machinery takes over), an admitted one is
-  // handed to the node after its queue wait + service time, and the reply
-  // carries that delay back into the lookup's queue_delay_ms/admission.
-  // Writes (InsertRequest) are not rate-limited — the tier models the
-  // query-serving capacity of Section IV-B. nullptr (default) restores
-  // the infinite-capacity behaviour bit-for-bit. The tier must outlive
-  // the network and must not be shared across concurrent simulators.
-  void SetServingTier(ServingTier* tier) { serving_ = tier; }
-  ServingTier* serving_tier() const { return serving_; }
-
   // Registers the fault.* instruments and mirrors the fault counters into
   // `registry` under shard `shard` (the network itself is serial; parallel
   // harnesses run one network per trial and pass the worker id).
@@ -133,10 +121,6 @@ class ProtocolNetwork {
       const std::vector<std::pair<Guid, NetworkAddress>>& moves,
       std::function<void(const BatchUpdateResult&)> done);
 
-  // The resolver-side cache, when options.cache enabled it (else nullptr).
-  ResolverCache* cache() { return cache_.get(); }
-  const ResolverCache* cache() const { return cache_.get(); }
-
   // One bounded anti-entropy sweep, run at the serial write point between
   // event batches: examines up to `budget` registered GUIDs (a
   // deterministic cursor walks the insertion-ordered registry, wrapping)
@@ -159,7 +143,9 @@ class ProtocolNetwork {
   // the mapping's deputy (its resolution once the prefix is gone), then the
   // withdrawal is applied to `table` — which must be the same object this
   // network resolves against. `done(migrated)` fires when the last deputy
-  // ack returns (0 migrations completes immediately).
+  // ack returns (0 migrations completes immediately). Throws
+  // std::invalid_argument, before withdrawing anything, for an unknown
+  // owner AS or an unannounced prefix.
   void WithdrawPrefixAsync(const Cidr& prefix, AsId owner,
                            PrefixTable& table,
                            std::function<void(int migrated)> done);
@@ -220,9 +206,6 @@ class ProtocolNetwork {
   // failure state is checked when each copy is *delivered*.
   void Send(const Message& message);
   void Deliver(const Message& message);
-  // The node-layer tail of Deliver, after the serving tier admitted the
-  // message (or no tier is installed).
-  void DeliverToNode(const Message& message);
 
   // Lookup client machine (sequential R=1 path).
   void SendProbe(const std::shared_ptr<LookupOp>& op, std::size_t index);
@@ -245,8 +228,7 @@ class ProtocolNetwork {
   void ReadProbeTimedOut(const std::shared_ptr<LookupOp>& op,
                          std::size_t stream, std::size_t index, int retry);
   void HandleReadResponse(const std::shared_ptr<LookupOp>& op,
-                          std::size_t index, const LookupResponse& response,
-                          const AdmitResult& admit);
+                          std::size_t index, const LookupResponse& response);
   void MaybeCompleteRead(const std::shared_ptr<LookupOp>& op);
   void CompleteReadLookup(const std::shared_ptr<LookupOp>& op);
   // Seals the op: cancels timers, unregisters its request ids, records the
@@ -299,11 +281,6 @@ class ProtocolNetwork {
   std::vector<std::unique_ptr<DMapNode>> nodes_;
   FailureView failures_;
   std::unique_ptr<FaultInjector> injector_;
-  ServingTier* serving_ = nullptr;
-  // Admission verdict of the serving tier per in-flight request id, so the
-  // reply can charge its queue wait to the right probe. Entries are erased
-  // when the reply is consumed or the lookup completes.
-  std::unordered_map<std::uint64_t, AdmitResult> probe_admits_;
   std::uint64_t message_seq_ = 0;  // feeds FaultInjector::FateOf
   std::unordered_map<Guid, std::uint64_t, GuidHash> versions_;
   // Quorum parameters resolved once against the replica-set size.
@@ -328,10 +305,6 @@ class ProtocolNetwork {
   std::unordered_map<std::uint64_t, std::shared_ptr<InsertOp>> inserts_;
   std::unordered_map<std::uint64_t, std::shared_ptr<BatchOp>> batches_;
   std::uint64_t next_client_request_ = 1;
-
-  // Private resolver-side cache: the network is single-owner (one
-  // simulator loop), so the serial Get/Put path is safe here.
-  std::unique_ptr<ResolverCache> cache_;
 
   std::uint64_t messages_sent_ = 0;
   std::uint64_t bytes_sent_ = 0;

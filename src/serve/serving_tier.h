@@ -10,9 +10,9 @@
 // called once per request at its (simulated) arrival instant and returns
 // the queue wait and service time in closed form from the station state —
 // the completion times of the requests currently in the system. The caller
-// (event-driven lookup executor, ProtocolNetwork delivery) schedules the
-// reply at wait + service; a shed request produces no reply at all, so the
-// client's timeout/retry/fall-through machinery (PR 4) takes over.
+// (the event-driven lookup executor) schedules the reply at wait +
+// service; a shed request produces no reply at all, so the client's
+// timeout/retry/fall-through machinery takes over.
 //
 // Determinism: Admit() must be called in non-decreasing sim-time order —
 // which one serial simulator guarantees — and exponential service times are

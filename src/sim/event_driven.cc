@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <vector>
 
 #include "fault/retry_policy.h"
@@ -35,14 +36,11 @@ struct EventDrivenLookup::Flow {
   }
 };
 
-void EventDrivenLookup::EnableCache(const CacheConfig& config) {
-  config.Validate();
-  cache_ = config.enabled() ? std::make_unique<ResolverCache>(config)
-                            : nullptr;
-}
-
 void EventDrivenLookup::LookupAsync(const Guid& guid, AsId querier,
                                     SimTime start_delay, Callback done) {
+  if (querier >= service_->oracle().graph().num_nodes()) {
+    throw std::invalid_argument("LookupAsync: unknown querier AS");
+  }
   auto flow = std::make_shared<Flow>();
   flow->guid = guid;
   flow->querier = querier;
@@ -50,31 +48,6 @@ void EventDrivenLookup::LookupAsync(const Guid& guid, AsId querier,
 
   sim_->Schedule(start_delay, [this, flow] {
     flow->started = sim_->Now();
-
-    // Resolver-side cache: a fresh cached copy answers after one intra-AS
-    // round trip and nothing — not even the local-replica race — runs. A
-    // stale answer (behind the owner table's stamp) is still served; the
-    // staleness is tallied, that is the measured trade.
-    if (cache_ != nullptr) {
-      if (const MappingEntry* cached =
-              cache_->Get(flow->querier, flow->guid, sim_->Now())) {
-        const MappingEntry hit = *cached;
-        const double rtt =
-            2.0 * service_->oracle().graph().IntraLatencyMs(flow->querier);
-        sim_->Schedule(SimTime::Millis(rtt), [this, flow, hit] {
-          if (service_->IsStaleStamp(flow->guid, hit.stamp())) {
-            cache_->CountStaleServed();
-          }
-          LookupResult result;
-          result.found = true;
-          result.nas = hit.nas;
-          result.serving_as = flow->querier;
-          result.served_from_cache = true;
-          flow->Complete(*sim_, result);
-        });
-        return;
-      }
-    }
 
     flow->plan = service_->ProbePlan(flow->guid, flow->querier, shard_);
 
@@ -102,81 +75,6 @@ void EventDrivenLookup::LookupAsync(const Guid& guid, AsId querier,
     }
 
     SendProbe(flow, 0);
-  });
-}
-
-void EventDrivenLookup::UpdateAsync(const Guid& guid, NetworkAddress na,
-                                    SimTime start_delay,
-                                    UpdateCallback done) {
-  sim_->Schedule(start_delay, [this, guid, na, done = std::move(done)] {
-    UpdateResult result = service_->Update(guid, na);
-    // The service invalidates its own shared cache inside WriteReplicas;
-    // this wrapper's private cache follows the same coherence rule.
-    if (cache_ != nullptr && cache_->config().invalidate_on_update) {
-      cache_->Invalidate(guid);
-    }
-    // Acknowledgements from all replicas arrive in parallel; the closed
-    // form already computed the completion time — slowest ack with the
-    // quorum discipline off, W-th applied ack otherwise. When update
-    // latency measurement is disabled on the service, compute the same
-    // order statistic here from the oracle (fault-free: every replica
-    // acks, the local copy instantly).
-    double done_at = result.latency_ms;
-    if (done_at < 0) {
-      const DMapOptions& opts = service_->options();
-      const int participants =
-          int(result.replicas.size()) + (opts.local_replica ? 1 : 0);
-      const int w = ResolveQuorum(opts.write_quorum, participants);
-      if (w <= 1) {
-        done_at = 0;
-        for (const AsId host : result.replicas) {
-          done_at = std::max(done_at,
-                             service_->oracle().RttMs(na.as, host, shard_));
-        }
-      } else {
-        std::vector<double> acks;
-        acks.reserve(std::size_t(participants));
-        if (opts.local_replica) acks.push_back(0.0);
-        for (const AsId host : result.replicas) {
-          acks.push_back(service_->oracle().RttMs(na.as, host, shard_));
-        }
-        std::sort(acks.begin(), acks.end());
-        done_at = acks[std::size_t(w - 1)];
-      }
-      result.latency_ms = done_at;
-    }
-    sim_->Schedule(SimTime::Millis(done_at),
-                   [result, done] { done(result); });
-  });
-}
-
-void EventDrivenLookup::BatchUpdateAsync(
-    const std::vector<std::pair<Guid, NetworkAddress>>& moves,
-    SimTime start_delay, BatchCallback done) {
-  sim_->Schedule(start_delay, [this, moves, done = std::move(done)] {
-    BatchUpdateResult result = service_->BatchUpdate(moves);
-    if (cache_ != nullptr && cache_->config().invalidate_on_update) {
-      for (const auto& [guid, na] : moves) cache_->Invalidate(guid);
-    }
-    double done_at = result.latency_ms;
-    if (done_at < 0) {
-      // Update-latency measurement off on the service: the batched wave
-      // completes at the slowest destination round trip (fault-free — the
-      // legacy model), computed from the oracle like UpdateAsync does.
-      done_at = 0;
-      if (!moves.empty()) {
-        const AsId src = moves.front().second.as;
-        for (const UpdateResult& per : result.per_guid) {
-          for (const AsId host : per.replicas) {
-            done_at = std::max(done_at,
-                               service_->oracle().RttMs(src, host, shard_));
-          }
-        }
-      }
-      result.latency_ms = done_at;
-    }
-    sim_->Schedule(SimTime::Millis(done_at),
-                   [result, done] { done(result); });
   });
 }
 
@@ -226,11 +124,6 @@ void EventDrivenLookup::Transmit(const std::shared_ptr<Flow>& flow,
     const MappingEntry found = *entry;
     const AsId serving = host;
     sim_->Schedule(SimTime::Millis(rtt), [this, flow, found, serving] {
-      // Cache fill on globally served answers only: a local win already
-      // costs the one intra-AS round trip a cache hit would.
-      if (cache_ != nullptr && !flow->completed) {
-        cache_->Put(flow->querier, flow->guid, found, sim_->Now());
-      }
       LookupResult result;
       result.found = true;
       result.nas = found.nas;
@@ -284,10 +177,7 @@ void EventDrivenLookup::TransmitServed(const std::shared_ptr<Flow>& flow,
           if (flow->completed) return;
           if (found.has_value()) {
             // A found reply resolves the lookup even when its probe already
-            // timed out (the PR-4 late-reply semantics).
-            if (cache_ != nullptr) {
-              cache_->Put(flow->querier, flow->guid, *found, sim_->Now());
-            }
+            // timed out (the late-reply semantics of the wire executor).
             LookupResult result;
             result.found = true;
             result.nas = found->nas;

@@ -7,22 +7,22 @@
 // accuracy, which validates the closed-form shortcut used by the big
 // sweeps.
 //
-// With a ServingTier installed (SetServingTier), every probe additionally
-// passes the destination's capacity model: the probe arrives after the
-// one-way path, is admitted (service after an optional queue wait) or shed
-// (no reply at all — the probe timeout fires and the PR-4 retry/backoff
-// machinery takes over), and the reply returns after wait + service + the
-// return path. With no tier the wrapper is bit-identical to the original
+// This executor runs lookups only: updates and the resolver cache live in
+// DMapService, which every mobility and cache workload drives directly.
+// It is the one executor that models serving capacity. With a ServingTier
+// installed (SetServingTier), every probe additionally passes the
+// destination's capacity model: the probe arrives after the one-way path,
+// is admitted (service after an optional queue wait) or shed (no reply at
+// all — the probe timeout fires and the retry/backoff machinery takes
+// over), and the reply returns after wait + service + the return path.
+// With no tier the wrapper is bit-identical to the original
 // infinite-capacity behaviour.
 #pragma once
 
 #include <functional>
 #include <memory>
-#include <utility>
-#include <vector>
 
 #include "core/dmap_service.h"
-#include "core/resolver_cache.h"
 #include "event/simulator.h"
 #include "serve/serving_tier.h"
 
@@ -42,40 +42,13 @@ class EventDrivenLookup {
   // infinite-capacity path exactly. The tier must outlive the wrapper and
   // must not be shared across concurrently running simulators.
   void SetServingTier(ServingTier* tier) { serving_ = tier; }
-  ServingTier* serving_tier() const { return serving_; }
-
-  // Installs a private resolver-side cache on this executor's lookup path:
-  // a fresh cached copy at the querier answers after one intra-AS round
-  // trip, before the local-replica race or any probe. The wrapper is
-  // single-owner (one simulator loop drives it), so the cache's serial
-  // Get/Put path is safe here. A disabled config is a no-op.
-  void EnableCache(const CacheConfig& config);
-  ResolverCache* cache() { return cache_.get(); }
-  const ResolverCache* cache() const { return cache_.get(); }
 
   // Schedules the lookup to start `start_delay` from now; `done` fires at
-  // the simulated completion time. The caller runs the simulator.
+  // the simulated completion time. The caller runs the simulator. Throws
+  // std::invalid_argument, before scheduling anything, when `querier` is
+  // not an AS of the service's graph.
   void LookupAsync(const Guid& guid, AsId querier, SimTime start_delay,
                    Callback done);
-
-  // Mobility update as events: the K replica writes (and the local-replica
-  // move) go out in parallel; `done` fires when the slowest acknowledgement
-  // returns (Section III-A's update-latency model). The mapping state
-  // changes when the update *starts* — replicas apply writes on receipt,
-  // and this wrapper does not model per-replica in-flight windows.
-  using UpdateCallback = std::function<void(const UpdateResult&)>;
-  void UpdateAsync(const Guid& guid, NetworkAddress na, SimTime start_delay,
-                   UpdateCallback done);
-
-  // Batched mobility handoff: every move must share one destination AS.
-  // The mapping state changes when the batch *starts* (the closed form
-  // applies all moves at once, bit-identical to sequential updates);
-  // `done` fires at the batched completion time — one message wave over
-  // the distinct destination ASes, finishing at the slowest round trip.
-  using BatchCallback = std::function<void(const BatchUpdateResult&)>;
-  void BatchUpdateAsync(
-      const std::vector<std::pair<Guid, NetworkAddress>>& moves,
-      SimTime start_delay, BatchCallback done);
 
  private:
   struct Flow;  // shared lookup state across the event chain
@@ -100,7 +73,6 @@ class EventDrivenLookup {
   DMapService* service_;
   unsigned shard_;
   ServingTier* serving_ = nullptr;
-  std::unique_ptr<ResolverCache> cache_;
 };
 
 }  // namespace dmap

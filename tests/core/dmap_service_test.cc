@@ -439,6 +439,19 @@ TEST_F(DMapServiceTest, InvalidArgumentsThrow) {
   EXPECT_THROW(service.Lookup(Guid::FromSequence(18),
                               env_.graph.num_nodes()),
                std::invalid_argument);
+  // Out-of-range attachment ASes on a registered GUID are rejected before
+  // any replica write, and leave the mapping as it was.
+  const Guid g = Guid::FromSequence(19);
+  (void)service.Insert(g, NetworkAddress{10, 1});
+  EXPECT_THROW(service.AddAttachment(
+                   g, NetworkAddress{env_.graph.num_nodes() + 5, 2}),
+               std::invalid_argument);
+  EXPECT_THROW(
+      service.Update(g, NetworkAddress{env_.graph.num_nodes() + 5, 2}),
+      std::invalid_argument);
+  const LookupResult after = service.Lookup(g, 10);
+  ASSERT_TRUE(after.found);
+  EXPECT_EQ(after.nas.size(), 1);
   DMapOptions bad;
   bad.k = 0;
   EXPECT_THROW(DMapService(env_.graph, env_.table, bad),
@@ -514,16 +527,6 @@ TEST_F(DMapServiceTest, OptionsValidationNamesTheBadField) {
           {"retry_backoff",
            [nan](ProtocolOptions& o) { o.retry_backoff = nan; }},
           {"write_quorum", [](ProtocolOptions& o) { o.write_quorum = -1; }},
-          {"shards",
-           [](ProtocolOptions& o) {
-             o.cache.capacity = 16;
-             o.cache.shards = 0;
-           }},
-          {"ttl_ms",
-           [](ProtocolOptions& o) {
-             o.cache.capacity = 16;
-             o.cache.ttl_ms = -1.0;
-           }},
       };
   for (const auto& [field, corrupt] : shared) {
     SCOPED_TRACE(field);
@@ -542,6 +545,18 @@ TEST_F(DMapServiceTest, OptionsValidationNamesTheBadField) {
   expect_rejects(
       [&] { DMapService service(env_.graph, env_.table, bad_shards); },
       "store_shards");
+  DMapOptions bad_cache_shards = Options();
+  bad_cache_shards.cache.capacity = 16;
+  bad_cache_shards.cache.shards = 0;
+  expect_rejects(
+      [&] { DMapService service(env_.graph, env_.table, bad_cache_shards); },
+      "shards");
+  DMapOptions bad_cache_ttl = Options();
+  bad_cache_ttl.cache.capacity = 16;
+  bad_cache_ttl.cache.ttl_ms = -1.0;
+  expect_rejects(
+      [&] { DMapService service(env_.graph, env_.table, bad_cache_ttl); },
+      "ttl_ms");
   ProtocolNetworkOptions bad_read;
   bad_read.read_quorum = 0;
   expect_rejects(

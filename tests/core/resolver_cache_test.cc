@@ -220,7 +220,7 @@ TEST(ResolverCacheTest, WorkerTalliesFoldIntoTotals) {
   cache.TallyProbe(1, true);
   cache.TallyProbe(2, false);
   cache.TallyStaleServed(1);
-  cache.CountStaleServed();
+  cache.TallyStaleServed(2);
   EXPECT_EQ(cache.hits(), 2u);
   EXPECT_EQ(cache.misses(), 1u);
   EXPECT_EQ(cache.stale_served(), 2u);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <vector>
@@ -59,6 +60,12 @@ TEST(SimulatorTest, SchedulingInPastThrows) {
   sim.Run();
   EXPECT_THROW(sim.ScheduleAt(SimTime::Millis(5), [] {}),
                std::invalid_argument);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(sim.ScheduleAt(SimTime::Millis(nan), [] {}),
+               std::invalid_argument);
+  EXPECT_THROW(sim.Schedule(SimTime::Millis(nan), [] {}),
+               std::invalid_argument);
+  EXPECT_EQ(sim.Run(), 0u);  // nothing was queued
 }
 
 TEST(SimulatorTest, CancelPreventsExecution) {

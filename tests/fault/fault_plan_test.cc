@@ -95,6 +95,33 @@ TEST(FaultPlanTest, ParseRejectsMalformedWindows) {
                std::invalid_argument);
   EXPECT_THROW(FaultPlan::ParseString("drop_probability = 2.0"),
                std::invalid_argument);
+  // Non-finite times: NaN would reach std::sort and the simulator.
+  EXPECT_THROW(FaultPlan::ParseString("crash = 5:nan:100"),
+               std::invalid_argument);
+  EXPECT_THROW(FaultPlan::ParseString("crash = 5:0:nan"),
+               std::invalid_argument);
+  EXPECT_THROW(FaultPlan::ParseString("outage = 5:-inf:100"),
+               std::invalid_argument);
+  EXPECT_THROW(FaultPlan::ParseString("outage = 5:0:infinity"),
+               std::invalid_argument);
+  EXPECT_THROW(FaultPlan::ParseString("crash = 5:1e400:inf"),
+               std::invalid_argument);
+  // Signed or out-of-range AS ids must not wrap onto a real AS.
+  EXPECT_THROW(FaultPlan::ParseString("outage = -4294967295:10:20"),
+               std::invalid_argument);
+  EXPECT_THROW(FaultPlan::ParseString("outage = +5:10:20"),
+               std::invalid_argument);
+  EXPECT_THROW(FaultPlan::ParseString("outage = 4294967296:10:20"),
+               std::invalid_argument);
+  EXPECT_THROW(FaultPlan::ParseString("outage = 4294967295:10:20"),
+               std::invalid_argument);
+  EXPECT_THROW(FaultPlan::ParseString("crash = 99999999999999999999999:0:1"),
+               std::invalid_argument);
+  // The largest valid id and the `inf` keyword still parse.
+  const FaultPlan edge = FaultPlan::ParseString("outage = 4294967294:10:inf");
+  ASSERT_EQ(edge.outages.size(), 1u);
+  EXPECT_EQ(edge.outages[0].as, kInvalidAs - 1);
+  EXPECT_EQ(edge.outages[0].up_at, FailureView::kForever);
 }
 
 TEST(FaultPlanTest, ParsePartitionReadsWindows) {
@@ -136,6 +163,16 @@ TEST(FaultPlanTest, ParseRejectsMalformedPartitions) {
   EXPECT_NE(error_of("partition = 3|9:ten:10").find("down_ms"),
             std::string::npos);
   EXPECT_NE(error_of("partition = 3|9:0:soon").find("up_ms"),
+            std::string::npos);
+  EXPECT_NE(error_of("partition = 3|9:nan:10").find("down_ms"),
+            std::string::npos);
+  EXPECT_NE(error_of("partition = 3|9:0:nan").find("up_ms"),
+            std::string::npos);
+  EXPECT_NE(error_of("partition = -1|9:0:10").find("first AS id"),
+            std::string::npos);
+  EXPECT_NE(error_of("partition = 3|4294967296:0:10").find("second AS id"),
+            std::string::npos);
+  EXPECT_NE(error_of("partition = 3|-4294967293:0:10").find("second AS id"),
             std::string::npos);
   // Inverted windows get through the parser but not Validate().
   EXPECT_THROW(FaultPlan::ParseString("partition = 3|9:400:100"),

@@ -2,8 +2,8 @@
 // the wire accounting and the completion model, never the stored mapping
 // state. Each suite replays the same handoff schedule through sequential
 // singleton updates and through batches of several sizes, then asserts the
-// resulting stores are indistinguishable — on the closed-form service, the
-// event-driven wrapper, and the wire-protocol network.
+// resulting stores are indistinguishable — on the closed-form service and
+// the wire-protocol network.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -14,7 +14,6 @@
 #include "core/dmap_service.h"
 #include "proto/network.h"
 #include "sim/environment.h"
-#include "sim/event_driven.h"
 #include "workload/mobility.h"
 
 namespace dmap {
@@ -151,37 +150,6 @@ TEST_F(BatchUpdateTest, BatchValidationRejectsBadMoves) {
       std::invalid_argument);
   // The failed batch must not have half-applied the valid prefix.
   EXPECT_EQ(service.StoreLookup(7, g)->version, 1u);
-}
-
-TEST_F(BatchUpdateTest, EventDrivenAgreesWithClosedForm) {
-  const MobilityWorkload workload(env_.graph, Params(4));
-
-  DMapService reference(env_.graph, env_.table, Options());
-  Simulator sim;
-  DMapService event_service(env_.graph, env_.table, Options());
-  EventDrivenLookup wrapper(sim, event_service);
-  for (const InsertOp& op : workload.InitialInserts()) {
-    (void)reference.Insert(op.guid, op.na);
-    (void)event_service.Insert(op.guid, op.na);
-  }
-
-  for (const Handoff& handoff : workload.Handoffs()) {
-    const auto moves = workload.MovesFor(handoff);
-    const BatchUpdateResult expected = reference.BatchUpdate(moves);
-    std::optional<BatchUpdateResult> got;
-    const SimTime started = sim.Now();
-    wrapper.BatchUpdateAsync(moves, SimTime::Zero(),
-                             [&](const BatchUpdateResult& r) { got = r; });
-    sim.Run();
-    ASSERT_TRUE(got.has_value());
-    EXPECT_EQ(got->messages, expected.messages);
-    EXPECT_EQ(got->entries_applied, expected.entries_applied);
-    EXPECT_DOUBLE_EQ(got->latency_ms, expected.latency_ms);
-    // The callback fires at the simulated completion time (the running
-    // clock accumulates across handoffs, so allow float summation error).
-    EXPECT_NEAR((sim.Now() - started).millis(), expected.latency_ms, 1e-6);
-  }
-  EXPECT_EQ(Dump(event_service, workload), Dump(reference, workload));
 }
 
 TEST_F(BatchUpdateTest, WireBatchMatchesSequentialInserts) {

@@ -88,6 +88,13 @@ TEST_F(ProtocolNetworkTest, AgreesWithClosedFormService) {
     EXPECT_NEAR(got->latency_ms, expected.latency_ms, 1e-4);
     EXPECT_EQ(got->served_locally, expected.served_locally);
     EXPECT_EQ(got->nas, expected.nas);
+    EXPECT_EQ(got->serving_as, expected.serving_as);
+    EXPECT_FALSE(got->served_from_cache);
+    EXPECT_EQ(got->admission, AdmissionOutcome::kServed);
+    EXPECT_EQ(got->queue_delay_ms, 0.0);
+    if (!expected.served_locally) {
+      EXPECT_EQ(got->attempts, expected.attempts);
+    }
   }
 }
 
@@ -427,6 +434,13 @@ TEST_F(ProtocolNetworkTest, InvalidArgumentsThrow) {
                                env_.graph.num_nodes(),
                                [](const LookupResult&) {}),
                std::invalid_argument);
+  // An out-of-range owner is rejected before the prefix is withdrawn.
+  const PrefixRecord record = env_.table.AllPrefixes().front();
+  EXPECT_THROW(net.WithdrawPrefixAsync(record.prefix,
+                                       env_.graph.num_nodes() + 5,
+                                       env_.table, [](int) {}),
+               std::invalid_argument);
+  EXPECT_TRUE(env_.table.Lookup(record.prefix.First()).has_value());
 }
 
 }  // namespace

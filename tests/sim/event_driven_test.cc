@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <stdexcept>
 #include <vector>
 
 #include "fault/failure_view.h"
@@ -71,6 +72,13 @@ TEST_F(EventDrivenTest, AgreesWithClosedFormOnSuccessfulLookups) {
     EXPECT_EQ(got->served_locally, expected.served_locally);
     if (got->found) {
       EXPECT_EQ(got->nas, expected.nas);
+    }
+    EXPECT_EQ(got->serving_as, expected.serving_as);
+    EXPECT_FALSE(got->served_from_cache);
+    EXPECT_EQ(got->admission, AdmissionOutcome::kServed);
+    EXPECT_EQ(got->queue_delay_ms, 0.0);
+    if (!expected.served_locally) {
+      EXPECT_EQ(got->attempts, expected.attempts);
     }
     ++checked;
   }
@@ -246,75 +254,22 @@ TEST_F(EventDrivenTest, ConcurrentLookupsDoNotInterfere) {
   }
 }
 
-TEST_F(EventDrivenTest, UpdateCompletesAtMaxReplicaRtt) {
-  DMapOptions options = Options();
-  options.measure_update_latency = true;
-  options.write_quorum = 1;  // legacy mode: done when every replica acks
-  DMapService service(env_.graph, env_.table, options);
-  const Guid g = Guid::FromSequence(10);
+TEST_F(EventDrivenTest, UnknownQuerierThrows) {
+  DMapService service(env_.graph, env_.table, Options());
+  const Guid g = Guid::FromSequence(12);
   (void)service.Insert(g, NetworkAddress{10, 1});
-
   Simulator sim;
   EventDrivenLookup executor(sim, service);
-  std::optional<UpdateResult> got;
-  executor.UpdateAsync(g, NetworkAddress{20, 2}, SimTime::Millis(3),
-                       [&](const UpdateResult& r) { got = r; });
-  sim.Run();
-  ASSERT_TRUE(got.has_value());
-  // Completion time = start (3ms) + max replica RTT from the new AS.
-  double max_rtt = 0;
-  for (const AsId host : got->replicas) {
-    max_rtt = std::max(max_rtt, service.oracle().RttMs(20, host));
-  }
-  EXPECT_NEAR(got->latency_ms, max_rtt, 1e-9);
-  EXPECT_NEAR(sim.Now().millis(), 3.0 + max_rtt, 1e-9);
-  // The mapping did move.
-  EXPECT_TRUE(service.Lookup(g, 50).nas.AttachedTo(20));
-}
-
-TEST_F(EventDrivenTest, UpdateCompletesAtMajorityAckByDefault) {
-  DMapOptions options = Options();
-  options.measure_update_latency = true;
-  options.local_replica = false;  // acks come from the K globals alone
-  DMapService service(env_.graph, env_.table, options);
-  const Guid g = Guid::FromSequence(10);
-  (void)service.Insert(g, NetworkAddress{10, 1});
-
-  Simulator sim;
-  EventDrivenLookup executor(sim, service);
-  std::optional<UpdateResult> got;
-  executor.UpdateAsync(g, NetworkAddress{20, 2}, SimTime::Zero(),
-                       [&](const UpdateResult& r) { got = r; });
-  sim.Run();
-  ASSERT_TRUE(got.has_value());
-  std::vector<double> acks;
-  for (const AsId host : got->replicas) {
-    acks.push_back(service.oracle().RttMs(20, host));
-  }
-  std::sort(acks.begin(), acks.end());
-  const int w = ResolveQuorum(0, int(acks.size()));
-  ASSERT_GE(w, 2);
-  // The update is done at the W-th fastest ack, strictly before the
-  // slowest replica replies.
-  EXPECT_NEAR(got->latency_ms, acks[std::size_t(w - 1)], 1e-9);
-  EXPECT_NEAR(sim.Now().millis(), acks[std::size_t(w - 1)], 1e-9);
-  EXPECT_LE(got->latency_ms, acks.back());
-}
-
-TEST_F(EventDrivenTest, UpdateComputesLatencyWhenServiceSkipsIt) {
-  DMapService service(env_.graph, env_.table, Options());  // measurement off
-  const Guid g = Guid::FromSequence(11);
-  (void)service.Insert(g, NetworkAddress{10, 1});
-
-  Simulator sim;
-  EventDrivenLookup executor(sim, service);
-  std::optional<UpdateResult> got;
-  executor.UpdateAsync(g, NetworkAddress{30, 2}, SimTime::Zero(),
-                       [&](const UpdateResult& r) { got = r; });
-  sim.Run();
-  ASSERT_TRUE(got.has_value());
-  EXPECT_GT(got->latency_ms, 0.0);
-  EXPECT_NEAR(sim.Now().millis(), got->latency_ms, 1e-9);
+  bool called = false;
+  EXPECT_THROW(executor.LookupAsync(g, env_.graph.num_nodes() + 5,
+                                    SimTime::Zero(),
+                                    [&](const LookupResult&) {
+                                      called = true;
+                                    }),
+               std::invalid_argument);
+  // Rejected synchronously: nothing was scheduled.
+  EXPECT_EQ(sim.Run(), 0u);
+  EXPECT_FALSE(called);
 }
 
 ServingConfig TierConfig() {
