@@ -192,7 +192,9 @@ UpdateResult DMapService::WriteReplicas(const Guid& guid, OwnerState& state,
         if (failures_.IsFailed(host)) {
           // No ack will come; the wire path's per-slot timeout stands in.
           last_resolved = std::max(
-              last_resolved, std::max(options_.failure_timeout_ms, 1.5 * rtt));
+              last_resolved,
+          AdaptiveTimeoutMs(options_.failure_timeout_ms, 0,
+                            options_.retry_backoff, rtt));
           continue;
         }
         acks.push_back(rtt);
@@ -337,45 +339,9 @@ bool DMapService::Deregister(const Guid& guid) {
   return true;
 }
 
-std::vector<std::pair<AsId, double>> DMapService::OrderReplicas(
-    AsId querier, const std::vector<AsId>& hosts, unsigned shard) {
-  std::vector<std::pair<AsId, double>> ordered;
-  ordered.reserve(hosts.size());
-  if (options_.selection == ReplicaSelection::kLowestRtt) {
-    for (const AsId host : hosts) {
-      ordered.emplace_back(host, oracle_.RttMs(querier, host, shard));
-    }
-    std::sort(ordered.begin(), ordered.end(),
-              [](const auto& a, const auto& b) {
-                return a.second != b.second ? a.second < b.second
-                                            : a.first < b.first;
-              });
-  } else {
-    // Order by hop count, but the time cost of each probe is still its
-    // real RTT ("using least hop count ... leads to similar results albeit
-    // with marginally increased latencies").
-    std::vector<std::pair<AsId, std::uint32_t>> by_hops;
-    by_hops.reserve(hosts.size());
-    for (const AsId host : hosts) {
-      by_hops.emplace_back(host, oracle_.Hops(querier, host, shard));
-    }
-    std::sort(by_hops.begin(), by_hops.end(),
-              [](const auto& a, const auto& b) {
-                return a.second != b.second ? a.second < b.second
-                                            : a.first < b.first;
-              });
-    for (const auto& [host, hops] : by_hops) {
-      (void)hops;
-      ordered.emplace_back(host, oracle_.RttMs(querier, host, shard));
-    }
-  }
-  return ordered;
-}
-
-LookupResult DMapService::LookupInternal(const Guid& guid, AsId querier,
-                                         const std::vector<AsId>& hosts,
-                                         unsigned shard, char op,
-                                         int hash_evaluations) {
+LookupResult DMapService::LookupInternal(
+    const Guid& guid, AsId querier, std::span<const HostResolution> replicas,
+    unsigned shard, char op) {
   LookupResult result;
   const std::uint64_t guid_fp = guid.Fingerprint64();
   ProbeTrace* trace = nullptr;
@@ -385,7 +351,9 @@ LookupResult DMapService::LookupInternal(const Guid& guid, AsId querier,
     trace->op = op;
     trace->guid_fp = guid.Fingerprint64();
     trace->querier = querier;
-    trace->hash_evaluations = hash_evaluations;
+    for (const HostResolution& r : replicas) {
+      trace->hash_evaluations += r.hash_count;
+    }
   }
 
   // Global resolution: walk replicas in preference order; each miss or
@@ -397,7 +365,8 @@ LookupResult DMapService::LookupInternal(const Guid& guid, AsId querier,
   NaSet global_nas;
   AsId global_server = kInvalidAs;
   const MappingEntry* global_entry = nullptr;
-  for (const auto& [host, rtt] : OrderReplicas(querier, hosts, shard)) {
+  for (const auto& [host, rtt, stored_address] :
+       PlanProbes(replicas, querier, options_.selection, oracle_, shard)) {
     ++result.attempts;
     if (failures_.IsFailed(host)) {
       // The client burns its whole retry budget on a dead replica before
@@ -546,14 +515,8 @@ LookupResult DMapService::Lookup(const Guid& guid, AsId querier,
       return ServeFromCache(guid, querier, *cached, shard, 'L');
     }
   }
-  std::vector<AsId> hosts;
-  hosts.reserve(std::size_t(options_.k));
-  int hash_evaluations = 0;
-  for (const HostResolution& r : resolver_.ResolveAll(guid, shard)) {
-    hosts.push_back(r.host);
-    hash_evaluations += r.hash_count;
-  }
-  return LookupInternal(guid, querier, hosts, shard, 'L', hash_evaluations);
+  return LookupInternal(guid, querier, resolver_.ResolveAll(guid, shard),
+                        shard, 'L');
 }
 
 LookupResult DMapService::LookupWithView(const Guid& guid, AsId querier,
@@ -574,25 +537,25 @@ LookupResult DMapService::LookupWithView(const Guid& guid, AsId querier,
     }
   }
   HoleResolver view_resolver(hashes_, view, options_.max_hashes);
-  std::vector<AsId> hosts;
-  hosts.reserve(std::size_t(options_.k));
-  int hash_evaluations = 0;
-  for (const HostResolution& r : view_resolver.ResolveAll(guid)) {
-    hosts.push_back(r.host);
-    hash_evaluations += r.hash_count;
-  }
-  return LookupInternal(guid, querier, hosts, shard, 'V', hash_evaluations);
+  return LookupInternal(guid, querier, view_resolver.ResolveAll(guid), shard,
+                        'V');
+}
+
+std::vector<PlannedProbe> DMapService::Plan(const Guid& guid, AsId querier,
+                                            unsigned shard) {
+  return PlanProbes(resolver_.ResolveAll(guid, shard), querier,
+                    options_.selection, oracle_, shard);
 }
 
 std::vector<std::pair<AsId, double>> DMapService::ProbePlan(const Guid& guid,
                                                             AsId querier,
                                                             unsigned shard) {
-  std::vector<AsId> hosts;
-  hosts.reserve(std::size_t(options_.k));
-  for (const HostResolution& r : resolver_.ResolveAll(guid)) {
-    hosts.push_back(r.host);
+  std::vector<std::pair<AsId, double>> plan;
+  plan.reserve(std::size_t(options_.k));
+  for (const PlannedProbe& probe : Plan(guid, querier, shard)) {
+    plan.emplace_back(probe.host, probe.rtt);
   }
-  return OrderReplicas(querier, hosts, shard);
+  return plan;
 }
 
 void DMapService::SetFailedAses(const std::vector<AsId>& failed) {

@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -32,6 +33,7 @@
 #include "common/hash.h"
 #include "common/thread_annotations.h"
 #include "core/hole_resolver.h"
+#include "core/lookup_flow.h"
 #include "event/sim_time.h"
 #include "fault/failure_view.h"
 #include "core/mapping.h"
@@ -43,12 +45,6 @@
 #include "topo/shortest_path.h"
 
 namespace dmap {
-
-enum class ReplicaSelection {
-  kLowestRtt,   // assumes RTT estimates to all ASs (paper's main results)
-  kFewestHops,  // uses only BGP hop counts ("similar results, marginally
-                // increased latencies")
-};
 
 // The protocol parameters every DMap executor shares: K and Algorithm 1's
 // M (Section III-B), the local replica (Section III-C), the failure
@@ -335,11 +331,14 @@ class DMapService {
   // Rehome() after the withdrawal to run the Section III-D-1 repair.
   std::vector<Guid> GuidsStoredIn(AsId as, const Cidr& prefix) const;
 
-  // The ordered global probe plan (host, RTT ms) a lookup from `querier`
-  // would follow — first element is probed first. Exposed so the event-
+  // The ordered global probe plan a lookup from `querier` would follow
+  // (PlanProbes) — first element is probed first. Exposed so the event-
   // driven executor in sim/ can replay the identical exchange on the
-  // discrete-event kernel. `shard` selects the latency-oracle shard, as
-  // for Lookup.
+  // discrete-event kernel. `shard` selects the latency-oracle shard and
+  // the Algorithm 1 metrics slab, as for Lookup.
+  std::vector<PlannedProbe> Plan(const Guid& guid, AsId querier,
+                                 unsigned shard = 0) REQUIRES_SHARD(shard);
+  // The same plan as (host, RTT ms) pairs.
   std::vector<std::pair<AsId, double>> ProbePlan(const Guid& guid,
                                                  AsId querier,
                                                  unsigned shard = 0)
@@ -387,12 +386,10 @@ class DMapService {
   LookupResult ServeFromCache(const Guid& guid, AsId querier,
                               const MappingEntry& cached, unsigned shard,
                               char op);
-  // Probe order per selection policy; uses the querier's latency vector.
-  std::vector<std::pair<AsId, double>> OrderReplicas(
-      AsId querier, const std::vector<AsId>& hosts, unsigned shard = 0);
+  // The closed-form walk over `replicas` in PlanProbes order.
   LookupResult LookupInternal(const Guid& guid, AsId querier,
-                              const std::vector<AsId>& hosts, unsigned shard,
-                              char op, int hash_evaluations);
+                              std::span<const HostResolution> replicas,
+                              unsigned shard, char op);
   void AccountUpdate(const UpdateResult& result, CounterId op_counter,
                      unsigned shard);
 

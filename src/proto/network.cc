@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "core/lookup_flow.h"
 #include "fault/retry_policy.h"
 
 namespace dmap {
@@ -12,41 +13,23 @@ namespace dmap {
 struct ProtocolNetwork::LookupOp {
   Guid guid;
   AsId querier = kInvalidAs;
-  struct Probe {
-    AsId host = kInvalidAs;
-    double rtt = 0.0;
-    // Where Algorithm 1 hashed this replica; repair re-inserts under it.
-    Ipv4Address stored_address;
-  };
-  std::vector<Probe> plan;  // ordered by (rtt, host)
+  std::vector<PlannedProbe> plan;  // ordered by (rtt, host)
   // request_ids[i] is probe i's id; entries stay in lookups_ until the op
   // completes so late replies still find their way back.
   std::vector<std::uint64_t> request_ids;
-  std::size_t frontier = 0;  // index of the probe currently awaited
-  int attempts = 0;          // replicas probed (not transmissions)
-  double frontier_charged_ms = 0.0;  // timeout cost accrued on the frontier
+  LookupFlow flow;                   // one stream per read-quorum member
+  std::vector<EventHandle> timeouts;  // per stream, the armed probe timer
   SimTime started;
-  bool completed = false;
-  EventHandle timeout;
   EventHandle local_reply;
   std::vector<std::size_t> miss_indices;  // live replicas that had no entry
   std::function<void(const LookupResult&)> done;
   std::optional<ProbeTrace> trace;
-
-  // --- read-quorum fan-out state (read_target > 1 only) ---
-  struct Stream {
-    std::size_t index = 0;  // plan index currently awaited
-    int retry = 0;
-    bool alive = false;
-    EventHandle timeout;
-  };
-  int read_target = 1;
-  std::vector<Stream> streams;
-  std::size_t next_index = 0;  // next unclaimed plan index
-  int responses = 0;  // distinct replicas that answered (found or miss)
   // Found answers as (plan index, entry); the winner is the max stamp,
   // ties broken toward the lowest plan index.
   std::vector<std::pair<std::size_t, MappingEntry>> answers;
+
+  // --- read quorum (R > 1 only) ---
+  int responses = 0;  // distinct replicas that answered (found or miss)
   std::vector<char> index_responded;  // one flag per plan index
 };
 
@@ -260,61 +243,64 @@ bool ProtocolNetwork::HandleLookupResponse(const LookupResponse& response) {
   if (it == lookups_.end()) return false;
   const std::shared_ptr<LookupOp> op = it->second.op;
   const std::size_t index = it->second.index;
-  if (op->completed) return true;
-  const bool at_frontier = index == op->frontier;
+  if (op->flow.completed()) return true;
+  const bool quorum = read_quorum_effective_ > 1;
+  if (quorum) {
+    // A read quorum counts each replica once: a repeat is an injected
+    // duplicate of a reply already consumed, pure noise.
+    if (op->index_responded[index] != 0) {
+      Bump(late_replies_, ins_.late_replies);
+      return true;
+    }
+    op->index_responded[index] = 1;
+    ++op->responses;
+  }
 
-  if (op->read_target > 1) {
-    HandleReadResponse(op, index, response);
-    return true;
+  // No stream awaiting this index means its stream timed out past it: the
+  // reply is late but still this replica's answer. A late found reply
+  // resolves the lookup — the seed protocol dropped these on the floor and
+  // fell through to a possibly wrong "not found".
+  const std::size_t stream = op->flow.Awaiting(index);
+  const bool late = stream == LookupFlow::kNone;
+  if (late) Bump(late_replies_, ins_.late_replies);
+  if (op->trace.has_value() && (!late || quorum)) {
+    // Charged: the timeouts the stream waited out on this replica, plus
+    // the round trip that brought the answer.
+    const double charged = late ? 0.0 : op->flow.stream(stream).charged_ms;
+    op->trace->probes.push_back(
+        ProbeEvent{header.src, charged + op->plan[index].rtt,
+                   response.found ? ProbeOutcome::kHit : ProbeOutcome::kMiss});
   }
 
   if (response.found) {
-    // A found reply resolves the lookup even when its probe already timed
-    // out — the seed protocol dropped these on the floor and fell through
-    // to a possibly wrong "not found".
-    if (!at_frontier) Bump(late_replies_, ins_.late_replies);
-    if (at_frontier && op->trace.has_value()) {
-      op->trace->probes.push_back(
-          ProbeEvent{header.src,
-                     op->frontier_charged_ms + op->plan[index].rtt,
-                     ProbeOutcome::kHit});
+    op->answers.emplace_back(index, response.entry);
+    // A found stream's job is done; it does not claim further replicas.
+    if (!late) {
+      op->timeouts[stream].Cancel();
+      op->flow.Stop(stream);
     }
-    LookupResult result;
-    result.found = true;
-    result.nas = response.entry.nas;
-    result.serving_as = header.src;
-    CompleteLookup(op, result, &response.entry);
-    return true;
+  } else {
+    // "GUID missing": the replica is alive but empty — remember it for
+    // the lookup-triggered repair.
+    if (std::find(op->miss_indices.begin(), op->miss_indices.end(),
+                  index) == op->miss_indices.end()) {
+      op->miss_indices.push_back(index);
+    }
+    if (!late) {
+      op->timeouts[stream].Cancel();
+      SendProbe(op, stream);
+    }
   }
-
-  // "GUID missing": the replica is alive but empty — remember it for the
-  // lookup-triggered repair.
-  if (std::find(op->miss_indices.begin(), op->miss_indices.end(), index) ==
-      op->miss_indices.end()) {
-    op->miss_indices.push_back(index);
-  }
-  if (!at_frontier) {
-    // We had already timed this probe out and moved past it.
-    Bump(late_replies_, ins_.late_replies);
-    return true;
-  }
-  op->timeout.Cancel();
-  if (op->trace.has_value()) {
-    op->trace->probes.push_back(
-        ProbeEvent{header.src, op->frontier_charged_ms + op->plan[index].rtt,
-                   ProbeOutcome::kMiss});
-  }
-  SendProbe(op, index + 1);
+  MaybeCompleteLookup(op);
   return true;
 }
 
 void ProtocolNetwork::CompleteLookup(const std::shared_ptr<LookupOp>& op,
                                      LookupResult result,
                                      const MappingEntry* found_entry) {
-  op->completed = true;
-  op->timeout.Cancel();
+  op->flow.Complete();
   op->local_reply.Cancel();
-  for (LookupOp::Stream& stream : op->streams) stream.timeout.Cancel();
+  for (EventHandle& timeout : op->timeouts) timeout.Cancel();
   for (const std::uint64_t id : op->request_ids) lookups_.erase(id);
   // Stale-read accounting against the committed frontier: a found answer
   // whose stamp is behind the last quorum-committed write of this GUID is
@@ -332,7 +318,7 @@ void ProtocolNetwork::CompleteLookup(const std::shared_ptr<LookupOp>& op,
     }
   }
   result.latency_ms = (sim_.Now() - op->started).millis();
-  result.attempts = op->attempts;
+  result.attempts = op->flow.attempts();
   if (op->trace.has_value()) {
     ProbeTrace& trace = *op->trace;
     trace.found = result.found;
@@ -363,7 +349,7 @@ void ProtocolNetwork::RepairEmptyReplicas(const LookupOp& op,
   std::vector<InsertRequest> requests;
   requests.reserve(op.miss_indices.size());
   for (const std::size_t index : op.miss_indices) {
-    const LookupOp::Probe& probe = op.plan[index];
+    const PlannedProbe& probe = op.plan[index];
     InsertRequest request;
     request.header = MessageHeader{repair->request_id, op.querier,
                                    probe.host};
@@ -449,8 +435,8 @@ void ProtocolNetwork::StartInsertSlots(const std::shared_ptr<InsertOp>& op,
     // arrive.
     const double rtt =
         2.0 * oracle_.OneWayMs(request.header.src, request.header.dst);
-    const double timeout_ms =
-        std::max(options_.failure_timeout_ms, 1.5 * rtt);
+    const double timeout_ms = AdaptiveTimeoutMs(
+        options_.failure_timeout_ms, 0, options_.retry_backoff, rtt);
     op->slots[slot].timeout =
         sim_.Schedule(SimTime::Millis(timeout_ms), [this, op, slot] {
           if (op->slots[slot].resolved) return;
@@ -641,8 +627,8 @@ void ProtocolNetwork::BatchUpdateAsync(
     s.host = dst;
     op->slots.push_back(std::move(s));
     const double rtt = 2.0 * oracle_.OneWayMs(src_as, dst);
-    const double timeout_ms =
-        std::max(options_.failure_timeout_ms, 1.5 * rtt);
+    const double timeout_ms = AdaptiveTimeoutMs(
+        options_.failure_timeout_ms, 0, options_.retry_backoff, rtt);
     op->slots[slot].timeout =
         sim_.Schedule(SimTime::Millis(timeout_ms), [this, op, slot] {
           if (op->slots[slot].resolved) return;
@@ -716,28 +702,19 @@ void ProtocolNetwork::LookupAsync(
   // Probe order: lowest RTT first (the paper's main configuration).
   // K point queries, not a full source vector: with hub labels attached
   // each is an O(|label|) merge and no lookup runs Dijkstra.
-  for (int replica = 0; replica < options_.k; ++replica) {
-    const HostResolution resolution = resolver_.Resolve(guid, replica);
-    const AsId host = resolution.host;
-    op->plan.push_back(LookupOp::Probe{host, oracle_.RttMs(querier, host),
-                                       resolution.stored_address});
-  }
-  std::sort(op->plan.begin(), op->plan.end(),
-            [](const LookupOp::Probe& a, const LookupOp::Probe& b) {
-              return a.rtt != b.rtt ? a.rtt < b.rtt : a.host < b.host;
-            });
+  op->plan = PlanProbes(resolver_.ResolveAll(guid), querier,
+                        ReplicaSelection::kLowestRtt, oracle_);
+  // One probe stream per read-quorum member (R <= K, so each stream
+  // claims a replica up front).
+  const auto streams = std::size_t(read_quorum_effective_);
+  op->flow = LookupFlow(op->plan.size(), streams, options_.probe_retries);
+  op->timeouts.resize(streams);
+  if (streams > 1) op->index_responded.assign(op->plan.size(), 0);
 
-  // Read-quorum fan-out (R > 1): R concurrent streams instead of the
-  // sequential frontier; the local-replica race is skipped so the R
+  // Local-replica race (Section III-C). A read quorum skips it, so the R
   // responses come from R distinct replicas and the W+R intersection
   // argument holds.
-  if (read_quorum_effective_ > 1) {
-    StartReadFanout(op);
-    return;
-  }
-
-  // Local-replica race (Section III-C).
-  if (options_.local_replica &&
+  if (streams == 1 && options_.local_replica &&
       !failures_.IsFailedAt(querier, sim_.Now())) {
     if (const MappingEntry* entry =
             nodes_[querier]->store().Lookup(guid)) {
@@ -745,7 +722,7 @@ void ProtocolNetwork::LookupAsync(
       op->local_reply = sim_.Schedule(
           SimTime::Millis(2.0 * graph_->IntraLatencyMs(querier)),
           [this, op, local] {
-            if (op->completed) return;
+            if (op->flow.completed()) return;
             LookupResult result;
             result.found = true;
             result.nas = local.nas;
@@ -756,7 +733,9 @@ void ProtocolNetwork::LookupAsync(
     }
   }
 
-  SendProbe(op, 0);
+  for (std::size_t stream = 0; stream < streams; ++stream) {
+    SendProbe(op, stream);
+  }
 }
 
 void ProtocolNetwork::WithdrawPrefixAsync(
@@ -836,29 +815,22 @@ void ProtocolNetwork::WithdrawPrefixAsync(
 }
 
 void ProtocolNetwork::SendProbe(const std::shared_ptr<LookupOp>& op,
-                                std::size_t index) {
-  if (op->completed) return;
-  if (index >= op->plan.size()) {
-    // Every replica missed or timed out: report the failure at the time
-    // the last timeout fired or miss came back.
-    CompleteLookup(op, LookupResult{}, nullptr);
-    return;
-  }
-  op->frontier = index;
-  op->frontier_charged_ms = 0.0;
-  // `attempts` counts replicas probed, not transmissions — the closed form
-  // has no notion of retransmission, and the two must agree.
-  ++op->attempts;
-
+                                std::size_t stream) {
+  if (!op->flow.Advance(stream)) return;
+  // Streams claim plan indices in ascending order through the shared
+  // cursor, so request_ids stays aligned: request_ids[i] is probe i's id.
+  const std::size_t index = op->flow.stream(stream).index;
   const std::uint64_t id = NextClientRequestId();
   op->request_ids.push_back(id);
   lookups_[id] = PendingProbe{op, index};
-  TransmitProbe(op, index, /*retry=*/0);
+  TransmitProbe(op, stream);
 }
 
 void ProtocolNetwork::TransmitProbe(const std::shared_ptr<LookupOp>& op,
-                                    std::size_t index, int retry) {
-  const LookupOp::Probe& probe = op->plan[index];
+                                    std::size_t stream) {
+  const LookupFlow::Stream& s = op->flow.stream(stream);
+  const std::size_t index = s.index;
+  const PlannedProbe& probe = op->plan[index];
   LookupRequest request;
   request.header =
       MessageHeader{op->request_ids[index], op->querier, probe.host};
@@ -869,181 +841,49 @@ void ProtocolNetwork::TransmitProbe(const std::shared_ptr<LookupOp>& op,
   // probes) so a slow-but-alive replica is never declared dead before its
   // reply can arrive; on retransmission it backs off exponentially.
   const double timeout_ms =
-      std::max(TimeoutForAttemptMs(options_.failure_timeout_ms, retry,
-                                   options_.retry_backoff),
-               1.5 * probe.rtt);
-  op->timeout = sim_.Schedule(
-      SimTime::Millis(timeout_ms), [this, op, index, retry, timeout_ms] {
-        ProbeTimedOut(op, index, retry, timeout_ms);
+      AdaptiveTimeoutMs(options_.failure_timeout_ms, s.retry,
+                        options_.retry_backoff, probe.rtt);
+  op->timeouts[stream] = sim_.Schedule(
+      SimTime::Millis(timeout_ms), [this, op, stream, index, timeout_ms] {
+        ProbeTimedOut(op, stream, index, timeout_ms);
       });
   Send(request);
 }
 
 void ProtocolNetwork::ProbeTimedOut(const std::shared_ptr<LookupOp>& op,
-                                    std::size_t index, int retry,
+                                    std::size_t stream, std::size_t index,
                                     double timeout_ms) {
-  if (op->completed || index != op->frontier) return;
-  op->frontier_charged_ms += timeout_ms;
-  if (retry < options_.probe_retries) {
-    // Same request id: a straggling reply to the original transmission is
-    // indistinguishable from (and as good as) a reply to the retry.
-    Bump(retransmissions_, ins_.retransmissions);
-    TransmitProbe(op, index, retry + 1);
-    return;
+  switch (op->flow.TimedOut(stream, index, timeout_ms)) {
+    case LookupFlow::Timeout::kStale:
+      return;
+    case LookupFlow::Timeout::kRetransmit:
+      // Same request id: a straggling reply to the original transmission
+      // is indistinguishable from (and as good as) a reply to the retry.
+      Bump(retransmissions_, ins_.retransmissions);
+      TransmitProbe(op, stream);
+      return;
+    case LookupFlow::Timeout::kGiveUp:
+      if (op->trace.has_value()) {
+        op->trace->probes.push_back(
+            ProbeEvent{op->plan[index].host, op->flow.stream(stream).charged_ms,
+                       ProbeOutcome::kTimeout});
+      }
+      SendProbe(op, stream);
+      MaybeCompleteLookup(op);
+      return;
   }
-  if (op->trace.has_value()) {
-    op->trace->probes.push_back(ProbeEvent{op->plan[index].host,
-                                           op->frontier_charged_ms,
-                                           ProbeOutcome::kTimeout});
-  }
-  SendProbe(op, index + 1);
 }
 
-// ---------------------------------------------------------------------------
-// Read-quorum fan-out (R > 1).
-
-void ProtocolNetwork::StartReadFanout(const std::shared_ptr<LookupOp>& op) {
-  op->read_target =
-      int(std::min(std::size_t(read_quorum_effective_), op->plan.size()));
-  op->index_responded.assign(op->plan.size(), 0);
-  op->streams.resize(std::size_t(op->read_target));
-  op->next_index = 0;
-  for (std::size_t stream = 0; stream < op->streams.size(); ++stream) {
-    ClaimReadProbe(op, stream);
-  }
-  MaybeCompleteRead(op);  // degenerate empty plan
+void ProtocolNetwork::MaybeCompleteLookup(
+    const std::shared_ptr<LookupOp>& op) {
+  if (op->flow.completed()) return;
+  const bool answered = read_quorum_effective_ > 1
+                            ? op->responses >= read_quorum_effective_
+                            : !op->answers.empty();
+  if (answered || !op->flow.Probing()) CompleteWithAnswers(op);
 }
 
-void ProtocolNetwork::ClaimReadProbe(const std::shared_ptr<LookupOp>& op,
-                                     std::size_t stream) {
-  if (op->completed) return;
-  LookupOp::Stream& s = op->streams[stream];
-  if (op->next_index >= op->plan.size()) {
-    // No replicas left to probe: this stream dies. Completion is checked
-    // by the caller (timeout/response handlers) via MaybeCompleteRead.
-    s.alive = false;
-    return;
-  }
-  // Streams claim plan indices in ascending order through the shared
-  // cursor, so request_ids stays aligned: request_ids[i] is probe i's id.
-  const std::size_t index = op->next_index++;
-  s.index = index;
-  s.retry = 0;
-  s.alive = true;
-  ++op->attempts;
-  const std::uint64_t id = NextClientRequestId();
-  op->request_ids.push_back(id);
-  lookups_[id] = PendingProbe{op, index};
-  TransmitReadProbe(op, stream, /*retry=*/0);
-}
-
-void ProtocolNetwork::TransmitReadProbe(const std::shared_ptr<LookupOp>& op,
-                                        std::size_t stream, int retry) {
-  LookupOp::Stream& s = op->streams[stream];
-  const LookupOp::Probe& probe = op->plan[s.index];
-  LookupRequest request;
-  request.header =
-      MessageHeader{op->request_ids[s.index], op->querier, probe.host};
-  request.guid = op->guid;
-  const double timeout_ms =
-      std::max(TimeoutForAttemptMs(options_.failure_timeout_ms, retry,
-                                   options_.retry_backoff),
-               1.5 * probe.rtt);
-  s.timeout = sim_.Schedule(
-      SimTime::Millis(timeout_ms),
-      [this, op, stream, index = s.index, retry] {
-        ReadProbeTimedOut(op, stream, index, retry);
-      });
-  Send(request);
-}
-
-void ProtocolNetwork::ReadProbeTimedOut(const std::shared_ptr<LookupOp>& op,
-                                        std::size_t stream,
-                                        std::size_t index, int retry) {
-  if (op->completed) return;
-  LookupOp::Stream& s = op->streams[stream];
-  if (!s.alive || s.index != index) return;  // stale timer
-  if (retry < options_.probe_retries) {
-    Bump(retransmissions_, ins_.retransmissions);
-    s.retry = retry + 1;
-    TransmitReadProbe(op, stream, retry + 1);
-    return;
-  }
-  if (op->trace.has_value()) {
-    op->trace->probes.push_back(ProbeEvent{
-        op->plan[index].host, op->plan[index].rtt, ProbeOutcome::kTimeout});
-  }
-  ClaimReadProbe(op, stream);
-  MaybeCompleteRead(op);
-}
-
-void ProtocolNetwork::HandleReadResponse(const std::shared_ptr<LookupOp>& op,
-                                         std::size_t index,
-                                         const LookupResponse& response) {
-  if (op->index_responded[index] != 0) {
-    // An injected duplicate of a reply already consumed: pure noise.
-    Bump(late_replies_, ins_.late_replies);
-    return;
-  }
-  op->index_responded[index] = 1;
-  ++op->responses;
-
-  // Find the stream still awaiting this index; none means its stream
-  // timed out past it — the response is late but still counts as this
-  // replica's answer (the PR-4 late-reply semantics).
-  std::size_t owner = op->streams.size();
-  for (std::size_t stream = 0; stream < op->streams.size(); ++stream) {
-    if (op->streams[stream].alive && op->streams[stream].index == index) {
-      owner = stream;
-      break;
-    }
-  }
-  if (owner == op->streams.size()) {
-    Bump(late_replies_, ins_.late_replies);
-  }
-
-  if (response.found) {
-    op->answers.emplace_back(index, response.entry);
-    if (op->trace.has_value()) {
-      op->trace->probes.push_back(
-          ProbeEvent{op->plan[index].host, op->plan[index].rtt,
-                     ProbeOutcome::kHit});
-    }
-    // A found stream's job is done; it does not claim further replicas —
-    // the response count, not the stream, drives completion.
-    if (owner < op->streams.size()) {
-      op->streams[owner].timeout.Cancel();
-      op->streams[owner].alive = false;
-    }
-  } else {
-    if (std::find(op->miss_indices.begin(), op->miss_indices.end(), index) ==
-        op->miss_indices.end()) {
-      op->miss_indices.push_back(index);
-    }
-    if (op->trace.has_value()) {
-      op->trace->probes.push_back(
-          ProbeEvent{op->plan[index].host, op->plan[index].rtt,
-                     ProbeOutcome::kMiss});
-    }
-    if (owner < op->streams.size()) {
-      op->streams[owner].timeout.Cancel();
-      ClaimReadProbe(op, owner);
-    }
-  }
-  MaybeCompleteRead(op);
-}
-
-void ProtocolNetwork::MaybeCompleteRead(const std::shared_ptr<LookupOp>& op) {
-  if (op->completed) return;
-  if (op->responses < op->read_target) {
-    for (const LookupOp::Stream& s : op->streams) {
-      if (s.alive) return;  // still probing
-    }
-  }
-  CompleteReadLookup(op);
-}
-
-void ProtocolNetwork::CompleteReadLookup(
+void ProtocolNetwork::CompleteWithAnswers(
     const std::shared_ptr<LookupOp>& op) {
   // Winner: maximum logical stamp; a tie means the same write, broken
   // toward the lowest plan index for determinism.
@@ -1068,7 +908,7 @@ void ProtocolNetwork::CompleteReadLookup(
   // stamp get the winner pushed back at them. (Empty repliers are handled
   // by the existing miss repair inside CompleteLookup.) Idempotent and
   // commutative at the store: the push is stamp-gated like any write.
-  if (winner != nullptr) {
+  if (winner != nullptr && read_quorum_effective_ > 1) {
     for (const auto& [index, entry] : op->answers) {
       if (entry.stamp() < winner->stamp()) {
         SendRepairInsert(op->guid, op->querier, op->plan[index].host,

@@ -3,17 +3,17 @@
 // (exercising the real serialisation path and feeding the traffic
 // accounting), delivered after the underlay one-way latency, decoded, and
 // handed to the destination node or client agent. Client operations
-// (insert, lookup) implement the querier-side logic: replica selection,
-// parallel replica writes, the local-replica race, miss fall-through,
-// bounded retransmission with exponential backoff, and timeout handling
-// for unreachable ASs.
+// (insert, lookup) implement the querier-side logic: parallel replica
+// writes, and lookups driving the sans-IO core (core/lookup_flow.h) with
+// wire messages, request ids and adaptive timeouts.
 //
 // Failures are consulted at *delivery* time against a shared FailureView
 // (fault/failure_view.h): a message in flight when its destination goes
 // down is lost, one in flight when it recovers arrives. An optional
 // FaultInjector (ApplyFaultPlan) additionally interposes on every send,
 // deciding per message — deterministically from (seed, message sequence) —
-// whether it is dropped, duplicated, or delayed.
+// whether it is dropped, duplicated, or delayed. The client only sees
+// silence, so it arms AdaptiveTimeoutMs (fault/retry_policy.h).
 //
 // This is the "production" execution path; DMapService is the closed-form
 // fast path. Tests assert the two report identical timings. Replicas have
@@ -49,7 +49,7 @@ struct ProtocolNetworkOptions : ProtocolOptions {
   // Read quorum R: how many distinct replicas must answer (found or
   // "GUID missing") before a lookup reports. 1 (default) keeps the
   // paper's sequential lowest-RTT-first probing bit-identical; R > 1
-  // fans out to R concurrent probe streams, returns the answer with the
+  // runs R concurrent probe streams, returns the answer with the
   // maximum logical stamp, and read-repairs both empty and stale
   // repliers. Clamped to K.
   int read_quorum = 1;
@@ -207,30 +207,22 @@ class ProtocolNetwork {
   void Send(const Message& message);
   void Deliver(const Message& message);
 
-  // Lookup client machine (sequential R=1 path).
-  void SendProbe(const std::shared_ptr<LookupOp>& op, std::size_t index);
-  void TransmitProbe(const std::shared_ptr<LookupOp>& op, std::size_t index,
-                     int retry);
-  void ProbeTimedOut(const std::shared_ptr<LookupOp>& op, std::size_t index,
-                     int retry, double timeout_ms);
+  // Lookup client machine: R probe streams (LookupFlow) over the plan,
+  // R = 1 being the paper's sequential walk. R = 1 completes at the first
+  // found answer, R > 1 at R distinct responses with the max-stamp
+  // answer; either completes as a miss once every stream has stopped.
+  // SendProbe claims the stream's next replica (or stops the stream);
+  // TransmitProbe sends it and arms the timeout.
+  void SendProbe(const std::shared_ptr<LookupOp>& op, std::size_t stream);
+  void TransmitProbe(const std::shared_ptr<LookupOp>& op, std::size_t stream);
+  void ProbeTimedOut(const std::shared_ptr<LookupOp>& op, std::size_t stream,
+                     std::size_t index, double timeout_ms);
   // True if the response was consumed by a client lookup op.
   bool HandleLookupResponse(const LookupResponse& response);
-
-  // Read-quorum fan-out machine (R > 1): R concurrent probe streams over
-  // the RTT-ordered plan; a miss or exhausted timeout advances its stream
-  // to the next unclaimed replica; the op completes at R distinct
-  // responses (or when every stream dies) with the max-stamp answer.
-  void StartReadFanout(const std::shared_ptr<LookupOp>& op);
-  void ClaimReadProbe(const std::shared_ptr<LookupOp>& op,
-                      std::size_t stream);
-  void TransmitReadProbe(const std::shared_ptr<LookupOp>& op,
-                         std::size_t stream, int retry);
-  void ReadProbeTimedOut(const std::shared_ptr<LookupOp>& op,
-                         std::size_t stream, std::size_t index, int retry);
-  void HandleReadResponse(const std::shared_ptr<LookupOp>& op,
-                          std::size_t index, const LookupResponse& response);
-  void MaybeCompleteRead(const std::shared_ptr<LookupOp>& op);
-  void CompleteReadLookup(const std::shared_ptr<LookupOp>& op);
+  void MaybeCompleteLookup(const std::shared_ptr<LookupOp>& op);
+  // Picks the max-stamp answer, read-repairs stale answerers (R > 1) and
+  // seals the op through CompleteLookup.
+  void CompleteWithAnswers(const std::shared_ptr<LookupOp>& op);
   // Seals the op: cancels timers, unregisters its request ids, records the
   // trace, fires the repair of miss-replying replicas (when `found_entry`
   // is set), and invokes the callback.

@@ -1,11 +1,11 @@
 #include "sim/event_driven.h"
 
-#include <algorithm>
 #include <memory>
 #include <optional>
 #include <stdexcept>
 #include <vector>
 
+#include "core/lookup_flow.h"
 #include "fault/retry_policy.h"
 
 namespace dmap {
@@ -13,25 +13,20 @@ namespace dmap {
 struct EventDrivenLookup::Flow {
   Guid guid;
   AsId querier = kInvalidAs;
-  std::vector<std::pair<AsId, double>> plan;  // ordered (host, rtt)
+  std::vector<PlannedProbe> plan;
   Callback done;
   SimTime started;
-  int attempts = 0;
-  bool completed = false;
-  // Index of the probe currently awaited. A reply or timeout for an
-  // earlier index is late: the lookup has already moved past it.
-  std::size_t frontier = 0;
-  int sheds = 0;  // probes rejected by the serving tier
+  LookupFlow core;  // one probe stream over the plan
+  int sheds = 0;    // probes rejected by the serving tier
   EventHandle local_reply;    // cancelled if the global path wins first
   EventHandle probe_timeout;  // armed per transmission on the serving path
 
   void Complete(Simulator& sim, LookupResult result) {
-    if (completed) return;
-    completed = true;
+    if (!core.Complete()) return;
     local_reply.Cancel();
     probe_timeout.Cancel();
     result.latency_ms = (sim.Now() - started).millis();
-    result.attempts = attempts;
+    result.attempts = core.attempts();
     done(result);
   }
 };
@@ -49,7 +44,9 @@ void EventDrivenLookup::LookupAsync(const Guid& guid, AsId querier,
   sim_->Schedule(start_delay, [this, flow] {
     flow->started = sim_->Now();
 
-    flow->plan = service_->ProbePlan(flow->guid, flow->querier, shard_);
+    flow->plan = service_->Plan(flow->guid, flow->querier, shard_);
+    flow->core = LookupFlow(flow->plan.size(), /*streams=*/1,
+                            service_->options().probe_retries);
 
     // Local resolution races the global one (Section III-C): a hit in the
     // querier's own store replies after one intra-AS round trip. The local
@@ -74,15 +71,13 @@ void EventDrivenLookup::LookupAsync(const Guid& guid, AsId querier,
       }
     }
 
-    SendProbe(flow, 0);
+    SendProbe(flow);
   });
 }
 
-void EventDrivenLookup::SendProbe(const std::shared_ptr<Flow>& flow,
-                                  std::size_t index) {
-  if (flow->completed) return;
-  flow->frontier = index;
-  if (index >= flow->plan.size()) {
+void EventDrivenLookup::SendProbe(const std::shared_ptr<Flow>& flow) {
+  if (flow->core.completed()) return;
+  if (!flow->core.Advance(0)) {
     // Every replica missed, timed out, or shed us: report the failure at
     // the time the last reply came back.
     LookupResult result;
@@ -91,31 +86,31 @@ void EventDrivenLookup::SendProbe(const std::shared_ptr<Flow>& flow,
     flow->Complete(*sim_, result);
     return;
   }
-  // `attempts` counts replicas probed, not transmissions — the closed form
-  // has no notion of retransmission, and the two must agree.
-  ++flow->attempts;
-  Transmit(flow, index, /*retry=*/0);
+  Transmit(flow);
 }
 
-void EventDrivenLookup::Transmit(const std::shared_ptr<Flow>& flow,
-                                 std::size_t index, int retry) {
-  if (flow->completed) return;
-  const auto [host, rtt] = flow->plan[index];
+void EventDrivenLookup::Transmit(const std::shared_ptr<Flow>& flow) {
+  if (flow->core.completed()) return;
+  const LookupFlow::Stream& stream = flow->core.stream(0);
+  const std::size_t index = stream.index;
+  const auto [host, rtt, stored_address] = flow->plan[index];
 
   if (service_->IsFailedAt(host, sim_->Now())) {
-    // No reply will come; the timeout triggers a retransmission (with
-    // exponential backoff) or moves us to the next replica.
+    // No reply will come, and the failure schedule says so at send time:
+    // the policy timeout triggers a retransmission (with exponential
+    // backoff) or moves us to the next replica.
     const double timeout_ms = TimeoutForAttemptMs(
-        service_->options().failure_timeout_ms, retry,
+        service_->options().failure_timeout_ms, stream.retry,
         service_->options().retry_backoff);
-    sim_->Schedule(SimTime::Millis(timeout_ms), [this, flow, index, retry] {
-      ProbeTimedOut(flow, index, retry);
-    });
+    sim_->Schedule(SimTime::Millis(timeout_ms),
+                   [this, flow, index, timeout_ms] {
+                     ProbeTimedOut(flow, index, timeout_ms);
+                   });
     return;
   }
 
   if (serving_ != nullptr) {
-    TransmitServed(flow, index, retry);
+    TransmitServed(flow);
     return;
   }
 
@@ -133,33 +128,32 @@ void EventDrivenLookup::Transmit(const std::shared_ptr<Flow>& flow,
   } else {
     // "GUID missing" reply arrives a full round trip later; then the next
     // replica is probed.
-    sim_->Schedule(SimTime::Millis(rtt), [this, flow, index] {
-      SendProbe(flow, index + 1);
-    });
+    sim_->Schedule(SimTime::Millis(rtt), [this, flow] { SendProbe(flow); });
   }
 }
 
-void EventDrivenLookup::TransmitServed(const std::shared_ptr<Flow>& flow,
-                                       std::size_t index, int retry) {
-  const auto [host, rtt] = flow->plan[index];
+void EventDrivenLookup::TransmitServed(const std::shared_ptr<Flow>& flow) {
+  const LookupFlow::Stream& stream = flow->core.stream(0);
+  const std::size_t index = stream.index;
+  const auto [host, rtt, stored_address] = flow->plan[index];
 
   // A capacity-limited replica may never answer (shed) or answer late
-  // (queued past the budget), so every transmission arms a timeout — the
-  // same adaptive bound the wire path uses: never below 1.5x the expected
-  // RTT, backing off exponentially across retries.
-  const double timeout_ms =
-      std::max(TimeoutForAttemptMs(service_->options().failure_timeout_ms,
-                                   retry, service_->options().retry_backoff),
-               1.5 * rtt);
+  // (queued past the budget), so every transmission arms the adaptive
+  // timeout the wire path uses.
+  const double timeout_ms = AdaptiveTimeoutMs(
+      service_->options().failure_timeout_ms, stream.retry,
+      service_->options().retry_backoff, rtt);
   flow->probe_timeout = sim_->Schedule(
       SimTime::Millis(timeout_ms),
-      [this, flow, index, retry] { ProbeTimedOut(flow, index, retry); });
+      [this, flow, index, timeout_ms] {
+        ProbeTimedOut(flow, index, timeout_ms);
+      });
 
   // The probe arrives at the replica after the one-way path and meets the
   // admission machinery there, at arrival time.
   sim_->Schedule(SimTime::Millis(0.5 * rtt), [this, flow, index, host = host,
                                               rtt = rtt] {
-    if (flow->completed) return;
+    if (flow->core.completed()) return;
     const AdmitResult admit = serving_->Admit(host, sim_->Now());
     if (admit.outcome == AdmissionOutcome::kShed) {
       // Silence: the client's timeout fires, then retries or falls through
@@ -174,7 +168,7 @@ void EventDrivenLookup::TransmitServed(const std::shared_ptr<Flow>& flow,
     sim_->Schedule(
         SimTime::Millis(admit.DelayMs() + 0.5 * rtt),
         [this, flow, index, host, found, admit] {
-          if (flow->completed) return;
+          if (flow->core.completed()) return;
           if (found.has_value()) {
             // A found reply resolves the lookup even when its probe already
             // timed out (the late-reply semantics of the wire executor).
@@ -187,21 +181,26 @@ void EventDrivenLookup::TransmitServed(const std::shared_ptr<Flow>& flow,
             flow->Complete(*sim_, result);
             return;
           }
-          if (index != flow->frontier) return;  // late miss: moved past it
+          // A late miss: the stream already moved past this replica.
+          if (flow->core.Awaiting(index) == LookupFlow::kNone) return;
           flow->probe_timeout.Cancel();
-          SendProbe(flow, index + 1);
+          SendProbe(flow);
         });
   });
 }
 
 void EventDrivenLookup::ProbeTimedOut(const std::shared_ptr<Flow>& flow,
-                                      std::size_t index, int retry) {
-  if (flow->completed || index != flow->frontier) return;
-  if (retry < service_->options().probe_retries) {
-    Transmit(flow, index, retry + 1);
-    return;
+                                      std::size_t index, double timeout_ms) {
+  switch (flow->core.TimedOut(0, index, timeout_ms)) {
+    case LookupFlow::Timeout::kStale:
+      return;
+    case LookupFlow::Timeout::kRetransmit:
+      Transmit(flow);
+      return;
+    case LookupFlow::Timeout::kGiveUp:
+      SendProbe(flow);
+      return;
   }
-  SendProbe(flow, index + 1);
 }
 
 }  // namespace dmap

@@ -3,18 +3,21 @@
 // plays the same exchange out as scheduled message events — probe sent,
 // reply (found / missing) received, timeout fires for a failed AS, local
 // and global resolutions racing — and reports completion through a
-// callback. Property tests assert the two paths agree to floating-point
-// accuracy, which validates the closed-form shortcut used by the big
-// sweeps.
+// callback. The walk is one LookupFlow stream (core/lookup_flow.h) over
+// DMapService::Plan. Property tests assert the two paths agree to
+// floating-point accuracy, which validates the closed-form shortcut used
+// by the big sweeps.
 //
 // This executor runs lookups only: updates and the resolver cache live in
 // DMapService, which every mobility and cache workload drives directly.
-// It is the one executor that models serving capacity. With a ServingTier
-// installed (SetServingTier), every probe additionally passes the
-// destination's capacity model: the probe arrives after the one-way path,
-// is admitted (service after an optional queue wait) or shed (no reply at
-// all — the probe timeout fires and the retry/backoff machinery takes
-// over), and the reply returns after wait + service + the return path.
+// It is the one executor that models serving capacity, as a hook on the
+// live-replica exchange. With a ServingTier installed (SetServingTier),
+// every probe additionally passes the destination's capacity model: the
+// probe arrives after the one-way path, is admitted (service after an
+// optional queue wait) or shed (no reply at all — the adaptive timeout
+// fires and the retry/backoff machinery takes over), and the reply
+// returns after wait + service + the return path. A replica that is down
+// at send time costs the plain policy timeout (fault/retry_policy.h).
 // With no tier the wrapper is bit-identical to the original
 // infinite-capacity behaviour.
 #pragma once
@@ -53,21 +56,20 @@ class EventDrivenLookup {
  private:
   struct Flow;  // shared lookup state across the event chain
 
-  void SendProbe(const std::shared_ptr<Flow>& flow, std::size_t index);
-  // Timeout of retransmission `retry` for plan[index] fired: retransmit
-  // with exponential backoff while budget remains, else fall through.
+  // Claims the next replica and transmits to it, or reports the failure
+  // once the plan is exhausted.
+  void SendProbe(const std::shared_ptr<Flow>& flow);
+  // Retransmits with backoff while budget remains, else falls through.
   void ProbeTimedOut(const std::shared_ptr<Flow>& flow, std::size_t index,
-                     int retry);
-  // One transmission to plan[index] at the current sim time: consults the
-  // failure schedule (DMapService::IsFailedAt) at send time, so windows
-  // that open or close mid-lookup are honoured — a replica that recovers
-  // between retries answers the retransmission.
-  void Transmit(const std::shared_ptr<Flow>& flow, std::size_t index,
-                int retry);
+                     double timeout_ms);
+  // One transmission to the stream's current replica at the current sim
+  // time: consults the failure schedule (DMapService::IsFailedAt) at send
+  // time, so windows that open or close mid-lookup are honoured — a
+  // replica that recovers between retries answers the retransmission.
+  void Transmit(const std::shared_ptr<Flow>& flow);
   // Serving-tier variant of the live-replica exchange: arrival, admission,
   // delayed reply (or silence when shed).
-  void TransmitServed(const std::shared_ptr<Flow>& flow, std::size_t index,
-                      int retry);
+  void TransmitServed(const std::shared_ptr<Flow>& flow);
 
   Simulator* sim_;
   DMapService* service_;

@@ -82,7 +82,7 @@ OfferedLoadResult RunOfferedLoadSweep(SimEnvironment& env,
   }
 
   // Serial setup: one service, one placement, shared read snapshots. The
-  // measurement phase only reads (ProbePlan/StoreLookup/oracle), which is
+  // measurement phase only reads (Plan/StoreLookup/oracle), which is
   // the same share-across-workers pattern as RunResponseTimeExperiment:
   // worker w's executor queries oracle shard w.
   DMapService service(env.graph, env.table, MakeOptions(config.base));

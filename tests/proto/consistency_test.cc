@@ -14,6 +14,8 @@
 #include "core/dmap_service.h"
 #include "core/mapping_store.h"
 #include "fault/fault_plan.h"
+#include "fault/retry_policy.h"
+#include "obs/probe_trace.h"
 #include "proto/network.h"
 #include "sim/environment.h"
 
@@ -283,6 +285,61 @@ TEST_F(ConsistencyTest, ReadFanoutReturnsMaxStampAndRepairsStaleReplica) {
   const MappingEntry* repaired = net.node(stale_host).store().Lookup(g);
   ASSERT_NE(repaired, nullptr);
   EXPECT_EQ(repaired->version, v2->version);
+}
+
+// A read-quorum stream charges its trace rows the way the sequential walk
+// does (ProbeEvent::rtt_ms is the time charged): the 'T' row of a replica
+// that exhausted its retry budget is the sum of every adaptive timeout
+// armed on it, and the hit its stream then claims costs only its RTT.
+TEST_F(ConsistencyTest, ReadQuorumTimeoutRowChargesEveryArmedTimeout) {
+  ProtocolNetworkOptions options = Options();
+  options.read_quorum = 2;
+  options.probe_retries = 2;
+  const Guid g = Guid::FromSequence(31);
+  const NetworkAddress na{10, 1};
+  const AsId querier = 77;
+  const auto plan = ReferencePlan(options, g, na, querier);
+  ASSERT_NE(plan[0].first, plan[1].first);
+  ASSERT_NE(plan[0].first, plan[2].first);
+  // A base timeout below the dead replica's RTT: the 1.5x RTT floor binds
+  // on the first transmission and the backoff on the later ones.
+  options.failure_timeout_ms = plan[0].second;
+  ProtocolNetwork net(env_.graph, env_.table, options);
+  ASSERT_TRUE(Insert(net, g, na).has_value());
+
+  ProbeTracer tracer;
+  net.SetTracer(&tracer);
+  net.FailAs(plan[0].first);
+  const auto result = Lookup(net, g, querier);
+  ASSERT_TRUE(result.has_value());
+  EXPECT_TRUE(result->found);
+  EXPECT_EQ(result->attempts, 3);
+  EXPECT_EQ(net.retransmissions(), 2u);
+
+  double armed = 0.0;
+  for (int retry = 0; retry <= options.probe_retries; ++retry) {
+    armed += AdaptiveTimeoutMs(options.failure_timeout_ms, retry,
+                               options.retry_backoff, plan[0].second);
+  }
+  const std::vector<ProbeTrace> traces = tracer.Drain();
+  ASSERT_EQ(traces.size(), 1u);
+  std::size_t timeouts = 0;
+  for (const ProbeEvent& probe : traces[0].probes) {
+    if (probe.outcome == ProbeOutcome::kTimeout) {
+      ++timeouts;
+      EXPECT_EQ(probe.replica, plan[0].first);
+      EXPECT_EQ(probe.rtt_ms, armed);
+    } else {
+      EXPECT_EQ(probe.outcome, ProbeOutcome::kHit);
+      const auto entry = std::find_if(
+          plan.begin(), plan.end(),
+          [&](const auto& p) { return p.first == probe.replica; });
+      ASSERT_NE(entry, plan.end());
+      EXPECT_NEAR(probe.rtt_ms, entry->second, 1e-9);
+    }
+  }
+  EXPECT_EQ(timeouts, 1u);
+  EXPECT_NEAR(result->latency_ms, armed + plan[2].second, 1e-9);
 }
 
 // A pairwise partition silently eats the probe to the first replica (both

@@ -4,10 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
+#include <cstdint>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "bgp/churn.h"
+#include "common/rng.h"
 #include "core/dmap_service.h"
 #include "fault/fault_plan.h"
 #include "fault/retry_policy.h"
@@ -348,6 +352,118 @@ TEST_F(NetworkFaultTest, RetryCostAgreesAcrossAllThreePaths) {
   EXPECT_EQ(wire_result->attempts, expected.attempts);
   EXPECT_EQ(net.retransmissions(), 2u);  // 2 retries on the dead replica
 }
+
+// The test above over generated scenarios: each seed draws K, a GUID, its
+// attachment AS, a failed set of replica hosts smaller than K, a querier
+// outside it, the retry budget and the local replica. With the base
+// timeout at or above every plan RTT's 1.5x floor, the closed form, the
+// event-driven executor and the wire protocol (R = 1, no fault injector)
+// must report the same lookup. Attempts are compared for global answers
+// only: the closed form walks the whole global path before racing the
+// local replica, while the executors stop probing when the local reply
+// lands.
+class RetryCostSweepTest : public NetworkFaultTest,
+                           public testing::WithParamInterface<int> {};
+
+TEST_P(RetryCostSweepTest, RetryCostAgreesAcrossAllThreePaths) {
+  Rng rng(0xa9ee0000ULL + std::uint64_t(GetParam()));
+  const AsId num_ases = env_.graph.num_nodes();
+  const int k = int(rng.NextInRange(2, 5));
+  const int retries = int(rng.NextInRange(0, 2));
+  const bool local = rng.NextBernoulli(0.5);
+  const Guid g = Guid::FromSequence(rng.NextBounded(1'000'000));
+  const NetworkAddress na{AsId(rng.NextBounded(num_ases)), 1};
+
+  DMapOptions service_options;
+  service_options.k = k;
+  service_options.local_replica = local;
+  service_options.probe_retries = retries;
+  service_options.retry_backoff = 1.0 + double(rng.NextBounded(3));
+
+  // Failed set: a random proper subset of the distinct replica hosts.
+  std::vector<AsId> hosts;
+  {
+    DMapService reference(env_.graph, env_.table, service_options);
+    hosts = reference.Insert(g, na).replicas;
+  }
+  std::sort(hosts.begin(), hosts.end());
+  hosts.erase(std::unique(hosts.begin(), hosts.end()), hosts.end());
+  for (std::size_t i = hosts.size(); i > 1; --i) {
+    std::swap(hosts[i - 1], hosts[rng.NextBounded(i)]);
+  }
+  const std::vector<AsId> failed(
+      hosts.begin(), hosts.begin() + std::ptrdiff_t(rng.NextBounded(
+                                         hosts.size())));
+  const auto is_failed = [&](AsId as) {
+    return std::find(failed.begin(), failed.end(), as) != failed.end();
+  };
+  AsId querier = local && rng.NextBernoulli(0.3)
+                     ? na.as
+                     : AsId(rng.NextBounded(num_ases));
+  while (is_failed(querier)) querier = AsId(rng.NextBounded(num_ases));
+
+  double max_rtt = 0.0;
+  {
+    DMapService reference(env_.graph, env_.table, service_options);
+    (void)reference.Insert(g, na);
+    for (const auto& [host, rtt] : reference.ProbePlan(g, querier)) {
+      max_rtt = std::max(max_rtt, rtt);
+    }
+  }
+  service_options.failure_timeout_ms = std::max(200.0, 1.5 * max_rtt);
+  SCOPED_TRACE(testing::Message()
+               << "k=" << k << " retries=" << retries << " local=" << local
+               << " querier=" << querier << " failed=" << failed.size());
+
+  FailureView view;
+  for (const AsId as : failed) view.Fail(as);
+
+  DMapService service(env_.graph, env_.table, service_options);
+  (void)service.Insert(g, na);
+  service.SetFailureView(view);
+  const LookupResult expected = service.Lookup(g, querier);
+  ASSERT_TRUE(expected.found);
+
+  Simulator sim;
+  EventDrivenLookup executor(sim, service);
+  std::optional<LookupResult> event_result;
+  executor.LookupAsync(g, querier, SimTime::Zero(),
+                       [&](const LookupResult& r) { event_result = r; });
+  sim.Run();
+
+  ProtocolNetworkOptions net_options;
+  net_options.k = k;
+  net_options.local_replica = local;
+  net_options.probe_retries = retries;
+  net_options.retry_backoff = service_options.retry_backoff;
+  net_options.failure_timeout_ms = service_options.failure_timeout_ms;
+  ProtocolNetwork net(env_.graph, env_.table, net_options);
+  bool inserted = false;
+  net.InsertAsync(g, na, [&](const UpdateResult&) { inserted = true; });
+  net.simulator().Run();
+  ASSERT_TRUE(inserted);
+  net.SetFailureView(view);
+  std::optional<LookupResult> wire_result;
+  net.LookupAsync(g, querier,
+                  [&](const LookupResult& r) { wire_result = r; });
+  net.simulator().Run();
+
+  for (const auto& [path, result] :
+       {std::pair{"event", event_result}, std::pair{"wire", wire_result}}) {
+    SCOPED_TRACE(path);
+    ASSERT_TRUE(result.has_value());
+    EXPECT_EQ(result->found, expected.found);
+    EXPECT_EQ(result->nas, expected.nas);
+    EXPECT_EQ(result->serving_as, expected.serving_as);
+    EXPECT_EQ(result->served_locally, expected.served_locally);
+    if (!expected.served_locally) {
+      EXPECT_EQ(result->attempts, expected.attempts);
+    }
+    EXPECT_NEAR(result->latency_ms, expected.latency_ms, 1e-9);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RetryCostSweepTest, testing::Range(0, 64));
 
 // A replica that crashed, lost its store, and recovered answers "missing";
 // the lookup that finds the mapping elsewhere re-replicates it there, and

@@ -2,11 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
 #include <optional>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "fault/failure_view.h"
+#include "obs/metrics_registry.h"
 #include "sim/environment.h"
 #include "workload/workload.h"
 
@@ -252,6 +257,65 @@ TEST_F(EventDrivenTest, ConcurrentLookupsDoNotInterfere) {
     const LookupResult expected = service.Lookup(op.guid, op.source);
     EXPECT_NEAR(result->latency_ms, expected.latency_ms, 1e-9);
   }
+}
+
+// Executors driven concurrently on distinct shards share no mutable state:
+// ProbePlan resolves on the executor's own Algorithm 1 metrics slab, not
+// worker 0's, so two threads never write one slab (the TSan job checks the
+// race), and the merged algo1.* totals equal a serial run's.
+TEST_F(EventDrivenTest, ConcurrentShardsKeepAlgo1MetricsApart) {
+  WorkloadParams params;
+  params.num_guids = 80;
+  params.seed = 6;
+  WorkloadGenerator workload(env_.graph, params);
+  const std::vector<InsertOp> inserts = workload.Inserts();
+  const std::vector<LookupOp> lookups = workload.Lookups(200);
+
+  const auto algo1_totals = [&](bool concurrent) {
+    DMapService service(env_.graph, env_.table, Options());
+    for (const InsertOp& op : inserts) (void)service.Insert(op.guid, op.na);
+    service.RefreshReadSnapshots();
+    service.oracle().SetNumShards(2);
+    MetricsRegistry registry(2);
+    service.SetMetrics(&registry);  // lookups only: inserts already ran
+
+    const auto run_shard = [&](unsigned shard) {
+      Simulator sim;
+      EventDrivenLookup executor(sim, service, shard);
+      for (std::size_t i = shard; i < lookups.size(); i += 2) {
+        executor.LookupAsync(lookups[i].guid, lookups[i].source,
+                             SimTime::Zero(), [](const LookupResult&) {});
+      }
+      sim.Run();
+    };
+    if (concurrent) {
+      std::thread first(run_shard, 0u);
+      std::thread second(run_shard, 1u);
+      first.join();
+      second.join();
+    } else {
+      run_shard(0);
+      run_shard(1);
+    }
+
+    std::map<std::string, std::uint64_t> totals;
+    const MetricsSnapshot snapshot = registry.Snapshot();
+    for (const CounterSnapshot& counter : snapshot.counters) {
+      if (counter.name.rfind("algo1.", 0) == 0) {
+        totals[counter.name] = counter.value;
+      }
+    }
+    for (const HistogramSnapshot& histogram : snapshot.histograms) {
+      if (histogram.name.rfind("algo1.", 0) == 0) {
+        totals[histogram.name] = histogram.count;
+      }
+    }
+    return totals;
+  };
+
+  const auto serial = algo1_totals(false);
+  ASSERT_FALSE(serial.empty());
+  EXPECT_EQ(algo1_totals(true), serial);
 }
 
 TEST_F(EventDrivenTest, UnknownQuerierThrows) {
