@@ -176,19 +176,21 @@ UpdateResult DMapService::WriteReplicas(const Guid& guid, OwnerState& state,
     const int participants =
         int(state.replicas.size()) + (options_.local_replica ? 1 : 0);
     const int w = ResolveQuorum(options_.write_quorum, participants);
+    std::vector<double> rtts(state.replicas.size());
+    oracle_.RttsMs(src_as, state.replicas.data(), rtts.size(), rtts.data(),
+                   shard);
     if (w <= 1) {
       double max_rtt = 0.0;
-      for (const AsId host : state.replicas) {
-        max_rtt = std::max(max_rtt, oracle_.RttMs(src_as, host, shard));
-      }
+      for (const double rtt : rtts) max_rtt = std::max(max_rtt, rtt);
       result.latency_ms = max_rtt;
     } else {
       std::vector<double> acks;  // arrival times of applied acks
       acks.reserve(std::size_t(participants));
       if (options_.local_replica) acks.push_back(0.0);
       double last_resolved = 0.0;  // when the final slot acks or times out
-      for (const AsId host : state.replicas) {
-        const double rtt = oracle_.RttMs(src_as, host, shard);
+      for (std::size_t i = 0; i < state.replicas.size(); ++i) {
+        const AsId host = state.replicas[i];
+        const double rtt = rtts[i];
         if (failures_.IsFailed(host)) {
           // No ack will come; the wire path's per-slot timeout stands in.
           last_resolved = std::max(

@@ -3,6 +3,24 @@
 #include <algorithm>
 
 namespace dmap {
+namespace {
+
+// plan[i].rtt = RttMs(querier, plan[i].host) for every probe, from one-to-K
+// oracle queries over stack blocks of hosts.
+void FillRtts(std::vector<PlannedProbe>& plan, AsId querier,
+              PathOracle& oracle, unsigned shard) REQUIRES_SHARD(shard) {
+  constexpr std::size_t kBlock = 32;
+  AsId hosts[kBlock];
+  double rtts[kBlock];
+  for (std::size_t begin = 0; begin < plan.size(); begin += kBlock) {
+    const std::size_t n = std::min(kBlock, plan.size() - begin);
+    for (std::size_t i = 0; i < n; ++i) hosts[i] = plan[begin + i].host;
+    oracle.RttsMs(querier, hosts, n, rtts, shard);
+    for (std::size_t i = 0; i < n; ++i) plan[begin + i].rtt = rtts[i];
+  }
+}
+
+}  // namespace
 
 std::vector<PlannedProbe> PlanProbes(std::span<const HostResolution> replicas,
                                      AsId querier, ReplicaSelection selection,
@@ -17,9 +35,7 @@ std::vector<PlannedProbe> PlanProbes(std::span<const HostResolution> replicas,
     return a.rtt != b.rtt ? a.rtt < b.rtt : a.host < b.host;
   };
   if (selection == ReplicaSelection::kLowestRtt) {
-    for (PlannedProbe& probe : plan) {
-      probe.rtt = oracle.RttMs(querier, probe.host, shard);
-    }
+    FillRtts(plan, querier, oracle, shard);
     std::sort(plan.begin(), plan.end(), by_rtt_then_host);
     return plan;
   }
@@ -29,9 +45,7 @@ std::vector<PlannedProbe> PlanProbes(std::span<const HostResolution> replicas,
     probe.rtt = double(oracle.Hops(querier, probe.host, shard));
   }
   std::sort(plan.begin(), plan.end(), by_rtt_then_host);
-  for (PlannedProbe& probe : plan) {
-    probe.rtt = oracle.RttMs(querier, probe.host, shard);
-  }
+  FillRtts(plan, querier, oracle, shard);
   return plan;
 }
 

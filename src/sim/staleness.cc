@@ -1,6 +1,8 @@
 #include "sim/staleness.h"
 
+#include <algorithm>
 #include <memory>
+#include <vector>
 
 #include "core/dmap_service.h"
 #include "event/simulator.h"
@@ -51,11 +53,15 @@ void DoMove(World& world, std::uint32_t host) {
   // — unless a newer move has superseded this one by then (its stale
   // replica writes would be version-rejected anyway).
   const std::uint64_t this_move = ++world.move_id[host];
-  double max_rtt = 0;
-  for (int i = 0; i < world.service->options().k; ++i) {
-    const AsId replica = world.service->resolver().Resolve(guid, i).host;
-    max_rtt = std::max(max_rtt, world.service->oracle().RttMs(new_as, replica));
+  std::vector<AsId> replicas;
+  for (const HostResolution& r : world.service->resolver().ResolveAll(guid)) {
+    replicas.push_back(r.host);
   }
+  std::vector<double> rtts(replicas.size());
+  world.service->oracle().RttsMs(new_as, replicas.data(), replicas.size(),
+                                 rtts.data());
+  double max_rtt = 0;
+  for (const double rtt : rtts) max_rtt = std::max(max_rtt, rtt);
   world.sim.Schedule(SimTime::Millis(max_rtt),
                      [&world, guid, na, host, this_move] {
                        if (world.move_id[host] == this_move) {

@@ -1,10 +1,12 @@
 #include "topo/hub_labels.h"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <queue>
 #include <utility>
 
+#include "common/rng.h"
 #include "runtime/thread_pool.h"
 
 namespace dmap {
@@ -35,12 +37,37 @@ struct Scratch {
         hub_hop(n, kNoHop) {}
 };
 
+// Folds every node's adjacency (neighbor ids and link-latency bits, in CSR
+// order) through SplitMix64, so two graphs with equal node and link counts
+// still differ unless their links and latencies match.
+std::uint64_t GraphChecksum(const AsGraph& graph) {
+  std::uint64_t h = graph.num_nodes();
+  const auto fold = [&h](std::uint64_t word) {
+    h = SplitMix64(h ^ word).Next();
+  };
+  for (AsId v = 0; v < graph.num_nodes(); ++v) {
+    fold(graph.Degree(v));
+    for (const auto& [next, latency] : graph.Neighbors(v)) {
+      fold(next);
+      fold(std::bit_cast<std::uint64_t>(latency));
+    }
+  }
+  return h;
+}
+
 }  // namespace
+
+bool HubLabels::BuiltOver(const AsGraph& graph) const {
+  return graph.num_nodes() == num_nodes_ && graph.num_links() == num_links_ &&
+         GraphChecksum(graph) == graph_checksum_;
+}
 
 HubLabels::HubLabels(const AsGraph& graph, ThreadPool* pool) {
   const auto start = std::chrono::steady_clock::now();
   const std::uint32_t n = graph.num_nodes();
   num_nodes_ = n;
+  num_links_ = graph.num_links();
+  graph_checksum_ = GraphChecksum(graph);
 
   // Canonical hub order: degree descending, id ascending. High-degree ASs
   // (the tier-1 core) cover the most shortest paths, which is what keeps

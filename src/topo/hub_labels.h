@@ -27,6 +27,7 @@
 // (hub_labels_test, dmap_service_test, network_test) lock in.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -112,6 +113,48 @@ class HubLabels {
     return std::uint16_t(best);
   }
 
+  // One-to-K form of LatencyMs: out[t] = LatencyMs(u, targets[t]) for every
+  // t < count, bit for bit. `scratch` is caller-owned: num_nodes() floats
+  // indexed by hub rank, all +infinity on entry and again on return.
+  //
+  // u's label is written into `scratch` once; each target's label is then
+  // scanned once, taking the min of scratch[h] + d(h, v). A hub both labels
+  // share adds the same two floats LatencyMs adds (IEEE addition commutes
+  // exactly); a hub only v carries reads +inf, and inf + d never wins the
+  // strict `<`. So every target sees the minimum of the same sums, in the
+  // same ascending-rank order — the same float, +inf when unreachable, and
+  // 0 for u itself. One label write replaces K merges of u's label.
+  void LatenciesTo(AsId u, const AsId* targets, std::size_t count, float* out,
+                   float* scratch) const DMAP_HOT_PATH {
+    const std::uint32_t ubegin = latency_offsets_[u];
+    const std::uint32_t uend = latency_offsets_[u + 1];
+    for (std::uint32_t i = ubegin; i < uend; ++i) {
+      scratch[latency_hubs_[i]] = latency_dists_[i];
+    }
+    for (std::size_t t = 0; t < count; ++t) {
+      const AsId v = targets[t];
+      if (v == u) {
+        out[t] = 0.0f;
+        continue;
+      }
+      float best = std::numeric_limits<float>::infinity();
+      const std::uint32_t jend = latency_offsets_[v + 1];
+      for (std::uint32_t j = latency_offsets_[v]; j < jend; ++j) {
+        const float d = scratch[latency_hubs_[j]] + latency_dists_[j];
+        if (d < best) best = d;
+      }
+      out[t] = best;
+    }
+    for (std::uint32_t i = ubegin; i < uend; ++i) {
+      scratch[latency_hubs_[i]] = std::numeric_limits<float>::infinity();
+    }
+  }
+
+  // True when `graph` is the graph these labels were built over: the same
+  // node and link counts and the same checksum of the CSR adjacency and its
+  // link latencies. Labels over any other graph answer wrong distances.
+  bool BuiltOver(const AsGraph& graph) const;
+
   // Raw label arrays in canonical (CSR) form. The determinism test byte-
   // compares these across thread counts; exposing them also lets benches
   // report label sizes without friend access.
@@ -134,6 +177,8 @@ class HubLabels {
 
  private:
   std::uint32_t num_nodes_ = 0;
+  std::size_t num_links_ = 0;
+  std::uint64_t graph_checksum_ = 0;  // GraphChecksum of the build graph
   std::vector<AsId> order_;  // rank -> vertex
 
   // Per-vertex labels, flattened: entries for vertex v live in

@@ -1,5 +1,6 @@
 #include "topo/shortest_path.h"
 
+#include <algorithm>
 #include <limits>
 #include <queue>
 #include <stdexcept>
@@ -141,7 +142,7 @@ std::uint64_t PathOracle::label_queries() const {
 }
 
 void PathOracle::SetHubLabels(const HubLabels* labels) {
-  if (labels != nullptr && labels->num_nodes() != graph_->num_nodes()) {
+  if (labels != nullptr && !labels->BuiltOver(*graph_)) {
     throw std::invalid_argument(
         "PathOracle::SetHubLabels: labeling was built over a different "
         "graph");
@@ -206,6 +207,46 @@ std::uint32_t PathOracle::Hops(AsId src, AsId dst, unsigned shard) {
     return labels_->Hops(src, dst);
   }
   return HopsVector(src, shard)[dst];
+}
+
+float* PathOracle::LabelScratch(Shard& s) DMAP_HOT_PATH_ALLOW(
+    "sized once, on the shard's first one-to-K query; every later query "
+    "reuses it, so steady-state lookups allocate nothing") {
+  if (s.label_scratch.empty()) {
+    s.label_scratch.assign(labels_->num_nodes(),
+                           std::numeric_limits<float>::infinity());
+  }
+  return s.label_scratch.data();
+}
+
+void PathOracle::RttsMs(AsId src, const AsId* dsts, std::size_t count,
+                        double* out, unsigned shard) {
+  if (labels_ == nullptr) {
+    for (std::size_t i = 0; i < count; ++i) {
+      out[i] = RttMs(src, dsts[i], shard);
+    }
+    return;
+  }
+  Shard& s = *shards_.at(shard);
+  s.label_queries += count;
+  float* scratch = LabelScratch(s);
+  // Link latencies come back in blocks so the float buffer stays on the
+  // stack; each block re-writes src's label, which changes no answer.
+  constexpr std::size_t kBlock = 32;
+  float link[kBlock];
+  const double intra_src = graph_->IntraLatencyMs(src);
+  for (std::size_t begin = 0; begin < count; begin += kBlock) {
+    const std::size_t n = std::min(kBlock, count - begin);
+    labels_->LatenciesTo(src, dsts + begin, n, link, scratch);
+    for (std::size_t i = 0; i < n; ++i) {
+      const AsId dst = dsts[begin + i];
+      // RttMs's formula, term for term.
+      out[begin + i] =
+          dst == src ? 2.0 * intra_src
+                     : 2.0 * (intra_src + double(link[i]) +
+                              graph_->IntraLatencyMs(dst));
+    }
+  }
 }
 
 double PathOracle::OneWayMs(AsId src, AsId dst, unsigned shard) {

@@ -73,9 +73,10 @@ class PathOracle {
   void SetNumShards(unsigned num_shards) REQUIRES_ALL_SHARDS();
 
   // Attaches a hub labeling: point queries (LinkLatencyMs/Hops/OneWayMs/
-  // RttMs) switch to O(|label|) sorted merges; full-vector requests keep
-  // the Dijkstra+LRU path. `labels` must outlive the oracle (or be cleared
-  // with nullptr) and must be built over the same graph. The answers are
+  // RttMs/RttsMs) switch to O(|label|) label scans; full-vector requests
+  // keep the Dijkstra+LRU path. `labels` must outlive the oracle (or be
+  // cleared with nullptr) and must be built over this graph — a labeling
+  // of any other graph (HubLabels::BuiltOver) throws. The answers are
   // bit-identical to the LRU backend on grid-quantized topologies, so
   // attaching a labeling never changes experiment output, only its speed.
   // Every experiment harness attaches one (EnsureHubLabels); without it
@@ -110,6 +111,15 @@ class PathOracle {
   double RttMs(AsId src, AsId dst, unsigned shard = 0) REQUIRES_SHARD(shard) {
     return 2.0 * OneWayMs(src, dst, shard);
   }
+
+  // One-to-K round trips: out[i] = RttMs(src, dsts[i], shard) for every
+  // i < count, bit for bit, from one HubLabels::LatenciesTo pass over src's
+  // label (the K replicas a lookup or update ranks share one source).
+  // label_queries() rises by `count`, one point query per target. Without
+  // labels it is `count` RttMs calls. The label scratch lives in the shard
+  // and is sized on the shard's first call; later calls allocate nothing.
+  void RttsMs(AsId src, const AsId* dsts, std::size_t count, double* out,
+              unsigned shard = 0) REQUIRES_SHARD(shard);
 
   // Totals across shards. Only meaningful while no worker is running.
   // Cache hits depend on eviction order, which follows the dynamic
@@ -151,7 +161,13 @@ class PathOracle {
     std::uint64_t latency_hits = 0;
     std::uint64_t hops_hits = 0;
     std::uint64_t label_queries = 0;
+    // RttsMs's hub-rank scratch: empty until the shard's first one-to-K
+    // query, then num_nodes floats, all +inf between calls.
+    std::vector<float> label_scratch;
   };
+
+  // The shard's label scratch, sized on first use.
+  float* LabelScratch(Shard& s);
 
   // Cached vector for `src`, computing it on miss. The reference is only
   // valid until the next insert into the same shard — internal use on the

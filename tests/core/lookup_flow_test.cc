@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <vector>
+
+#include "common/rng.h"
+#include "topo/generator.h"
+#include "topo/hub_labels.h"
 
 namespace dmap {
 namespace {
@@ -69,6 +75,67 @@ TEST(PlanProbesTest, FewestHopsOrdersByHopsButChargesRealRtt) {
     EXPECT_EQ(probe.rtt, oracle.RttMs(0, probe.host));
   }
   EXPECT_GT(plan[0].rtt, plan[2].rtt);  // the hop order is not the RTT one
+}
+
+// PlanProbes spelled out with per-pair point queries: sort key RttMs or
+// Hops, host id on ties, then every probe charged its RttMs.
+std::vector<PlannedProbe> ReferencePlan(
+    const std::vector<HostResolution>& replicas, AsId querier,
+    ReplicaSelection selection, PathOracle& oracle) {
+  std::vector<PlannedProbe> plan;
+  for (const HostResolution& r : replicas) {
+    const double key = selection == ReplicaSelection::kLowestRtt
+                           ? oracle.RttMs(querier, r.host)
+                           : double(oracle.Hops(querier, r.host));
+    plan.push_back(PlannedProbe{r.host, key, r.stored_address});
+  }
+  std::sort(plan.begin(), plan.end(),
+            [](const PlannedProbe& a, const PlannedProbe& b) {
+              return a.rtt != b.rtt ? a.rtt < b.rtt : a.host < b.host;
+            });
+  for (PlannedProbe& probe : plan) {
+    probe.rtt = oracle.RttMs(querier, probe.host);
+  }
+  return plan;
+}
+
+TEST(PlanProbesTest, SeededReplicaSetsMatchPerPairReference) {
+  const AsGraph graph =
+      GenerateInternetTopology(ScaledTopologyParams(300, 4));
+  const HubLabels labels(graph);
+  PathOracle lru(graph);
+  PathOracle hub(graph);
+  hub.SetHubLabels(&labels);
+  for (std::uint64_t seed = 1; seed <= 64; ++seed) {
+    Rng rng(seed);
+    const AsId querier = AsId(rng.NextBounded(graph.num_nodes()));
+    // K up to 40 crosses the one-to-K query's stack blocks.
+    const std::size_t k = seed % 16 == 0 ? 40 : 1 + rng.NextBounded(8);
+    std::vector<AsId> hosts;
+    for (std::size_t i = 0; i < k; ++i) {
+      hosts.push_back(AsId(rng.NextBounded(graph.num_nodes())));
+    }
+    if (seed % 3 == 0) hosts[0] = querier;  // the querier hosts a replica
+    if (seed % 5 == 0) hosts.push_back(hosts.back());  // a duplicate host
+    const std::vector<HostResolution> replicas = Replicas(hosts);
+    for (const ReplicaSelection selection :
+         {ReplicaSelection::kLowestRtt, ReplicaSelection::kFewestHops}) {
+      for (PathOracle* oracle : {&lru, &hub}) {
+        const std::vector<PlannedProbe> plan =
+            PlanProbes(replicas, querier, selection, *oracle);
+        const std::vector<PlannedProbe> reference =
+            ReferencePlan(replicas, querier, selection, *oracle);
+        ASSERT_EQ(plan.size(), reference.size());
+        for (std::size_t i = 0; i < plan.size(); ++i) {
+          EXPECT_EQ(plan[i].host, reference[i].host) << "seed " << seed;
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(plan[i].rtt),
+                    std::bit_cast<std::uint64_t>(reference[i].rtt))
+              << "seed " << seed;
+          EXPECT_EQ(plan[i].stored_address, reference[i].stored_address);
+        }
+      }
+    }
+  }
 }
 
 TEST(LookupFlowTest, OneStreamWalksThePlanInOrder) {

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <limits>
+#include <thread>
 #include <vector>
 
 #include "common/rng.h"
@@ -54,6 +57,80 @@ void ExpectAllPairsMatch(const AsGraph& g, const HubLabels& labels) {
       EXPECT_EQ(labels.Hops(u, v), hops[v]) << u << "->" << v;
     }
   }
+}
+
+constexpr float kInf = std::numeric_limits<float>::infinity();
+
+// LatenciesTo(u, ...) over every node, then u again and two duplicates,
+// must return LatencyMs's exact float bits, and leave `scratch` all +inf
+// for the next call.
+void ExpectOneToKMatches(const HubLabels& labels, AsId u,
+                         std::vector<float>& scratch) {
+  const std::uint32_t n = labels.num_nodes();
+  std::vector<AsId> targets;
+  for (AsId v = 0; v < n; ++v) targets.push_back(v);
+  targets.push_back(u);
+  targets.push_back(0);
+  targets.push_back(n - 1);
+  std::vector<float> out(targets.size(), -1.0f);
+  labels.LatenciesTo(u, targets.data(), targets.size(), out.data(),
+                     scratch.data());
+  for (std::size_t t = 0; t < targets.size(); ++t) {
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(out[t]),
+              std::bit_cast<std::uint32_t>(labels.LatencyMs(u, targets[t])))
+        << u << "->" << targets[t];
+  }
+  for (std::uint32_t r = 0; r < n; ++r) {
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(scratch[r]),
+              std::bit_cast<std::uint32_t>(kInf))
+        << "scratch rank " << r << " left dirty by source " << u;
+  }
+}
+
+TEST(HubLabelsTest, LatenciesToMatchesPointQueries) {
+  const AsGraph diamond = MakeDiamond();
+  const HubLabels diamond_labels(diamond);
+  std::vector<float> scratch(diamond.num_nodes(), kInf);
+  for (AsId u = 0; u < diamond.num_nodes(); ++u) {
+    ExpectOneToKMatches(diamond_labels, u, scratch);
+  }
+
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    const AsGraph g = MakeRandomGraph(20 + std::uint32_t(seed) * 5, seed);
+    const HubLabels labels(g);
+    scratch.assign(g.num_nodes(), kInf);
+    for (AsId u = 0; u < g.num_nodes(); ++u) {
+      ExpectOneToKMatches(labels, u, scratch);
+    }
+  }
+
+  // Two components: every target across the gap reads +inf.
+  const std::vector<AsLink> links{{0, 1, 1.0}, {2, 3, 1.0}};
+  const AsGraph split(4, links, {0, 0, 0, 0}, {1, 1, 1, 1});
+  const HubLabels split_labels(split);
+  scratch.assign(split.num_nodes(), kInf);
+  for (AsId u = 0; u < split.num_nodes(); ++u) {
+    ExpectOneToKMatches(split_labels, u, scratch);
+  }
+  const AsId across[] = {2, 3, 1, 2};
+  float out[4];
+  split_labels.LatenciesTo(0, across, 4, out, scratch.data());
+  EXPECT_TRUE(std::isinf(out[0]));
+  EXPECT_TRUE(std::isinf(out[1]));
+  EXPECT_EQ(out[2], 1.0f);
+  EXPECT_TRUE(std::isinf(out[3]));
+
+  const AsGraph fixture =
+      GenerateInternetTopology(ScaledTopologyParams(600, 7));
+  ThreadPool pool(3);
+  const HubLabels fixture_labels(fixture, &pool);
+  scratch.assign(fixture.num_nodes(), kInf);
+  for (const AsId u : {0u, 17u, 251u, 599u}) {
+    ExpectOneToKMatches(fixture_labels, u, scratch);
+  }
+  // An empty target list only writes and clears u's label.
+  fixture_labels.LatenciesTo(17, nullptr, 0, nullptr, scratch.data());
+  for (const float entry : scratch) ASSERT_TRUE(std::isinf(entry));
 }
 
 TEST(HubLabelsTest, DiamondAllPairsExact) {
@@ -185,6 +262,147 @@ TEST(PathOracleHubBackendTest, RejectsLabelsForDifferentGraph) {
   const HubLabels labels(small);
   PathOracle oracle(big);
   EXPECT_THROW(oracle.SetHubLabels(&labels), std::invalid_argument);
+
+  // Same node count, different graph: another seed of the generator.
+  const AsGraph other = GenerateInternetTopology(ScaledTopologyParams(50, 2));
+  ASSERT_EQ(other.num_nodes(), big.num_nodes());
+  const HubLabels big_labels(big);
+  PathOracle other_oracle(other);
+  EXPECT_THROW(other_oracle.SetHubLabels(&big_labels),
+               std::invalid_argument);
+  EXPECT_EQ(other_oracle.hub_labels(), nullptr);
+
+  // Same nodes and links, one latency changed: only the checksum differs.
+  const std::vector<AsLink> slower{
+      {0, 1, 1.0}, {1, 2, 1.0}, {0, 2, 6.0}, {2, 3, 2.0}};
+  const AsGraph diamond_b(4, slower, {0.5, 0.5, 0.5, 4.0}, {1, 1, 1, 1});
+  ASSERT_EQ(diamond_b.num_links(), small.num_links());
+  EXPECT_FALSE(labels.BuiltOver(diamond_b));
+  PathOracle diamond_oracle(diamond_b);
+  EXPECT_THROW(diamond_oracle.SetHubLabels(&labels), std::invalid_argument);
+
+  // An equal graph built separately is the same graph.
+  const AsGraph big_again =
+      GenerateInternetTopology(ScaledTopologyParams(50, 1));
+  PathOracle again(big_again);
+  EXPECT_NO_THROW(again.SetHubLabels(&big_labels));
+  EXPECT_EQ(again.hub_labels(), &big_labels);
+}
+
+// out[i] must carry RttMs's exact double bits for every target, on both
+// backends.
+void ExpectRttsMatch(PathOracle& oracle, AsId src,
+                     const std::vector<AsId>& dsts, unsigned shard = 0) {
+  std::vector<double> out(dsts.size(), -1.0);
+  oracle.RttsMs(src, dsts.data(), dsts.size(), out.data(), shard);
+  for (std::size_t i = 0; i < dsts.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(out[i]),
+              std::bit_cast<std::uint64_t>(oracle.RttMs(src, dsts[i], shard)))
+        << src << "->" << dsts[i];
+  }
+}
+
+TEST(PathOracleHubBackendTest, RttsMsMatchesRttMsOnBothBackends) {
+  const AsGraph g = GenerateInternetTopology(ScaledTopologyParams(300, 9));
+  const HubLabels labels(g);
+  PathOracle lru(g);
+  PathOracle hub(g);
+  hub.SetHubLabels(&labels);
+  Rng rng(11);
+  for (int trial = 0; trial < 60; ++trial) {
+    const AsId src = AsId(rng.NextBounded(g.num_nodes()));
+    // Up to 70 targets crosses RttsMs's stack blocks more than once.
+    const std::size_t count = 1 + rng.NextBounded(70);
+    std::vector<AsId> dsts;
+    for (std::size_t i = 0; i < count; ++i) {
+      dsts.push_back(AsId(rng.NextBounded(g.num_nodes())));
+    }
+    dsts[rng.NextBounded(count)] = src;  // the source itself
+    dsts.push_back(dsts.front());        // a duplicate
+
+    const std::uint64_t before = hub.label_queries();
+    std::vector<double> from_labels(dsts.size());
+    hub.RttsMs(src, dsts.data(), dsts.size(), from_labels.data());
+    EXPECT_EQ(hub.label_queries() - before, dsts.size());
+
+    std::vector<double> from_lru(dsts.size());
+    lru.RttsMs(src, dsts.data(), dsts.size(), from_lru.data());
+    EXPECT_EQ(lru.label_queries(), 0u);
+    for (std::size_t i = 0; i < dsts.size(); ++i) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(from_labels[i]),
+                std::bit_cast<std::uint64_t>(from_lru[i]));
+    }
+    ExpectRttsMatch(hub, src, dsts);
+    ExpectRttsMatch(lru, src, dsts);
+  }
+
+  // Unreachable targets cost +inf on both backends; zero targets is a
+  // no-op that counts nothing.
+  const std::vector<AsLink> links{{0, 1, 1.0}, {2, 3, 1.0}};
+  const AsGraph split(4, links, {0.5, 0.5, 0.5, 0.5}, {1, 1, 1, 1});
+  const HubLabels split_labels(split);
+  PathOracle split_lru(split);
+  PathOracle split_hub(split);
+  split_hub.SetHubLabels(&split_labels);
+  for (PathOracle* oracle : {&split_lru, &split_hub}) {
+    for (AsId src = 0; src < 4; ++src) {
+      ExpectRttsMatch(*oracle, src, {0, 1, 2, 3, src});
+    }
+    double out[2];
+    const AsId across[] = {3, 0};
+    oracle->RttsMs(0, across, 2, out);
+    EXPECT_TRUE(std::isinf(out[0]));
+    EXPECT_EQ(out[1], 1.0);  // 2 x intra(0)
+    const std::uint64_t before = oracle->label_queries();
+    oracle->RttsMs(0, nullptr, 0, nullptr);
+    EXPECT_EQ(oracle->label_queries(), before);
+  }
+}
+
+TEST(PathOracleHubBackendTest, RttsMsOnTwoShardsMatchesSerialRun) {
+  const AsGraph g = GenerateInternetTopology(ScaledTopologyParams(300, 9));
+  const HubLabels labels(g);
+  // One (source, targets) list per shard, answered serially first.
+  Rng rng(5);
+  std::vector<std::pair<AsId, std::vector<AsId>>> queries[2];
+  for (auto& list : queries) {
+    for (int q = 0; q < 200; ++q) {
+      std::vector<AsId> dsts(5);
+      for (AsId& d : dsts) d = AsId(rng.NextBounded(g.num_nodes()));
+      list.emplace_back(AsId(rng.NextBounded(g.num_nodes())), dsts);
+    }
+  }
+  PathOracle serial(g);
+  serial.SetHubLabels(&labels);
+  std::vector<double> expected[2];
+  for (int s = 0; s < 2; ++s) {
+    for (const auto& [src, dsts] : queries[s]) {
+      for (const AsId d : dsts) expected[s].push_back(serial.RttMs(src, d));
+    }
+  }
+
+  PathOracle oracle(g, 64, /*num_shards=*/2);
+  oracle.SetHubLabels(&labels);
+  std::vector<double> got[2];
+  const auto run = [&](unsigned shard) {
+    double out[5];
+    for (const auto& [src, dsts] : queries[shard]) {
+      oracle.RttsMs(src, dsts.data(), dsts.size(), out, shard);
+      got[shard].insert(got[shard].end(), out, out + dsts.size());
+    }
+  };
+  std::thread t0(run, 0u);
+  std::thread t1(run, 1u);
+  t0.join();
+  t1.join();
+  for (int s = 0; s < 2; ++s) {
+    ASSERT_EQ(got[s].size(), expected[s].size());
+    for (std::size_t i = 0; i < got[s].size(); ++i) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got[s][i]),
+                std::bit_cast<std::uint64_t>(expected[s][i]));
+    }
+  }
+  EXPECT_EQ(oracle.label_queries(), 2u * 200u * 5u);
 }
 
 TEST(QuantizeLatencyTest, SnapsToGridAndStaysPositive) {
