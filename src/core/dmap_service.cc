@@ -103,6 +103,18 @@ void DMapService::AccountUpdate(const UpdateResult& result,
 
 UpdateResult DMapService::WriteReplicas(const Guid& guid, OwnerState& state,
                                         AsId src_as, unsigned shard) {
+  UpdateResult result = StoreReplicas(guid, state, shard);
+  if (options_.measure_update_latency) {
+    std::vector<double> rtts(result.replicas.size());
+    oracle_.RttsMs(src_as, result.replicas.data(), rtts.size(), rtts.data(),
+                   shard);
+    AckLatency(rtts.data(), result);
+  }
+  return result;
+}
+
+UpdateResult DMapService::StoreReplicas(const Guid& guid, OwnerState& state,
+                                        unsigned shard) {
   UpdateResult result;
   result.version = state.version;
 
@@ -124,14 +136,13 @@ UpdateResult DMapService::WriteReplicas(const Guid& guid, OwnerState& state,
 
   const MappingEntry entry{state.nas, state.version, state.writer};
   for (const HostResolution& r : resolutions) {
-    if (store_.Lookup(r.host, guid) == nullptr) ++total_entries_;
     store_.Upsert(r.host, guid, entry, r.stored_address);
   }
   // Drop stale replicas (set difference; K is tiny so quadratic is fine).
   for (const AsId old_host : state.replicas) {
     if (std::find(new_replicas.begin(), new_replicas.end(), old_host) ==
         new_replicas.end()) {
-      if (store_.Erase(old_host, guid)) --total_entries_;
+      store_.Erase(old_host, guid);
     }
   }
   state.replicas = new_replicas;
@@ -144,13 +155,10 @@ UpdateResult DMapService::WriteReplicas(const Guid& guid, OwnerState& state,
       // also serves as a global replica.
       if (std::find(new_replicas.begin(), new_replicas.end(),
                     state.local_as) == new_replicas.end()) {
-        if (store_.Erase(state.local_as, guid)) --total_entries_;
+        store_.Erase(state.local_as, guid);
       }
     }
-    if (new_local != kInvalidAs) {
-      if (store_.Lookup(new_local, guid) == nullptr) ++total_entries_;
-      store_.Upsert(new_local, guid, entry);
-    }
+    if (new_local != kInvalidAs) store_.Upsert(new_local, guid, entry);
     state.local_as = new_local;
   }
 
@@ -164,54 +172,52 @@ UpdateResult DMapService::WriteReplicas(const Guid& guid, OwnerState& state,
   if (cache_ != nullptr && options_.cache.invalidate_on_update) {
     cache_->Invalidate(guid);
   }
-
-  // Completion timing. Replica writes go out in parallel; with the quorum
-  // discipline off (write_quorum = 1) the update completes at the slowest
-  // round trip (Section III-A, the paper's model, bit-exact with the
-  // pre-quorum behaviour). With a quorum W >= 2 it completes at the W-th
-  // applied acknowledgement — the local replica is an instant ack, a dead
-  // replica never acks — and reports kQuorumFailed when fewer than W
-  // replicas are reachable, at the time the last stand-in timeout fires.
-  if (options_.measure_update_latency) {
-    const int participants =
-        int(state.replicas.size()) + (options_.local_replica ? 1 : 0);
-    const int w = ResolveQuorum(options_.write_quorum, participants);
-    std::vector<double> rtts(state.replicas.size());
-    oracle_.RttsMs(src_as, state.replicas.data(), rtts.size(), rtts.data(),
-                   shard);
-    if (w <= 1) {
-      double max_rtt = 0.0;
-      for (const double rtt : rtts) max_rtt = std::max(max_rtt, rtt);
-      result.latency_ms = max_rtt;
-    } else {
-      std::vector<double> acks;  // arrival times of applied acks
-      acks.reserve(std::size_t(participants));
-      if (options_.local_replica) acks.push_back(0.0);
-      double last_resolved = 0.0;  // when the final slot acks or times out
-      for (std::size_t i = 0; i < state.replicas.size(); ++i) {
-        const AsId host = state.replicas[i];
-        const double rtt = rtts[i];
-        if (failures_.IsFailed(host)) {
-          // No ack will come; the wire path's per-slot timeout stands in.
-          last_resolved = std::max(
-              last_resolved,
-          AdaptiveTimeoutMs(options_.failure_timeout_ms, 0,
-                            options_.retry_backoff, rtt));
-          continue;
-        }
-        acks.push_back(rtt);
-        last_resolved = std::max(last_resolved, rtt);
-      }
-      if (int(acks.size()) < w) {
-        result.status = ResolverStatus::kQuorumFailed;
-        result.latency_ms = last_resolved;
-      } else {
-        std::sort(acks.begin(), acks.end());
-        result.latency_ms = acks[std::size_t(w - 1)];
-      }
-    }
-  }
   return result;
+}
+
+void DMapService::AckLatency(const double* rtts, UpdateResult& result) const {
+  // Replica writes go out in parallel; with the quorum discipline off
+  // (write_quorum = 1) the update completes at the slowest round trip
+  // (Section III-A, the paper's model, bit-exact with the pre-quorum
+  // behaviour). With a quorum W >= 2 it completes at the W-th applied
+  // acknowledgement — the local replica is an instant ack, a dead replica
+  // never acks — and reports kQuorumFailed when fewer than W replicas are
+  // reachable, at the time the last stand-in timeout fires.
+  const std::vector<AsId>& replicas = result.replicas;
+  const int participants =
+      int(replicas.size()) + (options_.local_replica ? 1 : 0);
+  const int w = ResolveQuorum(options_.write_quorum, participants);
+  if (w <= 1) {
+    double max_rtt = 0.0;
+    for (std::size_t i = 0; i < replicas.size(); ++i) {
+      max_rtt = std::max(max_rtt, rtts[i]);
+    }
+    result.latency_ms = max_rtt;
+    return;
+  }
+  std::vector<double> acks;  // arrival times of applied acks
+  acks.reserve(std::size_t(participants));
+  if (options_.local_replica) acks.push_back(0.0);
+  double last_resolved = 0.0;  // when the final slot acks or times out
+  for (std::size_t i = 0; i < replicas.size(); ++i) {
+    const double rtt = rtts[i];
+    if (failures_.IsFailed(replicas[i])) {
+      // No ack will come; the wire path's per-slot timeout stands in.
+      last_resolved = std::max(
+          last_resolved, AdaptiveTimeoutMs(options_.failure_timeout_ms, 0,
+                                           options_.retry_backoff, rtt));
+      continue;
+    }
+    acks.push_back(rtt);
+    last_resolved = std::max(last_resolved, rtt);
+  }
+  if (int(acks.size()) < w) {
+    result.status = ResolverStatus::kQuorumFailed;
+    result.latency_ms = last_resolved;
+  } else {
+    std::sort(acks.begin(), acks.end());
+    result.latency_ms = acks[std::size_t(w - 1)];
+  }
 }
 
 UpdateResult DMapService::Insert(const Guid& guid, NetworkAddress na) {
@@ -251,6 +257,8 @@ BatchUpdateResult DMapService::BatchUpdate(
   // A batch models one migrating host: every GUID lands at the same new
   // attachment AS, so all updates share a source and can share messages.
   const AsId src_as = moves.front().second.as;
+  std::vector<OwnerState*> states;
+  states.reserve(moves.size());
   for (const auto& [guid, na] : moves) {
     if (na.as >= graph_->num_nodes()) {
       throw std::invalid_argument("BatchUpdate: NA references unknown AS");
@@ -259,25 +267,46 @@ BatchUpdateResult DMapService::BatchUpdate(
       throw std::invalid_argument(
           "BatchUpdate: all moves must share one destination AS");
     }
-    if (owners_.find(guid) == owners_.end()) {
+    const auto it = owners_.find(guid);
+    if (it == owners_.end()) {
       throw std::invalid_argument("BatchUpdate: unknown GUID (insert first)");
+    }
+    states.push_back(&it->second);
+  }
+
+  // Each GUID goes through the exact sequential-update mutation — same
+  // owner-state transition, same StoreReplicas, same ack arithmetic, same
+  // metrics accounting — so store contents, per-GUID results and dmap.*
+  // exports are bit-identical to issuing the updates one by one. Only the
+  // message accounting (and the completion time, one message wave instead
+  // of N) differs.
+  batch.per_guid.reserve(moves.size());
+  for (std::size_t i = 0; i < moves.size(); ++i) {
+    OwnerState& state = *states[i];
+    state.nas = NaSet(moves[i].second);
+    ++state.version;
+    state.writer = src_as;
+    batch.per_guid.push_back(StoreReplicas(moves[i].first, state, 0));
+  }
+  // Every move shares the writer, so one one-to-many RTT query over the
+  // concatenated replica lists prices every GUID's acknowledgements.
+  if (options_.measure_update_latency) {
+    std::vector<AsId> hosts;
+    for (const UpdateResult& result : batch.per_guid) {
+      hosts.insert(hosts.end(), result.replicas.begin(), result.replicas.end());
+    }
+    std::vector<double> rtts(hosts.size());
+    oracle_.RttsMs(src_as, hosts.data(), hosts.size(), rtts.data(), 0);
+    const double* next = rtts.data();
+    for (UpdateResult& result : batch.per_guid) {
+      AckLatency(next, result);
+      next += result.replicas.size();
     }
   }
 
-  // Each GUID goes through the exact sequential-update mutation —
-  // same owner-state transition, same WriteReplicas, same metrics
-  // accounting — so store contents and dmap.* exports are bit-identical
-  // to issuing the updates one by one. Only the message accounting (and
-  // the completion time, one message wave instead of N) differs.
   std::vector<AsId> destinations;  // distinct replica-host ASes, batched
-  batch.per_guid.reserve(moves.size());
   double max_latency = -1.0;
-  for (const auto& [guid, na] : moves) {
-    OwnerState& state = owners_.find(guid)->second;
-    state.nas = NaSet(na);
-    ++state.version;
-    state.writer = na.as;
-    UpdateResult result = WriteReplicas(guid, state, na.as);
+  for (const UpdateResult& result : batch.per_guid) {
     if (metrics_) AccountUpdate(result, ins_.updates, 0);
 
     batch.unbatched_messages += result.replicas.size();
@@ -294,7 +323,6 @@ BatchUpdateResult DMapService::BatchUpdate(
         destinations.push_back(host);
       }
     }
-    batch.per_guid.push_back(std::move(result));
   }
   batch.guids = int(moves.size());
   batch.messages = destinations.size();
@@ -327,12 +355,8 @@ bool DMapService::Deregister(const Guid& guid) {
   const auto it = owners_.find(guid);
   if (it == owners_.end()) return false;
   OwnerState& state = it->second;
-  for (const AsId host : state.replicas) {
-    if (store_.Erase(host, guid)) --total_entries_;
-  }
-  if (state.local_as != kInvalidAs) {
-    if (store_.Erase(state.local_as, guid)) --total_entries_;
-  }
+  for (const AsId host : state.replicas) store_.Erase(host, guid);
+  if (state.local_as != kInvalidAs) store_.Erase(state.local_as, guid);
   owners_.erase(it);
   // A deregistered GUID must not be served from any cache, whatever the
   // coherence mode.

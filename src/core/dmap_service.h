@@ -217,11 +217,13 @@ class DMapService {
   }
 
   // Publishes everything the serving path reads: rebuilds the resolver's
-  // DIR-24-8 table (above) if stale, applies the buffered cache fills and
-  // publishes the store and cache shards (an O(shards) epoch update; both
-  // are written in place). Call from the serial section between the last
-  // write and a parallel lookup phase. Store reads are correct either way;
-  // an unpublished cache shard only misses.
+  // DIR-24-8 table (above) if stale, applies the buffered cache fills (one
+  // task per cache shard on the cache's own pool, bit-identical to a
+  // serial merge) and publishes the store and cache shards (an O(shards)
+  // epoch update; both are written in place). Call from the serial section
+  // between the last write and a parallel lookup phase, never from inside
+  // one: the fill merge runs its own parallel phase. Store reads are
+  // correct either way; an unpublished cache shard only misses.
   void RefreshReadSnapshots() REQUIRES_ALL_SHARDS() {
     resolver_.RefreshSnapshot();
     store_.RefreshSnapshots();
@@ -233,7 +235,8 @@ class DMapService {
 
   // The resolver-side cache; nullptr when options().cache is disabled.
   // Parallel sweeps must size its worker lanes (cache()->EnsureWorkers)
-  // from the serial section, exactly like MetricsRegistry.
+  // from the serial section, exactly like MetricsRegistry; that also
+  // starts the cache's fill-merge pool.
   ResolverCache* cache() { return cache_.get(); }
   const ResolverCache* cache() const { return cache_.get(); }
 
@@ -360,7 +363,7 @@ class DMapService {
   // Introspection for tests/benches.
   const ShardedMappingStore& store() const { return store_; }
   std::vector<std::size_t> StoreSizes() const { return store_.SizesByAs(); }
-  std::uint64_t total_stored_entries() const { return total_entries_; }
+  std::uint64_t total_stored_entries() const { return store_.size(); }
 
  private:
   struct OwnerState {
@@ -374,8 +377,19 @@ class DMapService {
     AsId local_as = kInvalidAs;  // where the local copy lives
   };
 
+  // StoreReplicas, then (with measure_update_latency) AckLatency over the
+  // round trips from `src_as`, the writer's AS.
   UpdateResult WriteReplicas(const Guid& guid, OwnerState& state,
                              AsId src_as, unsigned shard = 0);
+  // Writes `state` to its K global replicas (re-derived from the
+  // authoritative table) and its local replica, drops replicas that left
+  // the set and applies invalidate-on-update. The result carries the
+  // replica set and hash count; its latency is left unset.
+  UpdateResult StoreReplicas(const Guid& guid, OwnerState& state,
+                             unsigned shard);
+  // The update's completion time and quorum status from `rtts[i]`, the
+  // round trip to result.replicas[i].
+  void AckLatency(const double* rtts, UpdateResult& result) const;
   // True when `stamp` is strictly behind the owner table's authoritative
   // stamp for `guid` (false for unknown GUIDs) — the staleness score for
   // cache-served reads. Read-shared: the owner table mutates only at
@@ -413,7 +427,6 @@ class DMapService {
   std::unordered_map<Guid, OwnerState, GuidHash> owners_
       WRITE_SERIAL_READ_SHARED();
   FailureView failures_ WRITE_SERIAL_READ_SHARED();
-  std::uint64_t total_entries_ = 0;
   // Resolver-side cache (null = disabled). Parallel phases only Probe the
   // published shards and buffer fills per worker; mutation happens at the
   // serial write points (ApplyFills/Invalidate/RefreshSnapshots).

@@ -52,7 +52,7 @@ ResolverCache::ResolverCache(const CacheConfig& config) : config_(config) {
   per_shard_capacity_ =
       (config_.capacity + shards - 1) / shards;  // ceil; never zero
   shards_.resize(shards);
-  lanes_.resize(1);
+  EnsureWorkers(1);
 }
 
 SimTime ResolverCache::ExpiryFor(SimTime now) const {
@@ -71,7 +71,7 @@ const MappingEntry* ResolverCache::Get(AsId as, const Guid& guid,
   const bool expired = n != kNil && shard.nodes[n].expires < now;
   if (expired) {
     Remove(shard, n);
-    ++serial_.evictions;
+    ++shard.evictions;
   }
   if (n == kNil || expired) {
     ++serial_.misses;
@@ -137,7 +137,7 @@ void ResolverCache::PutFill(const Node& fill) {
       // The new key is absent, so evicting before the insert picks the
       // same LRU tail as evicting after it.
       Remove(shard, shard.nodes[kRing].newer);
-      ++serial_.evictions;
+      ++shard.evictions;
       i = IndexSlot(shard, fill.as, fill.guid, fingerprint);  // shifted
     }
     n = shard.free;
@@ -185,6 +185,12 @@ std::size_t ResolverCache::Invalidate(const Guid& guid) {
 void ResolverCache::EnsureWorkers(unsigned workers) {
   if (workers < 1) workers = 1;
   if (lanes_.size() < workers) lanes_.resize(workers);
+  for (WorkerLane& lane : lanes_) lane.fills.resize(shards_.size());
+  const unsigned apply_lanes =
+      unsigned(std::min(lanes_.size(), shards_.size()));
+  if (pool_ == nullptr || pool_->size() < apply_lanes) {
+    pool_ = std::make_unique<ThreadPool>(apply_lanes);
+  }
 }
 
 const MappingEntry* ResolverCache::Probe(AsId as, const Guid& guid,
@@ -210,33 +216,48 @@ void ResolverCache::TallyStaleServed(unsigned worker) {
 
 void ResolverCache::RecordFill(unsigned worker, AsId as, const Guid& guid,
                                const MappingEntry& entry, SimTime now) {
-  lanes_[worker].fills.push_back(Node{guid, as, entry, ExpiryFor(now)});
+  lanes_[worker]
+      .fills[ShardOfFingerprint(guid.Fingerprint64())]
+      .push_back(Node{guid, as, entry, ExpiryFor(now)});
 }
 
-void ResolverCache::ApplyFills() {
-  std::vector<Node> all;
-  for (WorkerLane& lane : lanes_) {
-    all.insert(all.end(), lane.fills.begin(), lane.fills.end());
-    lane.fills.clear();
+void ResolverCache::ApplyShard(unsigned s) {
+  std::vector<const Node*>& merge = shards_[s].merge;
+  merge.clear();
+  for (const WorkerLane& lane : lanes_) {
+    for (const Node& fill : lane.fills[s]) merge.push_back(&fill);
   }
   // Canonical order: (guid words, as) groups duplicates; within a group
   // the winner is the newest logical stamp, longest expiry as tie-break,
   // sorted to the front. The sort key is a pure function of the fill
   // itself, so the merged cache state is independent of which worker
   // buffered which fill.
-  std::sort(all.begin(), all.end(), [](const Node& a, const Node& b) {
-    if (const auto order = a.guid <=> b.guid; order != 0) return order < 0;
-    if (a.as != b.as) return a.as < b.as;
-    if (a.entry.stamp() != b.entry.stamp()) {
-      return a.entry.stamp() > b.entry.stamp();
+  std::sort(merge.begin(), merge.end(), [](const Node* a, const Node* b) {
+    if (const auto order = a->guid <=> b->guid; order != 0) return order < 0;
+    if (a->as != b->as) return a->as < b->as;
+    if (a->entry.stamp() != b->entry.stamp()) {
+      return a->entry.stamp() > b->entry.stamp();
     }
-    return a.expires > b.expires;
+    return a->expires > b->expires;
   });
-  const auto same_key = [](const Node& a, const Node& b) {
-    return a.guid == b.guid && a.as == b.as;
+  const auto same_key = [](const Node* a, const Node* b) {
+    return a->guid == b->guid && a->as == b->as;
   };
-  all.erase(std::unique(all.begin(), all.end(), same_key), all.end());
-  for (const Node& fill : all) PutFill(fill);
+  merge.erase(std::unique(merge.begin(), merge.end(), same_key), merge.end());
+  for (const Node* fill : merge) PutFill(*fill);
+  for (WorkerLane& lane : lanes_) lane.fills[s].clear();
+}
+
+void ResolverCache::ApplyFills() {
+  const auto pending = [](const WorkerLane& lane) {
+    return std::any_of(lane.fills.begin(), lane.fills.end(),
+                       [](const std::vector<Node>& b) { return !b.empty(); });
+  };
+  // Waking the pool costs more than an empty serial pass.
+  if (std::none_of(lanes_.begin(), lanes_.end(), pending)) return;
+  pool_->RunChunks(shards_.size(), [this](std::size_t s, unsigned) {
+    ApplyShard(unsigned(s));
+  });
 }
 
 void ResolverCache::RefreshSnapshots() {
@@ -245,6 +266,12 @@ void ResolverCache::RefreshSnapshots() {
     shard.snapshot_epoch = shard.epoch;
     ++snapshot_rebuilds_;
   }
+}
+
+std::uint64_t ResolverCache::evictions() const {
+  std::uint64_t total = 0;
+  for (const Shard& shard : shards_) total += shard.evictions;
+  return total;
 }
 
 std::size_t ResolverCache::size() const {

@@ -24,13 +24,23 @@
 //    a cache a miss is always correct (the caller falls through to the
 //    full probe), so publishing only buys hit rate, never correctness.
 //  * Fills discovered inside a parallel phase are buffered per worker
-//    (RecordFill) and applied at the next serial point (ApplyFills) in a
-//    canonical key order, so cache contents — and therefore hit/miss
-//    streams and exports — are bit-identical for every thread count.
+//    lane, one bucket per cache shard (RecordFill), and applied at the
+//    next serial point (ApplyFills) in a canonical key order, so cache
+//    contents — and therefore hit/miss streams and exports — are
+//    bit-identical for every thread count.
+//  * ApplyFills merges the shards in parallel, one task per shard on a
+//    pool the cache owns (min(EnsureWorkers count, shards) lanes; a
+//    one-lane pool runs the tasks in a plain loop). A shard's task reads only that shard's bucket of every
+//    lane and writes only that shard: a fill, its eviction victim and its
+//    copy chain all live in the fill's GUID shard, the canonical order
+//    restricted to one shard is that shard's share of the global order,
+//    and evictions are counted per shard. The result is the serial merge's,
+//    bit for bit, for any lane count.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -39,6 +49,7 @@
 #include "core/mapping.h"
 #include "core/probe_table.h"
 #include "event/sim_time.h"
+#include "runtime/thread_pool.h"
 
 namespace dmap {
 
@@ -106,11 +117,12 @@ class ResolverCache {
   // number of copies dropped.
   std::size_t Invalidate(const Guid& guid) REQUIRES_SERIAL();
 
-  // Drains every worker's fill buffer and applies one fill per key in
+  // Drains every worker's fill buffers and applies one fill per key in
   // canonical (GUID words, as) order; of several fills for one key the
   // newest logical stamp wins, then the latest expiry. The order is a pure
   // function of the fills, so cache contents are identical no matter which
-  // worker recorded which fill. Does NOT publish.
+  // worker recorded which fill. Shards merge in parallel on the cache's
+  // pool (see the file comment). Does NOT publish.
   void ApplyFills() REQUIRES_SERIAL();
 
   // Publishes every shard written since the last publish: O(shards), the
@@ -119,8 +131,8 @@ class ResolverCache {
 
   // ---- Parallel phase (shared instance, closed-form sweeps). -----------
 
-  // Sizes the per-worker fill buffers and tally slabs; serial sections
-  // only.
+  // Sizes the per-worker fill buffers and tally slabs, and grows the
+  // ApplyFills pool to min(workers, shards) lanes; serial sections only.
   void EnsureWorkers(unsigned workers) REQUIRES_ALL_SHARDS();
 
   // Published-state read: returns the entry when present and fresh at
@@ -160,7 +172,7 @@ class ResolverCache {
   std::uint64_t misses() const {
     return serial_.misses + SumLanes(&WorkerLane::misses);
   }
-  std::uint64_t evictions() const { return serial_.evictions; }
+  std::uint64_t evictions() const;
   std::uint64_t invalidations() const { return serial_.invalidations; }
   std::uint64_t stale_served() const {
     return SumLanes(&WorkerLane::stale_served);
@@ -192,8 +204,11 @@ class ResolverCache {
     std::uint32_t node = kNil;
     bool empty() const { return node == kNil; }
   };
-  struct Shard {
-    // Written only from serial sections / the single-owner executor loop.
+  // Padded so the ApplyFills tasks of adjacent shards never share a cache
+  // line.
+  struct alignas(64) Shard {
+    // Written only from serial sections, the single-owner executor loop
+    // and this shard's ApplyFills task.
     ProbeTable<Slot> index WRITE_SERIAL_READ_SHARED();
     ProbeTable<Slot> heads WRITE_SERIAL_READ_SHARED();
     std::vector<Node> nodes WRITE_SERIAL_READ_SHARED() =
@@ -201,10 +216,16 @@ class ResolverCache {
     std::uint32_t free = kNil;
     std::uint64_t epoch = 0;  // == snapshot_epoch once published
     std::uint64_t snapshot_epoch = 0;
+    std::uint64_t evictions = 0;
+    // ApplyFills' merge buffer: this shard's fills across every lane, kept
+    // between calls so the merge allocates only while it grows.
+    std::vector<const Node*> merge;
   };
   // Padded so adjacent workers never share a cache line.
   struct alignas(64) WorkerLane {
-    std::vector<Node> fills;  // SHARD_CONFINED(worker)
+    // One bucket per cache shard; ApplyFills' task for shard s drains
+    // bucket s of every lane.
+    std::vector<std::vector<Node>> fills SHARD_CONFINED(worker);
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
     std::uint64_t stale_served = 0;
@@ -212,7 +233,6 @@ class ResolverCache {
   struct SerialCounters {
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
-    std::uint64_t evictions = 0;
     std::uint64_t invalidations = 0;
   };
 
@@ -242,8 +262,12 @@ class ResolverCache {
   }
 
   SimTime ExpiryFor(SimTime now) const;
-  // Inserts or refreshes the key of the unlinked node `fill`.
+  // Inserts or refreshes the key of the unlinked node `fill`; touches only
+  // the fill's own shard.
   void PutFill(const Node& fill);
+  // ApplyFills' per-shard task: merges bucket `shard` of every lane in
+  // canonical order, applies it and empties the buckets.
+  void ApplyShard(unsigned shard) REQUIRES_SHARD(shard);
   static void PushFront(Shard& shard, std::uint32_t n);
   static void Unlink(Shard& shard, std::uint32_t n);
   // Drops node `n`: its index slot, LRU and copy-chain links; bumps epoch.
@@ -255,6 +279,7 @@ class ResolverCache {
   std::vector<WorkerLane> lanes_;
   SerialCounters serial_;
   std::uint64_t snapshot_rebuilds_ = 0;
+  std::unique_ptr<ThreadPool> pool_;  // ApplyFills' lanes
 };
 
 }  // namespace dmap

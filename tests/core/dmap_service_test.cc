@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <limits>
 #include <numeric>
@@ -419,6 +420,77 @@ TEST_F(DMapServiceTest, WithdrawalRepairViaGuidsStoredInAndRehome) {
   }
   // Restore the table for other tests sharing the fixture (none do, but
   // keep the environment consistent).
+  env_.table.Announce(victim, owner);
+}
+
+TEST_F(DMapServiceTest, TotalStoredEntriesTracksEveryWritePath) {
+  // total_stored_entries() is the store's own size. After every kind of
+  // write it must equal both the per-AS sizes summed and a count from the
+  // placement rule: each live GUID's distinct global replica hosts plus
+  // its attachment AS (the local replica).
+  DMapService service(env_.graph, env_.table, Options(4));
+  std::vector<std::pair<Guid, AsId>> live;  // GUID -> attachment AS
+  const auto check = [&](const char* step) {
+    const std::vector<std::size_t> sizes = service.StoreSizes();
+    EXPECT_EQ(service.total_stored_entries(),
+              std::accumulate(sizes.begin(), sizes.end(), std::uint64_t{0}))
+        << step;
+    std::uint64_t placed = 0;
+    for (const auto& [guid, attached] : live) {
+      std::vector<AsId> hosts{attached};
+      for (const HostResolution& r : service.resolver().ResolveAll(guid)) {
+        if (std::find(hosts.begin(), hosts.end(), r.host) == hosts.end()) {
+          hosts.push_back(r.host);
+        }
+      }
+      placed += hosts.size();
+    }
+    EXPECT_EQ(service.total_stored_entries(), placed) << step;
+  };
+  const AsId num_ases = AsId(env_.graph.num_nodes());
+  for (std::uint64_t i = 0; i < 120; ++i) {
+    const AsId as = AsId(i * 7 % num_ases);
+    (void)service.Insert(Guid::FromSequence(i), NetworkAddress{as, 1});
+    live.emplace_back(Guid::FromSequence(i), as);
+  }
+  check("Insert");
+
+  const AsId moved_to = AsId((live[0].second + 11) % num_ases);
+  (void)service.Update(live[0].first, NetworkAddress{moved_to, 2});
+  live[0].second = moved_to;
+  check("Update");
+
+  std::vector<std::pair<Guid, NetworkAddress>> batch;
+  for (std::size_t i = 1; i <= 16; ++i) {
+    batch.emplace_back(live[i].first, NetworkAddress{AsId(17), 3});
+    live[i].second = 17;
+  }
+  (void)service.BatchUpdate(batch);
+  check("BatchUpdate");
+
+  Cidr victim;
+  AsId owner = kInvalidAs;
+  std::vector<Guid> affected;
+  for (const PrefixRecord& record : env_.table.AllPrefixes()) {
+    affected = service.GuidsStoredIn(record.owner, record.prefix);
+    if (!affected.empty()) {
+      victim = record.prefix;
+      owner = record.owner;
+      break;
+    }
+  }
+  ASSERT_NE(owner, kInvalidAs);
+  ASSERT_TRUE(env_.table.Withdraw(victim));
+  int rehomed = 0;
+  for (const Guid& g : affected) rehomed += service.Rehome(g);
+  EXPECT_GT(rehomed, 0);
+  check("Rehome");
+
+  for (std::size_t i = 0; i < 40; ++i) {
+    EXPECT_TRUE(service.Deregister(live[i].first));
+  }
+  live.erase(live.begin(), live.begin() + 40);
+  check("Deregister");
   env_.table.Announce(victim, owner);
 }
 

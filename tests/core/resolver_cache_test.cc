@@ -213,6 +213,85 @@ TEST(ResolverCacheTest, ApplyFillsIsLaneOrderIndependent) {
       2u);
 }
 
+TEST(ResolverCacheTest, ApplyFillsIdenticalForEveryLaneCount) {
+  // The shard-parallel merge must reproduce the one-lane serial merge bit
+  // for bit: the same fills, spread over 1, 2, 4 and 7 lanes, applied
+  // serially (EnsureWorkers 1: a one-lane pool, no thread) and on pools of
+  // 2, 4 and 7 lanes. Duplicate keys carry different stamps and expiries, and the
+  // capacity (3 per shard) forces evictions inside every merge.
+  constexpr std::uint32_t kAses = 6;
+  constexpr double kTtlMs = 40.0;
+  std::vector<Guid> guids;
+  for (std::uint64_t i = 0; i < 24; ++i) {
+    guids.push_back(Guid::FromSequence(500 + i));
+  }
+  struct Fill {
+    AsId as;
+    std::size_t guid;
+    MappingEntry entry;
+    SimTime now;
+  };
+  std::vector<std::vector<Fill>> rounds(4);
+  std::mt19937_64 rng(11);
+  for (std::size_t r = 0; r < rounds.size(); ++r) {
+    for (int i = 0; i < 90; ++i) {
+      const std::uint64_t version = rng() % 4;
+      const AsId writer = AsId(rng() % 2);
+      rounds[r].push_back(Fill{
+          AsId(rng() % kAses), std::size_t(rng() % guids.size()),
+          MappingEntry{NaSet(NetworkAddress{AsId(2 * version + writer), 1}),
+                       version, writer},
+          SimTime::Millis(double(10 * r + rng() % 10))});
+    }
+  }
+  // Everything a later reader can observe: each key's Probe answer before
+  // and after its fills could expire, the counters, and which keys a
+  // stream of fresh Puts evicts, in order.
+  const auto observe = [&](unsigned lanes, unsigned workers) {
+    ResolverCache cache(SmallConfig(24, kTtlMs, /*shards=*/8));
+    cache.EnsureWorkers(workers);
+    std::vector<std::uint64_t> seen;
+    const auto snapshot = [&](SimTime now) {
+      cache.RefreshSnapshots();
+      for (const Guid& g : guids) {
+        for (AsId a = 0; a < kAses; ++a) {
+          for (const SimTime t : {now, now + SimTime::Millis(kTtlMs)}) {
+            const MappingEntry* e = cache.Probe(a, g, t);
+            seen.push_back(e == nullptr ? ~std::uint64_t{0}
+                                        : e->version * 2 + e->writer);
+          }
+        }
+      }
+      seen.push_back(cache.size());
+      seen.push_back(cache.evictions());
+      seen.push_back(cache.snapshot_rebuilds());
+    };
+    std::size_t next_lane = 0;
+    for (const std::vector<Fill>& round : rounds) {
+      for (const Fill& f : round) {
+        cache.RecordFill(unsigned(next_lane++ % lanes), f.as, guids[f.guid],
+                         f.entry, f.now);
+      }
+      cache.ApplyFills();
+      snapshot(round.front().now);
+    }
+    for (std::uint64_t i = 0; i < 30; ++i) {
+      cache.Put(AsId(i % kAses), Guid::FromSequence(900 + i), Entry(1),
+                SimTime::Millis(50));
+      snapshot(SimTime::Millis(50));
+    }
+    EXPECT_GT(cache.evictions(), 0u);
+    return seen;
+  };
+  const std::vector<std::uint64_t> serial = observe(1, 1);  // no thread
+  const std::pair<unsigned, unsigned> runs[] = {
+      {1, 4}, {2, 2}, {2, 4}, {4, 4}, {7, 7}};  // (lanes, EnsureWorkers)
+  for (const auto& [lanes, workers] : runs) {
+    EXPECT_EQ(observe(lanes, workers), serial)
+        << "lanes " << lanes << " workers " << workers;
+  }
+}
+
 TEST(ResolverCacheTest, WorkerTalliesFoldIntoTotals) {
   ResolverCache cache(SmallConfig());
   cache.EnsureWorkers(3);

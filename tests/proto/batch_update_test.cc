@@ -6,6 +6,10 @@
 // the wire-protocol network.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <memory>
 #include <optional>
 #include <stdexcept>
 #include <utility>
@@ -63,57 +67,114 @@ class BatchUpdateTest : public testing::Test {
     return out;
   }
 
+  // Replays the workload's handoffs through sequential Update calls and
+  // through BatchUpdate at batch sizes 1/4/16/64 on services built with
+  // `options` and `failed` marked down. Per-GUID results must match bit
+  // for bit (replicas, version, status, latency) and so must the stores.
+  // Returns the sequential results.
+  std::vector<UpdateResult> ExpectBatchesMatchSequential(
+      const DMapOptions& options, const std::vector<AsId>& failed) {
+    const MobilityWorkload workload(env_.graph, Params());
+    const auto fresh = [&] {
+      auto service =
+          std::make_unique<DMapService>(env_.graph, env_.table, options);
+      service->SetFailedAses(failed);
+      for (const InsertOp& op : workload.InitialInserts()) {
+        (void)service->Insert(op.guid, op.na);
+      }
+      return service;
+    };
+
+    // Reference leg: singleton Update calls, recording every result.
+    const auto sequential = fresh();
+    std::vector<UpdateResult> expected;
+    for (const Handoff& handoff : workload.Handoffs()) {
+      for (const auto& [guid, na] : workload.MovesFor(handoff)) {
+        expected.push_back(sequential->Update(guid, na));
+      }
+    }
+    const std::vector<std::uint64_t> want = Dump(*sequential, workload);
+
+    for (const int batch_size : {1, 4, 16, 64}) {
+      const auto batched = fresh();
+      std::vector<UpdateResult> got;
+      std::vector<std::pair<Guid, NetworkAddress>> chunk;
+      for (const Handoff& handoff : workload.Handoffs()) {
+        const auto moves = workload.MovesFor(handoff);
+        for (std::size_t begin = 0; begin < moves.size();
+             begin += std::size_t(batch_size)) {
+          const std::size_t end =
+              std::min(moves.size(), begin + std::size_t(batch_size));
+          chunk.assign(moves.begin() + long(begin),
+                       moves.begin() + long(end));
+          const BatchUpdateResult wave = batched->BatchUpdate(chunk);
+          // The wave reports its first non-OK GUID status.
+          ResolverStatus status = ResolverStatus::kOk;
+          for (std::size_t i = got.size(); i < got.size() + chunk.size();
+               ++i) {
+            if (status == ResolverStatus::kOk) status = expected[i].status;
+          }
+          EXPECT_EQ(wave.status, status);
+          EXPECT_EQ(wave.guids, int(chunk.size()));
+          EXPECT_EQ(wave.entries_applied, wave.entries);
+          EXPECT_LE(wave.messages, wave.unbatched_messages);
+          got.insert(got.end(), wave.per_guid.begin(), wave.per_guid.end());
+        }
+      }
+      // Per-GUID results identical to the sequential Update stream...
+      EXPECT_EQ(got.size(), expected.size()) << "batch " << batch_size;
+      for (std::size_t i = 0; i < std::min(got.size(), expected.size());
+           ++i) {
+        EXPECT_EQ(got[i].replicas, expected[i].replicas);
+        EXPECT_EQ(got[i].version, expected[i].version);
+        EXPECT_EQ(got[i].status, expected[i].status);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i].latency_ms),
+                  std::bit_cast<std::uint64_t>(expected[i].latency_ms))
+            << "batch " << batch_size << " guid " << i << ": "
+            << got[i].latency_ms << " vs " << expected[i].latency_ms;
+      }
+      // ...and so is the full stored state, replica by replica.
+      EXPECT_EQ(Dump(*batched, workload), want) << "batch " << batch_size;
+    }
+    return expected;
+  }
+
   SimEnvironment env_;
 };
 
 TEST_F(BatchUpdateTest, ClosedFormMatchesSequentialForEveryBatchSize) {
+  // Default options: W = majority of K + 1, every replica up.
+  for (const UpdateResult& r : ExpectBatchesMatchSequential(Options(), {})) {
+    EXPECT_EQ(r.status, ResolverStatus::kOk);
+  }
+
+  // W = majority with one replica host down: K = 2 and no local replica
+  // make W = 2, so every GUID placed on the dead host misses its quorum
+  // and reports kQuorumFailed at the stand-in timeout, while the rest
+  // complete at their second ack.
+  DMapOptions quorum = Options();
+  quorum.k = 2;
+  quorum.local_replica = false;
+  quorum.write_quorum = 0;
+  DMapService probe(env_.graph, env_.table, quorum);
   const MobilityWorkload workload(env_.graph, Params());
-
-  // Reference leg: singleton Update calls, recording every result.
-  DMapService sequential(env_.graph, env_.table, Options());
+  std::vector<int> placements(env_.graph.num_nodes(), 0);
   for (const InsertOp& op : workload.InitialInserts()) {
-    (void)sequential.Insert(op.guid, op.na);
-  }
-  std::vector<UpdateResult> expected;
-  for (const Handoff& handoff : workload.Handoffs()) {
-    for (const auto& [guid, na] : workload.MovesFor(handoff)) {
-      expected.push_back(sequential.Update(guid, na));
+    for (const AsId host : probe.Insert(op.guid, op.na).replicas) {
+      ++placements[host];
     }
   }
-  const std::vector<std::uint64_t> want = Dump(sequential, workload);
-
-  for (const int batch_size : {1, 4, 16, 64}) {
-    DMapService batched(env_.graph, env_.table, Options());
-    for (const InsertOp& op : workload.InitialInserts()) {
-      (void)batched.Insert(op.guid, op.na);
-    }
-    std::vector<UpdateResult> got;
-    std::vector<std::pair<Guid, NetworkAddress>> chunk;
-    for (const Handoff& handoff : workload.Handoffs()) {
-      const auto moves = workload.MovesFor(handoff);
-      for (std::size_t begin = 0; begin < moves.size();
-           begin += std::size_t(batch_size)) {
-        const std::size_t end =
-            std::min(moves.size(), begin + std::size_t(batch_size));
-        chunk.assign(moves.begin() + long(begin), moves.begin() + long(end));
-        const BatchUpdateResult wave = batched.BatchUpdate(chunk);
-        EXPECT_EQ(wave.status, ResolverStatus::kOk);
-        EXPECT_EQ(wave.guids, int(chunk.size()));
-        EXPECT_EQ(wave.entries_applied, wave.entries);
-        EXPECT_LE(wave.messages, wave.unbatched_messages);
-        got.insert(got.end(), wave.per_guid.begin(), wave.per_guid.end());
-      }
-    }
-    // Per-GUID results identical to the sequential Update stream...
-    ASSERT_EQ(got.size(), expected.size()) << "batch " << batch_size;
-    for (std::size_t i = 0; i < got.size(); ++i) {
-      EXPECT_EQ(got[i].replicas, expected[i].replicas);
-      EXPECT_EQ(got[i].version, expected[i].version);
-      EXPECT_DOUBLE_EQ(got[i].latency_ms, expected[i].latency_ms);
-    }
-    // ...and so is the full stored state, replica by replica.
-    EXPECT_EQ(Dump(batched, workload), want) << "batch " << batch_size;
+  const AsId busiest = AsId(
+      std::max_element(placements.begin(), placements.end()) -
+      placements.begin());
+  int failed = 0;
+  int ok = 0;
+  for (const UpdateResult& r :
+       ExpectBatchesMatchSequential(quorum, {busiest})) {
+    (r.status == ResolverStatus::kQuorumFailed ? failed : ok) += 1;
   }
+  EXPECT_GT(failed, 0);
+  EXPECT_GT(ok, 0);
 }
 
 TEST_F(BatchUpdateTest, BatchAccountingCountsDistinctDestinations) {

@@ -14,8 +14,11 @@
 # The list covers the refactor-sensitive surfaces: the pre-quorum golden
 # commands of the consistency-smoke CI job, fig4 (closed form), chaos_sweep
 # and fig9 (wire protocol under faults and quorums), fig8 (event-driven
-# executor with a serving tier), fig10 (mobility and cache) and
-# ablation_staleness (the mobility-staleness harness, sim/staleness.cc).
+# executor with a serving tier), fig10 (mobility and cache, at one worker
+# and at four, so the cache's serial and shard-parallel fill merges are
+# both covered), ablation_staleness (the mobility-staleness harness,
+# sim/staleness.cc) and ablation_dmap, whose table (f) drives a
+# single-owner cache through Get/Put.
 set -euo pipefail
 
 if [[ $# -ne 2 ]]; then
@@ -46,7 +49,9 @@ commands=(
   "fig8|fig8_offered_load --scale 0.1 --threads 4 --metrics-out metrics.json --trace-out trace.csv|metrics.json trace.csv"
   "fig9|fig9_consistency --scale 0.05 --threads 4 --fault-plan $root/configs/fig9_consistency.plan --metrics-out metrics.json --trace-out trace.csv|metrics.json trace.csv"
   "fig10|fig10_mobility --scale 0.05 --threads 4 --metrics-out metrics.json|metrics.json stdout"
+  "fig10-t1|fig10_mobility --scale 0.05 --threads 1 --metrics-out metrics.json|metrics.json stdout"
   "staleness|ablation_staleness --scale 0.05 --threads 4 --metrics-out metrics.json --trace-out trace.csv|metrics.json trace.csv stdout"
+  "ablation|ablation_dmap --scale 0.05 --threads 4|stdout"
 )
 
 differs=0
