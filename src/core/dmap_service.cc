@@ -176,17 +176,16 @@ UpdateResult DMapService::StoreReplicas(const Guid& guid, OwnerState& state,
 }
 
 void DMapService::AckLatency(const double* rtts, UpdateResult& result) const {
-  // Replica writes go out in parallel; with the quorum discipline off
-  // (write_quorum = 1) the update completes at the slowest round trip
-  // (Section III-A, the paper's model, bit-exact with the pre-quorum
-  // behaviour). With a quorum W >= 2 it completes at the W-th applied
-  // acknowledgement — the local replica is an instant ack, a dead replica
-  // never acks — and reports kQuorumFailed when fewer than W replicas are
-  // reachable, at the time the last stand-in timeout fires.
+  // WriteFlow's completion rule (core/write_flow.h) in closed form. With
+  // W <= 1 the update completes at the slowest round trip (Section III-A,
+  // the paper's model, bit-exact with the pre-quorum behaviour). With
+  // W >= 2 it completes at the W-th applied ack — the local copy acks at
+  // kLocalAckMs, a dead replica never acks — and reports kQuorumFailed
+  // when fewer than W replicas are reachable, at the time the last
+  // stand-in timeout fires.
   const std::vector<AsId>& replicas = result.replicas;
-  const int participants =
-      int(replicas.size()) + (options_.local_replica ? 1 : 0);
-  const int w = ResolveQuorum(options_.write_quorum, participants);
+  const int w = WriteQuorum(options_.write_quorum, replicas.size(),
+                            options_.local_replica);
   if (w <= 1) {
     double max_rtt = 0.0;
     for (std::size_t i = 0; i < replicas.size(); ++i) {
@@ -196,16 +195,15 @@ void DMapService::AckLatency(const double* rtts, UpdateResult& result) const {
     return;
   }
   std::vector<double> acks;  // arrival times of applied acks
-  acks.reserve(std::size_t(participants));
-  if (options_.local_replica) acks.push_back(0.0);
+  acks.reserve(replicas.size() + 1);
+  if (options_.local_replica) acks.push_back(kLocalAckMs);
   double last_resolved = 0.0;  // when the final slot acks or times out
   for (std::size_t i = 0; i < replicas.size(); ++i) {
     const double rtt = rtts[i];
     if (failures_.IsFailed(replicas[i])) {
-      // No ack will come; the wire path's per-slot timeout stands in.
       last_resolved = std::max(
-          last_resolved, AdaptiveTimeoutMs(options_.failure_timeout_ms, 0,
-                                           options_.retry_backoff, rtt));
+          last_resolved, StandInTimeoutMs(options_.failure_timeout_ms,
+                                          options_.retry_backoff, rtt));
       continue;
     }
     acks.push_back(rtt);
@@ -428,25 +426,13 @@ LookupResult DMapService::LookupInternal(
     }
   }
 
-  // Local resolution, raced in parallel (Section III-C): one intra-AS
-  // round trip.
-  bool local_found = false;
-  double local_cost = 0.0;
-  NaSet local_nas;
-  if (options_.local_replica && !failures_.IsFailed(querier)) {
-    if (const MappingEntry* entry = store_.Read(querier, guid, guid_fp)) {
-      local_found = true;
-      local_cost = 2.0 * graph_->IntraLatencyMs(querier);
-      local_nas = entry->nas;
-    }
-  }
+  // Local resolution, raced in parallel (Section III-C).
+  const std::optional<LocalReply> local = LocalReply::Race(
+      options_, *graph_, querier, !failures_.IsFailed(querier),
+      [&] { return store_.Read(querier, guid, guid_fp); });
 
-  if (local_found && (!global_found || local_cost <= global_cost)) {
-    result.found = true;
-    result.nas = local_nas;
-    result.latency_ms = local_cost;
-    result.serving_as = querier;
-    result.served_locally = true;
+  if (local && (!global_found || local->latency_ms <= global_cost)) {
+    local->Serve(result);
   } else if (global_found) {
     result.found = true;
     result.nas = global_nas;

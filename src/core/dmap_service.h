@@ -34,6 +34,7 @@
 #include "common/thread_annotations.h"
 #include "core/hole_resolver.h"
 #include "core/lookup_flow.h"
+#include "core/write_flow.h"
 #include "event/sim_time.h"
 #include "fault/failure_view.h"
 #include "core/mapping.h"
@@ -64,7 +65,8 @@ struct ProtocolOptions {
   // behaviour, where one timeout costs exactly failure_timeout_ms.
   int probe_retries = 0;
   double retry_backoff = 2.0;
-  // Write-quorum discipline (DESIGN.md section 14). An update writes all
+  // Write-quorum discipline (DESIGN.md section 14; the rule is stated
+  // once in core/write_flow.h). An update writes all
   // K global replicas (plus the local copy) regardless; write_quorum only
   // sets when the operation *completes* and what it guarantees:
   //   0  = majority of the written replica set (the default discipline);
@@ -119,16 +121,6 @@ struct DMapOptions : ProtocolOptions {
 // reported as success.
 enum class ResolverStatus : std::uint8_t { kOk, kUnsupported, kQuorumFailed };
 
-// Resolves a configured write/read quorum against `n` participating
-// replicas: 0 selects a majority (n/2 + 1), any other value is clamped to
-// [1, n]. Shared by the closed-form and wire paths so the two agree on
-// when a quorum operation completes.
-inline int ResolveQuorum(int configured, int n) {
-  if (n < 1) return 1;
-  if (configured == 0) return n / 2 + 1;
-  return configured < 1 ? 1 : (configured > n ? n : configured);
-}
-
 // Fields every resolver operation reports, DMap and baselines alike: the
 // time the operation cost, how many probes it took, and — when tracing is
 // on and the operation was sampled — the full per-probe trace. UpdateResult
@@ -167,6 +159,39 @@ struct LookupResult : ResolverOutcome {
   // probes). Possibly stale — the staleness is tallied in the cache.*
   // counters, never hidden.
   bool served_from_cache = false;
+};
+
+// The local-replica race of Section III-C, stated once for every executor:
+// with the local replica on and the querier up, a querier whose own store
+// holds the GUID answers it after one intra-AS round trip. The closed form
+// weighs that time against its global walk; the executors schedule the
+// reply, and the first answer wins.
+struct LocalReply {
+  AsId querier = kInvalidAs;
+  MappingEntry entry;       // the querier store's copy
+  double latency_ms = 0.0;  // 2 x IntraLatencyMs(querier)
+
+  // `read_local` returns the querier store's entry (nullptr when absent);
+  // it is called only when the race runs. nullopt: no local reply comes.
+  template <typename ReadLocal>
+  static std::optional<LocalReply> Race(const ProtocolOptions& options,
+                                        const AsGraph& graph, AsId querier,
+                                        bool querier_up,
+                                        ReadLocal&& read_local) {
+    if (!options.local_replica || !querier_up) return std::nullopt;
+    const MappingEntry* entry = read_local();
+    if (entry == nullptr) return std::nullopt;
+    return LocalReply{querier, *entry, 2.0 * graph.IntraLatencyMs(querier)};
+  }
+
+  // Writes the local answer into `result`.
+  void Serve(LookupResult& result) const {
+    result.found = true;
+    result.nas = entry.nas;
+    result.serving_as = querier;
+    result.served_locally = true;
+    result.latency_ms = latency_ms;
+  }
 };
 
 // Outcome of one batched handoff (BatchUpdate): all of a host's GUID

@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <optional>
 #include <stdexcept>
+#include <unordered_set>
 #include <utility>
 
 #include "core/lookup_flow.h"
+#include "core/write_flow.h"
 #include "fault/retry_policy.h"
 
 namespace dmap {
@@ -33,50 +35,23 @@ struct ProtocolNetwork::LookupOp {
   std::vector<char> index_responded;  // one flag per plan index
 };
 
-struct ProtocolNetwork::InsertOp {
+struct ProtocolNetwork::WriteOp {
   std::uint64_t request_id = 0;
-  std::vector<AsId> replicas;  // reported in the UpdateResult
-  struct Slot {
-    AsId host = kInvalidAs;
-    bool resolved = false;
-    // An applied ack is counted toward the quorum at most once per slot,
-    // so a fault-injected duplicate ack cannot inflate W.
-    bool ack_counted = false;
-    EventHandle timeout;
-  };
-  std::vector<Slot> slots;      // one per replica write
-  std::size_t outstanding = 0;  // slots not yet acked or timed out
   SimTime started;
-  std::uint64_t version = 0;
-  std::function<void(const UpdateResult&)> done;
-
-  // --- write-quorum state (quorum_target > 1 only: client writes) ---
-  // Repairs, anti-entropy pushes, and withdrawal handoffs keep the legacy
-  // all-slots-resolved completion (quorum_target = 1).
+  WriteFlow flow;                     // one slot per request
+  std::vector<EventHandle> timeouts;  // per slot, its stand-in timer
+  // A client insert commits `stamp` for `guid` when its quorum is reached.
   Guid guid;
   LogicalStamp stamp;
-  int quorum_target = 1;
-  int applied = 0;       // replicas known to have applied the write
-  bool reported = false; // done already fired at the W-th applied ack
-  bool track_commit = false;  // advance committed_ on quorum success
-};
-
-struct ProtocolNetwork::BatchOp {
-  std::uint64_t request_id = 0;
-  struct Slot {
-    AsId host = kInvalidAs;
-    bool resolved = false;
-    EventHandle timeout;
-  };
-  std::vector<Slot> slots;      // one per destination AS
-  std::size_t outstanding = 0;  // slots not yet answered or timed out
-  SimTime started;
-  int guids = 0;
-  std::uint64_t messages = 0;
-  std::uint64_t unbatched_messages = 0;
-  std::uint64_t entries = 0;
-  std::uint64_t entries_applied = 0;
-  std::function<void(const BatchUpdateResult&)> done;
+  // The report. Client inserts and withdrawal handoffs report an
+  // UpdateResult over `replicas` and `version` through `done`; a batched
+  // handoff reports `batch` (entries_applied counted as responses land)
+  // through `batch_done`; repairs report nothing.
+  std::vector<AsId> replicas;
+  std::uint64_t version = 0;
+  std::function<void(const UpdateResult&)> done;
+  std::unique_ptr<BatchUpdateResult> batch;
+  std::function<void(const BatchUpdateResult&)> batch_done;
 };
 
 ProtocolNetwork::ProtocolNetwork(const AsGraph& graph,
@@ -93,8 +68,8 @@ ProtocolNetwork::ProtocolNetwork(const AsGraph& graph,
   if (options.anti_entropy_budget < 0) {
     throw std::invalid_argument("ProtocolNetwork: anti_entropy_budget < 0");
   }
-  const int participants = options.k + (options.local_replica ? 1 : 0);
-  write_quorum_effective_ = ResolveQuorum(options.write_quorum, participants);
+  write_quorum_effective_ = WriteQuorum(
+      options.write_quorum, std::size_t(options.k), options.local_replica);
   read_quorum_effective_ =
       options.read_quorum > options.k ? options.k : options.read_quorum;
   nodes_.reserve(graph.num_nodes());
@@ -220,10 +195,14 @@ void ProtocolNetwork::Deliver(const Message& message) {
     if (HandleLookupResponse(*response)) return;
   }
   if (const auto* ack = std::get_if<InsertAck>(&message)) {
-    if (HandleInsertAck(*ack)) return;
+    if (HandleWriteAck(ack->header, ack->applied ? 1 : 0)) return;
   }
   if (const auto* batch = std::get_if<BatchUpdateResponse>(&message)) {
-    if (HandleBatchUpdateResponse(*batch)) return;
+    const std::uint64_t applied =
+        batch->applied.size() - std::uint64_t(std::count(
+                                    batch->applied.begin(),
+                                    batch->applied.end(), std::uint8_t{0}));
+    if (HandleWriteAck(batch->header, applied)) return;
   }
 
   const MessageHeader& header = HeaderOf(message);
@@ -330,37 +309,42 @@ void ProtocolNetwork::CompleteLookup(const std::shared_ptr<LookupOp>& op,
     if (tracer_ != nullptr) tracer_->Record(trace_shard_, trace);
   }
   if (found_entry != nullptr && !op->miss_indices.empty()) {
-    RepairEmptyReplicas(*op, *found_entry);
+    // Re-replication (fire and forget): replicas that answered "missing"
+    // are alive but lost the mapping — a crash wiped their store, or
+    // placement churn moved it away. Re-insert the found entry there,
+    // version-gated so duplicate and out-of-date repairs are rejected as
+    // stale.
+    std::vector<WriteTarget> targets;
+    for (const std::size_t index : op->miss_indices) {
+      targets.push_back({op->plan[index].host, op->plan[index].stored_address});
+    }
+    Bump(repairs_sent_, ins_.repair_inserts, targets.size());
+    SendRepairs(op->guid, op->querier, *found_entry, targets);
   }
   op->done(result);
 }
 
-void ProtocolNetwork::RepairEmptyReplicas(const LookupOp& op,
-                                          const MappingEntry& entry) {
-  // Re-replication (fire and forget): replicas that answered "missing" are
-  // alive but lost the mapping — a crash wiped their store, or placement
-  // churn moved it away. Re-insert the found entry there, version-gated so
-  // duplicate and out-of-date repairs are rejected as stale.
-  auto repair = std::make_shared<InsertOp>();
-  repair->request_id = NextClientRequestId();
-  repair->started = sim_.Now();
-  repair->version = entry.version;
-  repair->done = [](const UpdateResult&) {};
-  std::vector<InsertRequest> requests;
-  requests.reserve(op.miss_indices.size());
-  for (const std::size_t index : op.miss_indices) {
-    const PlannedProbe& probe = op.plan[index];
-    InsertRequest request;
-    request.header = MessageHeader{repair->request_id, op.querier,
-                                   probe.host};
-    request.guid = op.guid;
-    request.entry = entry;
-    request.stored_address = probe.stored_address;
-    requests.push_back(request);
-    repair->replicas.push_back(probe.host);
+std::shared_ptr<ProtocolNetwork::WriteOp> ProtocolNetwork::NewWriteOp() {
+  auto op = std::make_shared<WriteOp>();
+  op->request_id = NextClientRequestId();
+  op->started = sim_.Now();
+  return op;
+}
+
+std::pair<MappingEntry, bool> ProtocolNetwork::ClientWrite(
+    const Guid& guid, NetworkAddress na) {
+  MappingEntry entry;
+  entry.nas = NaSet(na);
+  entry.version = ++versions_[guid];
+  entry.writer = na.as;
+  const bool local_applied =
+      options_.local_replica && nodes_[na.as]->store().Upsert(guid, entry);
+  if (ae_owner_.emplace(guid, na.as).second) {
+    ae_guids_.push_back(guid);
+  } else {
+    ae_owner_[guid] = na.as;
   }
-  Bump(repairs_sent_, ins_.repair_inserts, requests.size());
-  StartInsertSlots(repair, std::move(requests));
+  return {entry, local_applied};
 }
 
 void ProtocolNetwork::InsertAsync(
@@ -369,184 +353,103 @@ void ProtocolNetwork::InsertAsync(
   if (na.as >= graph_->num_nodes()) {
     throw std::invalid_argument("InsertAsync: NA references unknown AS");
   }
-  auto op = std::make_shared<InsertOp>();
-  op->request_id = NextClientRequestId();
-  op->started = sim_.Now();
-  op->version = ++versions_[guid];
+  auto op = NewWriteOp();
   op->done = std::move(done);
   op->guid = guid;
-
-  MappingEntry entry;
-  entry.nas = NaSet(na);
-  entry.version = op->version;
-  entry.writer = na.as;
+  const auto [entry, local_applied] = ClientWrite(guid, na);
+  op->version = entry.version;
   op->stamp = entry.stamp();
+  op->flow = WriteFlow(write_quorum_effective_, local_applied);
 
-  // Client writes follow the quorum discipline; 1 keeps the legacy
-  // all-slots-resolved completion bit-exactly. All K messages go out
-  // regardless of W, so the message stream — and every fault fate drawn
-  // from it — is identical across W settings.
-  op->quorum_target = write_quorum_effective_;
-  op->track_commit = QuorumActive();
-
-  std::vector<InsertRequest> requests;
+  // All K messages go out regardless of W, so the message stream — and
+  // every fault fate drawn from it — is identical across W settings.
+  std::vector<Message> requests;
   requests.reserve(std::size_t(options_.k));
   for (int replica = 0; replica < options_.k; ++replica) {
     const HostResolution resolution = resolver_.Resolve(guid, replica);
     op->replicas.push_back(resolution.host);
-    InsertRequest request;
-    request.header = MessageHeader{op->request_id, na.as, resolution.host};
-    request.guid = guid;
-    request.entry = entry;
-    request.stored_address = resolution.stored_address;
-    requests.push_back(request);
+    requests.push_back(InsertRequest{
+        MessageHeader{op->request_id, na.as, resolution.host}, guid, entry,
+        resolution.stored_address});
   }
-  // The local replica (Section III-C) is written at the attachment AS; in
-  // legacy mode its intra-AS ack always beats the slowest global ack, so
-  // it does not change the completion time; in quorum mode it counts as
-  // an instant applied ack toward W.
-  if (options_.local_replica) {
-    if (nodes_[na.as]->store().Upsert(guid, entry)) ++op->applied;
-  }
-  // Anti-entropy registry: first insertion order, latest attachment AS.
-  if (ae_owner_.emplace(guid, na.as).second) {
-    ae_guids_.push_back(guid);
-  } else {
-    ae_owner_[guid] = na.as;
-  }
-  StartInsertSlots(op, std::move(requests));
-  MaybeReportInsertQuorum(op);  // local ack alone may satisfy W
+  StartWrite(op, std::move(requests));
 }
 
-void ProtocolNetwork::StartInsertSlots(const std::shared_ptr<InsertOp>& op,
-                                       std::vector<InsertRequest> requests) {
-  op->outstanding = requests.size();
-  op->slots.reserve(requests.size());
-  inserts_[op->request_id] = op;
-  for (const InsertRequest& request : requests) {
-    const std::size_t slot = op->slots.size();
-    InsertOp::Slot s;
-    s.host = request.header.dst;
-    op->slots.push_back(s);
-    // The ack normally lands after one round trip; the timeout stands in
-    // when it never comes (replica down, request or ack lost) so the
-    // operation always completes. Adaptive like the lookup timeout: a
-    // slow-but-alive replica is never declared dead before its ack can
-    // arrive.
-    const double rtt =
-        2.0 * oracle_.OneWayMs(request.header.src, request.header.dst);
-    const double timeout_ms = AdaptiveTimeoutMs(
-        options_.failure_timeout_ms, 0, options_.retry_backoff, rtt);
-    op->slots[slot].timeout =
+void ProtocolNetwork::StartWrite(const std::shared_ptr<WriteOp>& op,
+                                 std::vector<Message> requests) {
+  writes_[op->request_id] = op;
+  op->timeouts.reserve(requests.size());
+  for (const Message& request : requests) {
+    const MessageHeader& header = HeaderOf(request);
+    const std::size_t slot = op->flow.AddSlot(header.dst);
+    // The ack normally lands after one round trip; the stand-in timeout
+    // resolves the slot when it never comes (replica down, request or ack
+    // lost), so the write always completes.
+    const double timeout_ms = StandInTimeoutMs(
+        options_.failure_timeout_ms, options_.retry_backoff,
+        2.0 * oracle_.OneWayMs(header.src, header.dst));
+    op->timeouts.push_back(
         sim_.Schedule(SimTime::Millis(timeout_ms), [this, op, slot] {
-          if (op->slots[slot].resolved) return;
-          ResolveInsertSlot(op, slot);
-        });
+          if (op->flow.TimedOut(slot)) AdvanceWrite(op);
+        }));
     Send(request);
   }
-  CompleteInsertIfDone(op);  // an empty batch completes immediately
+  AdvanceWrite(op);  // an empty write completes at once
 }
 
-void ProtocolNetwork::ResolveInsertSlot(const std::shared_ptr<InsertOp>& op,
-                                        std::size_t slot) {
-  op->slots[slot].resolved = true;
-  op->slots[slot].timeout.Cancel();
-  --op->outstanding;
-  CompleteInsertIfDone(op);
-}
-
-void ProtocolNetwork::CompleteInsertIfDone(
-    const std::shared_ptr<InsertOp>& op) {
-  if (op->outstanding != 0) return;
-  inserts_.erase(op->request_id);
-  if (op->reported) return;  // quorum mode already fired done early
-  UpdateResult result;
-  result.latency_ms = (sim_.Now() - op->started).millis();
-  result.replicas = op->replicas;
-  result.version = op->version;
-  if (op->quorum_target > 1) {
-    // Every slot resolved without W applied acks: the write failed its
-    // quorum. Replicas that did apply keep the newer entry (no rollback —
-    // read-repair and anti-entropy converge the rest), but the stamp is
-    // not committed and the caller is told, never a silent partial write.
-    op->reported = true;
-    if (op->applied >= op->quorum_target) {
-      CommitStamp(op->guid, op->stamp);
-      if (cins_.registered) {
-        metrics_->Observe(cins_.write_quorum_latency_ms, result.latency_ms,
-                          metrics_shard_);
-      }
-    } else {
+void ProtocolNetwork::AdvanceWrite(const std::shared_ptr<WriteOp>& op) {
+  if (op->flow.resolved()) writes_.erase(op->request_id);
+  const WriteFlow::Verdict verdict = op->flow.TakeVerdict();
+  if (verdict == WriteFlow::Verdict::kPending) return;
+  const double latency_ms = (sim_.Now() - op->started).millis();
+  if (verdict == WriteFlow::Verdict::kCommitted) {
+    // Only client inserts have W > 1, which makes QuorumActive() true.
+    LogicalStamp& committed = committed_[op->guid];
+    if (committed < op->stamp) committed = op->stamp;
+    if (cins_.registered) {
+      metrics_->Observe(cins_.write_quorum_latency_ms, latency_ms,
+                        metrics_shard_);
+    }
+  } else if (verdict == WriteFlow::Verdict::kQuorumFailed) {
+    // Replicas that did apply keep the newer entry (no rollback —
+    // read-repair and anti-entropy converge the rest), but the stamp is not
+    // committed and the caller is told, never a silent partial write.
+    ++quorum_failures_;
+    if (cins_.registered) {
+      metrics_->Add(cins_.quorum_failures, 1, metrics_shard_);
+    }
+  }
+  if (op->batch != nullptr) {
+    op->batch->latency_ms = latency_ms;
+    op->batch_done(*op->batch);
+  } else if (op->done) {
+    UpdateResult result;
+    result.latency_ms = latency_ms;
+    result.replicas = op->replicas;
+    result.version = op->version;
+    if (verdict == WriteFlow::Verdict::kQuorumFailed) {
       result.status = ResolverStatus::kQuorumFailed;
-      ++quorum_failures_;
-      if (cins_.registered) {
-        metrics_->Add(cins_.quorum_failures, 1, metrics_shard_);
-      }
     }
+    op->done(result);
   }
-  op->done(result);
 }
 
-void ProtocolNetwork::MaybeReportInsertQuorum(
-    const std::shared_ptr<InsertOp>& op) {
-  if (op->quorum_target <= 1 || op->reported) return;
-  if (op->applied < op->quorum_target) return;
-  // The W-th applied ack: the write is durable across any single
-  // quorum-intersecting read. Fire the caller's callback now; the op
-  // stays registered until every slot resolves so stragglers keep their
-  // late-reply accounting.
-  op->reported = true;
-  UpdateResult result;
-  result.latency_ms = (sim_.Now() - op->started).millis();
-  result.replicas = op->replicas;
-  result.version = op->version;
-  CommitStamp(op->guid, op->stamp);
-  if (cins_.registered) {
-    metrics_->Observe(cins_.write_quorum_latency_ms, result.latency_ms,
-                      metrics_shard_);
+bool ProtocolNetwork::HandleWriteAck(const MessageHeader& header,
+                                     std::uint64_t applied) {
+  const auto it = writes_.find(header.request_id);
+  if (it == writes_.end()) return false;
+  const std::shared_ptr<WriteOp> op = it->second;
+  const std::size_t slot = op->flow.Ack(header.src, applied != 0);
+  if (slot == WriteFlow::kNone) {
+    // A duplicate, or the slot already timed out; a late applied ack may
+    // still complete the quorum.
+    AdvanceWrite(op);
+    Bump(late_replies_, ins_.late_replies);
+    return true;
   }
-  op->done(result);
-}
-
-void ProtocolNetwork::CommitStamp(const Guid& guid,
-                                  const LogicalStamp& stamp) {
-  if (!QuorumActive()) return;
-  LogicalStamp& committed = committed_[guid];
-  if (committed < stamp) committed = stamp;
-}
-
-bool ProtocolNetwork::HandleInsertAck(const InsertAck& ack) {
-  const auto it = inserts_.find(ack.header.request_id);
-  if (it == inserts_.end()) return false;
-  const std::shared_ptr<InsertOp> op = it->second;
-  for (std::size_t slot = 0; slot < op->slots.size(); ++slot) {
-    if (op->slots[slot].host == ack.header.src &&
-        !op->slots[slot].resolved) {
-      if (ack.applied) {
-        op->slots[slot].ack_counted = true;
-        ++op->applied;
-        MaybeReportInsertQuorum(op);
-      }
-      ResolveInsertSlot(op, slot);
-      return true;
-    }
-  }
-  // Duplicate ack, or the slot already timed out. A late applied ack
-  // still proves the replica holds the write, so it counts toward the
-  // quorum while the op is alive — but at most once per slot, so an
-  // injected duplicate cannot inflate W.
-  if (ack.applied && op->quorum_target > 1) {
-    for (std::size_t slot = 0; slot < op->slots.size(); ++slot) {
-      if (op->slots[slot].host == ack.header.src &&
-          !op->slots[slot].ack_counted) {
-        op->slots[slot].ack_counted = true;
-        ++op->applied;
-        MaybeReportInsertQuorum(op);
-        break;
-      }
-    }
-  }
-  Bump(late_replies_, ins_.late_replies);
+  op->timeouts[slot].Cancel();
+  if (op->batch != nullptr) op->batch->entries_applied += applied;
+  AdvanceWrite(op);
   return true;
 }
 
@@ -572,11 +475,10 @@ void ProtocolNetwork::BatchUpdateAsync(
     }
   }
 
-  auto op = std::make_shared<BatchOp>();
-  op->request_id = NextClientRequestId();
-  op->started = sim_.Now();
-  op->guids = int(moves.size());
-  op->done = std::move(done);
+  auto op = NewWriteOp();
+  op->batch = std::make_unique<BatchUpdateResult>();
+  op->batch->guids = int(moves.size());
+  op->batch_done = std::move(done);
 
   // Group each GUID's K replica writes by destination AS: one
   // BatchUpdateRequest per distinct AS carries every entry hashed there,
@@ -586,99 +488,26 @@ void ProtocolNetwork::BatchUpdateAsync(
   std::vector<AsId> order;
   std::unordered_map<AsId, std::vector<BatchUpdateEntry>> grouped;
   for (const auto& [guid, na] : moves) {
-    MappingEntry entry;
-    entry.nas = NaSet(na);
-    entry.version = ++versions_[guid];
-    entry.writer = na.as;
+    const MappingEntry entry = ClientWrite(guid, na).first;
     for (int replica = 0; replica < options_.k; ++replica) {
       const HostResolution r = resolver_.Resolve(guid, replica);
       const auto [it, fresh] = grouped.try_emplace(r.host);
       if (fresh) order.push_back(r.host);
       it->second.push_back(BatchUpdateEntry{guid, entry, r.stored_address});
-      ++op->unbatched_messages;
-      ++op->entries;
-    }
-    // The local replica is the gateway's own store: a direct write, no
-    // message — identical to InsertAsync.
-    if (options_.local_replica) {
-      nodes_[na.as]->store().Upsert(guid, entry);
-    }
-    // Anti-entropy registry: first insertion order, latest attachment AS.
-    if (ae_owner_.emplace(guid, na.as).second) {
-      ae_guids_.push_back(guid);
-    } else {
-      ae_owner_[guid] = na.as;
+      ++op->batch->unbatched_messages;
+      ++op->batch->entries;
     }
   }
 
-  // One message per destination; a per-slot timeout stands in for a lost
-  // response so the batch always completes — the same adaptive bound the
-  // insert slots use.
-  op->messages = order.size();
-  op->outstanding = order.size();
-  op->slots.reserve(order.size());
-  batches_[op->request_id] = op;
+  // One message per destination, each on a write slot like an insert's.
+  op->batch->messages = order.size();
+  std::vector<Message> requests;
+  requests.reserve(order.size());
   for (const AsId dst : order) {
-    BatchUpdateRequest request;
-    request.header = MessageHeader{op->request_id, src_as, dst};
-    request.entries = std::move(grouped[dst]);
-    const std::size_t slot = op->slots.size();
-    BatchOp::Slot s;
-    s.host = dst;
-    op->slots.push_back(std::move(s));
-    const double rtt = 2.0 * oracle_.OneWayMs(src_as, dst);
-    const double timeout_ms = AdaptiveTimeoutMs(
-        options_.failure_timeout_ms, 0, options_.retry_backoff, rtt);
-    op->slots[slot].timeout =
-        sim_.Schedule(SimTime::Millis(timeout_ms), [this, op, slot] {
-          if (op->slots[slot].resolved) return;
-          ResolveBatchSlot(op, slot);
-        });
-    Send(request);
+    requests.push_back(BatchUpdateRequest{
+        MessageHeader{op->request_id, src_as, dst}, std::move(grouped[dst])});
   }
-  CompleteBatchIfDone(op);
-}
-
-void ProtocolNetwork::ResolveBatchSlot(const std::shared_ptr<BatchOp>& op,
-                                       std::size_t slot) {
-  op->slots[slot].resolved = true;
-  op->slots[slot].timeout.Cancel();
-  --op->outstanding;
-  CompleteBatchIfDone(op);
-}
-
-void ProtocolNetwork::CompleteBatchIfDone(
-    const std::shared_ptr<BatchOp>& op) {
-  if (op->outstanding != 0) return;
-  batches_.erase(op->request_id);
-  BatchUpdateResult result;
-  result.latency_ms = (sim_.Now() - op->started).millis();
-  result.guids = op->guids;
-  result.messages = op->messages;
-  result.unbatched_messages = op->unbatched_messages;
-  result.entries = op->entries;
-  result.entries_applied = op->entries_applied;
-  op->done(result);
-}
-
-bool ProtocolNetwork::HandleBatchUpdateResponse(
-    const BatchUpdateResponse& response) {
-  const auto it = batches_.find(response.header.request_id);
-  if (it == batches_.end()) return false;
-  const std::shared_ptr<BatchOp> op = it->second;
-  for (std::size_t slot = 0; slot < op->slots.size(); ++slot) {
-    if (op->slots[slot].host == response.header.src &&
-        !op->slots[slot].resolved) {
-      for (const std::uint8_t applied : response.applied) {
-        if (applied != 0) ++op->entries_applied;
-      }
-      ResolveBatchSlot(op, slot);
-      return true;
-    }
-  }
-  // Duplicate response, or the slot already timed out.
-  Bump(late_replies_, ins_.late_replies);
-  return true;
+  StartWrite(op, std::move(requests));
 }
 
 void ProtocolNetwork::LookupAsync(
@@ -714,21 +543,17 @@ void ProtocolNetwork::LookupAsync(
   // Local-replica race (Section III-C). A read quorum skips it, so the R
   // responses come from R distinct replicas and the W+R intersection
   // argument holds.
-  if (streams == 1 && options_.local_replica &&
-      !failures_.IsFailedAt(querier, sim_.Now())) {
-    if (const MappingEntry* entry =
-            nodes_[querier]->store().Lookup(guid)) {
-      const MappingEntry local = *entry;
+  if (streams == 1) {
+    if (const std::optional<LocalReply> local = LocalReply::Race(
+            options_, *graph_, querier,
+            !failures_.IsFailedAt(querier, sim_.Now()),
+            [&] { return nodes_[querier]->store().Lookup(guid); })) {
       op->local_reply = sim_.Schedule(
-          SimTime::Millis(2.0 * graph_->IntraLatencyMs(querier)),
-          [this, op, local] {
+          SimTime::Millis(local->latency_ms), [this, op, local = *local] {
             if (op->flow.completed()) return;
             LookupResult result;
-            result.found = true;
-            result.nas = local.nas;
-            result.serving_as = op->querier;
-            result.served_locally = true;
-            CompleteLookup(op, result, &local);
+            local.Serve(result);
+            CompleteLookup(op, result, &local.entry);
           });
     }
   }
@@ -744,74 +569,71 @@ void ProtocolNetwork::WithdrawPrefixAsync(
   if (owner >= graph_->num_nodes()) {
     throw std::invalid_argument("WithdrawPrefixAsync: unknown owner AS");
   }
-  // 1. Collect the mappings this withdrawal orphans (placed under the
-  //    prefix at this AS).
+  // 1. Collect the mappings this withdrawal orphans, with their
+  //    pre-withdrawal chains: every entry the owner holds under the prefix,
+  //    and every one whose chain Algorithm 1 placed at the owner inside
+  //    the prefix. The owner derives both from its own BGP view alone. The
+  //    second scan is needed because a store keeps one entry per GUID,
+  //    under the address its last write named, which may lie in another
+  //    of the owner's prefixes.
   struct Affected {
     Guid guid;
     MappingEntry entry;
+    std::vector<HostResolution> before;
   };
   std::vector<Affected> affected;
-  nodes_[owner]->store().ForEachStoredIn(
-      prefix, [&affected](const Guid& guid, const MappingEntry& entry) {
-        affected.push_back(Affected{guid, entry});
+  std::unordered_set<Guid, GuidHash> listed;
+  const MappingStore& store = nodes_[owner]->store();
+  store.ForEachStoredIn(
+      prefix, [&](const Guid& guid, const MappingEntry& entry) {
+        listed.insert(guid);
+        affected.push_back(Affected{guid, entry, resolver_.ResolveAll(guid)});
       });
-
-  // 2. Snapshot the pre-withdrawal resolutions of the affected GUIDs: the
-  //    owner can derive, from its own BGP view alone, which replica chains
-  //    will move when its prefix disappears.
-  std::vector<std::vector<AsId>> before(affected.size());
-  for (std::size_t i = 0; i < affected.size(); ++i) {
-    for (int replica = 0; replica < options_.k; ++replica) {
-      before[i].push_back(resolver_.Resolve(affected[i].guid, replica).host);
+  store.ForEach([&](const Guid& guid, const MappingEntry& entry) {
+    if (listed.contains(guid)) return;
+    std::vector<HostResolution> chain = resolver_.ResolveAll(guid);
+    if (std::any_of(chain.begin(), chain.end(), [&](const HostResolution& r) {
+          return r.host == owner && prefix.Contains(r.stored_address);
+        })) {
+      affected.push_back(Affected{guid, entry, std::move(chain)});
     }
-  }
+  });
 
-  // 3. Withdraw: from here on, every gateway's rehash chain skips the
+  // 2. Withdraw: from here on, every gateway's rehash chain skips the
   //    prefix, so the post-withdrawal resolutions are exactly where queries
   //    will look next.
   if (!table.Withdraw(prefix)) {
     throw std::invalid_argument("WithdrawPrefixAsync: prefix not announced");
   }
 
-  if (affected.empty()) {
-    done(0);
-    return;
-  }
-
-  // 4. Hand each mapping to the deputies its chains moved to, and drop the
-  //    local copy. One InsertOp tracks all the handoffs; each deputy write
-  //    gets a slot whose timeout stands in for a lost ack, so the handoff
-  //    always completes.
-  auto op = std::make_shared<InsertOp>();
-  op->request_id = NextClientRequestId();
-  op->started = sim_.Now();
+  // 3. Hand each mapping to the deputies its chains moved to, and drop the
+  //    owner's copy — unless a new chain lands back on the owner through
+  //    another of its prefixes: that copy is rewritten in place under its
+  //    new stored address, no message. One write op tracks the handoffs;
+  //    each deputy write gets a slot whose timeout stands in for a lost
+  //    ack, so the handoff always completes (at once when nothing is
+  //    sent).
+  auto op = NewWriteOp();
   const int migrated = int(affected.size());
   op->done = [done = std::move(done), migrated](const UpdateResult&) {
     done(migrated);
   };
-
-  std::vector<InsertRequest> to_send;
-  for (std::size_t i = 0; i < affected.size(); ++i) {
-    const Affected& a = affected[i];
+  std::vector<Message> handoffs;
+  for (const Affected& a : affected) {
     nodes_[owner]->store().Erase(a.guid);
     for (int replica = 0; replica < options_.k; ++replica) {
       const HostResolution r = resolver_.Resolve(a.guid, replica);
-      if (r.host == before[i][std::size_t(replica)]) continue;  // unmoved
-      if (r.host == owner) continue;  // self writes need no message
-      InsertRequest request;
-      request.header = MessageHeader{op->request_id, owner, r.host};
-      request.guid = a.guid;
-      request.entry = a.entry;
-      request.stored_address = r.stored_address;
-      to_send.push_back(request);
+      if (r.host == owner) {
+        nodes_[owner]->store().Upsert(a.guid, a.entry, r.stored_address);
+        continue;
+      }
+      if (r.host == a.before[std::size_t(replica)].host) continue;  // unmoved
+      handoffs.push_back(
+          InsertRequest{MessageHeader{op->request_id, owner, r.host}, a.guid,
+                        a.entry, r.stored_address});
     }
   }
-
-  if (to_send.empty()) {
-    done(migrated);
-    return;
-  }
-  StartInsertSlots(op, std::move(to_send));
+  StartWrite(op, std::move(handoffs));
 }
 
 void ProtocolNetwork::SendProbe(const std::shared_ptr<LookupOp>& op,
@@ -911,8 +733,9 @@ void ProtocolNetwork::CompleteWithAnswers(
   if (winner != nullptr && read_quorum_effective_ > 1) {
     for (const auto& [index, entry] : op->answers) {
       if (entry.stamp() < winner->stamp()) {
-        SendRepairInsert(op->guid, op->querier, op->plan[index].host,
-                         *winner, op->plan[index].stored_address);
+        const WriteTarget target{op->plan[index].host,
+                                 op->plan[index].stored_address};
+        SendRepairs(op->guid, op->querier, *winner, {&target, 1});
         ++read_repairs_;
         if (cins_.registered) {
           metrics_->Add(cins_.read_repairs, 1, metrics_shard_);
@@ -928,21 +751,18 @@ void ProtocolNetwork::CompleteWithAnswers(
   CompleteLookup(op, result, winner);
 }
 
-void ProtocolNetwork::SendRepairInsert(const Guid& guid, AsId src, AsId dst,
-                                       const MappingEntry& entry,
-                                       Ipv4Address stored_address) {
-  auto repair = std::make_shared<InsertOp>();
-  repair->request_id = NextClientRequestId();
-  repair->started = sim_.Now();
-  repair->version = entry.version;
-  repair->done = [](const UpdateResult&) {};
-  repair->replicas.push_back(dst);
-  InsertRequest request;
-  request.header = MessageHeader{repair->request_id, src, dst};
-  request.guid = guid;
-  request.entry = entry;
-  request.stored_address = stored_address;
-  StartInsertSlots(repair, {request});
+void ProtocolNetwork::SendRepairs(const Guid& guid, AsId src,
+                                  const MappingEntry& entry,
+                                  std::span<const WriteTarget> targets) {
+  auto op = NewWriteOp();
+  std::vector<Message> requests;
+  requests.reserve(targets.size());
+  for (const WriteTarget& target : targets) {
+    requests.push_back(
+        InsertRequest{MessageHeader{op->request_id, src, target.host}, guid,
+                      entry, target.stored_address});
+  }
+  StartWrite(op, std::move(requests));
 }
 
 // ---------------------------------------------------------------------------
@@ -962,8 +782,7 @@ int ProtocolNetwork::RunAntiEntropyRound(int budget) {
     // pushes are real InsertRequests — encoded, counted, and subject to
     // the fault plan like any other message.
     struct ReplicaState {
-      AsId host = kInvalidAs;
-      Ipv4Address stored_address;
+      WriteTarget target;
       const MappingEntry* entry = nullptr;
     };
     std::vector<ReplicaState> states;
@@ -973,13 +792,12 @@ int ProtocolNetwork::RunAntiEntropyRound(int budget) {
     for (int replica = 0; replica < options_.k; ++replica) {
       const HostResolution resolution = resolver_.Resolve(guid, replica);
       ReplicaState state;
-      state.host = resolution.host;
-      state.stored_address = resolution.stored_address;
+      state.target = {resolution.host, resolution.stored_address};
       state.entry = nodes_[resolution.host]->store().Lookup(guid);
       if (state.entry != nullptr &&
           (freshest == nullptr || freshest->stamp() < state.entry->stamp())) {
         freshest = state.entry;
-        freshest_host = state.host;
+        freshest_host = resolution.host;
       }
       states.push_back(state);
     }
@@ -1000,12 +818,11 @@ int ProtocolNetwork::RunAntiEntropyRound(int budget) {
     if (freshest == nullptr) continue;  // nobody has it; nothing to sync
     const MappingEntry push = *freshest;  // stores may mutate during sends
     for (const ReplicaState& state : states) {
-      if (state.host == freshest_host) continue;
+      if (state.target.host == freshest_host) continue;
       if (state.entry != nullptr && !(state.entry->stamp() < push.stamp())) {
         continue;  // already current
       }
-      SendRepairInsert(guid, freshest_host, state.host, push,
-                       state.stored_address);
+      SendRepairs(guid, freshest_host, push, {&state.target, 1});
       ++repairs;
       ++anti_entropy_repairs_;
       if (cins_.registered) {

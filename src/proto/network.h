@@ -3,9 +3,10 @@
 // (exercising the real serialisation path and feeding the traffic
 // accounting), delivered after the underlay one-way latency, decoded, and
 // handed to the destination node or client agent. Client operations
-// (insert, lookup) implement the querier-side logic: parallel replica
-// writes, and lookups driving the sans-IO core (core/lookup_flow.h) with
-// wire messages, request ids and adaptive timeouts.
+// implement the querier-side logic on the two sans-IO cores: every write
+// (insert, batched handoff, repair, anti-entropy push, withdrawal handoff)
+// drives core/write_flow.h, every lookup core/lookup_flow.h, with wire
+// messages, request ids and adaptive timeouts.
 //
 // Failures are consulted at *delivery* time against a shared FailureView
 // (fault/failure_view.h): a message in flight when its destination goes
@@ -25,7 +26,9 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/thread_annotations.h"
@@ -99,11 +102,10 @@ class ProtocolNetwork {
   void SetTracer(ProbeTracer* tracer, unsigned shard = 0);
 
   // Registers/refreshes `guid` from the AS in `na`: K parallel replica
-  // writes plus the local copy. Completion follows the write-quorum
-  // discipline (see ProtocolOptions::write_quorum): the legacy
-  // mode completes when the slowest ack (or, for an unreachable replica,
-  // its stand-in timeout) returns; quorum mode completes at the W-th
-  // applied ack and reports kQuorumFailed when W is unreachable.
+  // writes plus the local copy. Completion follows WriteFlow's rule
+  // (core/write_flow.h): with W <= 1 when the slowest ack (or, for an
+  // unreachable replica, its stand-in timeout) returns; with W > 1 at the
+  // W-th applied ack, or kQuorumFailed when W is unreachable.
   void InsertAsync(const Guid& guid, NetworkAddress na,
                    std::function<void(const UpdateResult&)> done);
 
@@ -113,7 +115,7 @@ class ProtocolNetwork {
   // |distinct replica ASes| messages instead of K*N singleton inserts.
   // Replicas apply the entries atomically under the same stamp gate as
   // singleton writes, so store contents are bit-identical to issuing the
-  // updates one by one. Completion follows the legacy discipline: the
+  // updates one by one. Each message runs on a write slot with W = 1: the
   // slowest response (or its stand-in timeout) finishes the batch. A batch
   // wave does not advance the committed_ quorum frontier — the quorum
   // discipline is per-GUID and a batch response acks an AS, not a quorum.
@@ -139,11 +141,13 @@ class ProtocolNetwork {
                    std::function<void(const LookupResult&)> done);
 
   // The Section III-D-1 withdrawal protocol, end to end: before `owner`
-  // withdraws `prefix`, it hands every mapping stored under that prefix to
-  // the mapping's deputy (its resolution once the prefix is gone), then the
+  // withdraws `prefix`, it hands every mapping it holds under that prefix,
+  // or for a replica placed inside it, to the mapping's deputies (its
+  // resolutions once the prefix is gone), then the
   // withdrawal is applied to `table` — which must be the same object this
-  // network resolves against. `done(migrated)` fires when the last deputy
-  // ack returns (0 migrations completes immediately). Throws
+  // network resolves against. A new chain that lands back on the owner
+  // keeps its copy there, rewritten in place. `done(migrated)` fires when
+  // the last deputy ack returns (at once when no message is needed). Throws
   // std::invalid_argument, before withdrawing anything, for an unknown
   // owner AS or an unannounced prefix.
   void WithdrawPrefixAsync(const Cidr& prefix, AsId owner,
@@ -181,8 +185,13 @@ class ProtocolNetwork {
 
  private:
   struct LookupOp;
-  struct InsertOp;
-  struct BatchOp;
+  struct WriteOp;
+  // Where a write goes: the replica host and the address Algorithm 1
+  // hashed it to there.
+  struct WriteTarget {
+    AsId host = kInvalidAs;
+    Ipv4Address stored_address;
+  };
   // Routes an in-flight reply back to its lookup: the op plus which probe
   // (plan index) the request id belongs to.
   struct PendingProbe {
@@ -228,35 +237,30 @@ class ProtocolNetwork {
   // is set), and invokes the callback.
   void CompleteLookup(const std::shared_ptr<LookupOp>& op,
                       LookupResult result, const MappingEntry* found_entry);
-  void RepairEmptyReplicas(const LookupOp& op, const MappingEntry& entry);
 
-  // Insert client machine: one slot per replica write; an ack resolves its
-  // slot, a timeout stands in when no ack will come. Both paths funnel into
-  // CompleteInsertIfDone.
-  void StartInsertSlots(const std::shared_ptr<InsertOp>& op,
-                        std::vector<InsertRequest> requests);
-  void ResolveInsertSlot(const std::shared_ptr<InsertOp>& op,
-                         std::size_t slot);
-  void CompleteInsertIfDone(const std::shared_ptr<InsertOp>& op);
-  // Fires the done callback early when the W-th applied ack lands (quorum
-  // mode only); the op stays registered until every slot resolves so late
-  // acks keep their accounting.
-  void MaybeReportInsertQuorum(const std::shared_ptr<InsertOp>& op);
-  // True if the ack was consumed by a client insert op.
-  bool HandleInsertAck(const InsertAck& ack);
-  // Batch-update client machine: one slot per destination AS; a response
-  // resolves its slot, a timeout stands in when no response will come.
-  void ResolveBatchSlot(const std::shared_ptr<BatchOp>& op, std::size_t slot);
-  void CompleteBatchIfDone(const std::shared_ptr<BatchOp>& op);
-  // True if the response was consumed by a client batch op.
-  bool HandleBatchUpdateResponse(const BatchUpdateResponse& response);
-  // Advances the per-GUID committed-stamp frontier (quorum-active runs
-  // only); lookups returning an older stamp count as stale reads.
-  void CommitStamp(const Guid& guid, const LogicalStamp& stamp);
-  // Fire-and-forget single-replica repair write carrying `entry`.
-  void SendRepairInsert(const Guid& guid, AsId src, AsId dst,
-                        const MappingEntry& entry,
-                        Ipv4Address stored_address);
+  // Write client machine, on the sans-IO core (core/write_flow.h): client
+  // inserts, batched handoffs, lookup repairs, anti-entropy pushes and
+  // withdrawal handoffs all run here. StartWrite opens one slot per
+  // request, arms its stand-in timeout and sends it; an ack or the timeout
+  // resolves the slot, and AdvanceWrite reports the op's verdict (at most
+  // once) and unregisters the op once every slot has resolved, so late
+  // acks keep their accounting until then.
+  std::shared_ptr<WriteOp> NewWriteOp();
+  void StartWrite(const std::shared_ptr<WriteOp>& op,
+                  std::vector<Message> requests);
+  void AdvanceWrite(const std::shared_ptr<WriteOp>& op);
+  // True if the ack (an InsertAck, or a BatchUpdateResponse with `applied`
+  // entries applied) was consumed by a client write op.
+  bool HandleWriteAck(const MessageHeader& header, std::uint64_t applied);
+  // Fire-and-forget repair writes of `entry` from `src`, one per target,
+  // tracked by one op.
+  void SendRepairs(const Guid& guid, AsId src, const MappingEntry& entry,
+                   std::span<const WriteTarget> targets);
+  // Stamps the next entry of `guid` written from `na`, writes the local
+  // replica in place (Section III-C; true when it applied: the write's
+  // instant ack) and notes the GUID for anti-entropy.
+  std::pair<MappingEntry, bool> ClientWrite(const Guid& guid,
+                                            NetworkAddress na);
 
   void Bump(std::uint64_t& plain, CounterId id, std::uint64_t delta = 1);
 
@@ -294,8 +298,7 @@ class ProtocolNetwork {
   // registered until the op completes, so late replies resolve the lookup
   // instead of leaking to the node layer.
   std::unordered_map<std::uint64_t, PendingProbe> lookups_;
-  std::unordered_map<std::uint64_t, std::shared_ptr<InsertOp>> inserts_;
-  std::unordered_map<std::uint64_t, std::shared_ptr<BatchOp>> batches_;
+  std::unordered_map<std::uint64_t, std::shared_ptr<WriteOp>> writes_;
   std::uint64_t next_client_request_ = 1;
 
   std::uint64_t messages_sent_ = 0;

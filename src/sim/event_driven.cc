@@ -48,27 +48,19 @@ void EventDrivenLookup::LookupAsync(const Guid& guid, AsId querier,
     flow->core = LookupFlow(flow->plan.size(), /*streams=*/1,
                             service_->options().probe_retries);
 
-    // Local resolution races the global one (Section III-C): a hit in the
-    // querier's own store replies after one intra-AS round trip. The local
-    // replica is the querier's own process — it does not pass the serving
-    // tier, which models the shared mapping-server fleet.
-    if (service_->options().local_replica &&
-        !service_->IsFailedAt(flow->querier, sim_->Now())) {
-      if (const MappingEntry* entry =
-              service_->StoreLookup(flow->querier, flow->guid)) {
-        const MappingEntry local = *entry;
-        const double local_rtt =
-            2.0 * service_->oracle().graph().IntraLatencyMs(flow->querier);
-        flow->local_reply = sim_->Schedule(
-            SimTime::Millis(local_rtt), [this, flow, local] {
-              LookupResult result;
-              result.found = true;
-              result.nas = local.nas;
-              result.serving_as = flow->querier;
-              result.served_locally = true;
-              flow->Complete(*sim_, result);
-            });
-      }
+    // Local resolution races the global one. The local replica is the
+    // querier's own process — it does not pass the serving tier, which
+    // models the shared mapping-server fleet.
+    if (const std::optional<LocalReply> local = LocalReply::Race(
+            service_->options(), service_->oracle().graph(), flow->querier,
+            !service_->IsFailedAt(flow->querier, sim_->Now()),
+            [&] { return service_->StoreLookup(flow->querier, flow->guid); })) {
+      flow->local_reply = sim_->Schedule(
+          SimTime::Millis(local->latency_ms), [this, flow, local = *local] {
+            LookupResult result;
+            local.Serve(result);
+            flow->Complete(*sim_, result);
+          });
     }
 
     SendProbe(flow);

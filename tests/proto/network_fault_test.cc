@@ -465,6 +465,138 @@ TEST_P(RetryCostSweepTest, RetryCostAgreesAcrossAllThreePaths) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RetryCostSweepTest, testing::Range(0, 64));
 
+// Writes over generated scenarios: each seed draws K, W from {0, 1, 2,
+// K+1}, the local replica, a GUID, its attachment AS and a failed proper
+// subset of the distinct replica hosts. The closed-form Insert and the wire
+// InsertAsync (no fault injector) must agree on status, replicas and
+// latency, the latter to 1e-4 ms because the wire sums a write's two
+// one-way legs separately. The one place the model lets them differ is the
+// paper's W <= 1 write: the closed form completes at the slowest replica
+// RTT, dead or alive, while the wire waits out a dead replica's stand-in
+// timeout; there the wire must report the slowest of its live RTTs and
+// dead stand-ins. A second leg moves a few registered GUIDs to one AS
+// through BatchUpdate and BatchUpdateAsync (no failures): message and
+// entry counts and the stored replicas must match.
+class WriteAgreementSweepTest : public NetworkFaultTest,
+                                public testing::WithParamInterface<int> {};
+
+TEST_P(WriteAgreementSweepTest, ClosedFormAndWireAgree) {
+  Rng rng(0x3417e000ULL + std::uint64_t(GetParam()));
+  const AsId num_ases = env_.graph.num_nodes();
+  const int k = int(rng.NextInRange(1, 5));
+  const int quorums[] = {0, 1, 2, k + 1};
+  const int w = quorums[rng.NextBounded(4)];
+  const bool local = rng.NextBernoulli(0.5);
+  const Guid g = Guid::FromSequence(rng.NextBounded(1'000'000));
+  const NetworkAddress na{AsId(rng.NextBounded(num_ases)), 1};
+
+  DMapOptions service_options;
+  service_options.k = k;
+  service_options.local_replica = local;
+  service_options.write_quorum = w;
+  ProtocolNetworkOptions net_options;
+  net_options.k = k;
+  net_options.local_replica = local;
+  net_options.write_quorum = w;
+
+  // Failed set: a random proper subset of the distinct replica hosts.
+  std::vector<AsId> hosts;
+  {
+    DMapService reference(env_.graph, env_.table, service_options);
+    hosts = reference.Insert(g, na).replicas;
+  }
+  std::sort(hosts.begin(), hosts.end());
+  hosts.erase(std::unique(hosts.begin(), hosts.end()), hosts.end());
+  for (std::size_t i = hosts.size(); i > 1; --i) {
+    std::swap(hosts[i - 1], hosts[rng.NextBounded(i)]);
+  }
+  const std::vector<AsId> failed(
+      hosts.begin(), hosts.begin() + std::ptrdiff_t(rng.NextBounded(
+                                         hosts.size())));
+  const auto is_failed = [&](AsId as) {
+    return std::find(failed.begin(), failed.end(), as) != failed.end();
+  };
+  FailureView view;
+  for (const AsId as : failed) view.Fail(as);
+  SCOPED_TRACE(testing::Message() << "k=" << k << " w=" << w << " local="
+                                  << local << " failed=" << failed.size());
+
+  DMapService service(env_.graph, env_.table, service_options);
+  service.SetFailureView(view);
+  const UpdateResult expected = service.Insert(g, na);
+
+  ProtocolNetwork net(env_.graph, env_.table, net_options);
+  net.SetFailureView(view);
+  std::optional<UpdateResult> got;
+  net.InsertAsync(g, na, [&](const UpdateResult& r) { got = r; });
+  net.simulator().Run();
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->status, expected.status);
+  EXPECT_EQ(got->replicas, expected.replicas);
+  EXPECT_EQ(got->version, expected.version);
+  if (ResolveQuorum(w, k + (local ? 1 : 0)) > 1 || failed.empty()) {
+    EXPECT_NEAR(got->latency_ms, expected.latency_ms, 1e-4);
+  } else {
+    double slowest = 0.0;
+    for (const AsId host : expected.replicas) {
+      const double rtt = net.oracle().RttMs(na.as, host);
+      slowest = std::max(
+          slowest, is_failed(host)
+                       ? AdaptiveTimeoutMs(net_options.failure_timeout_ms, 0,
+                                           net_options.retry_backoff, rtt)
+                       : rtt);
+    }
+    EXPECT_NEAR(got->latency_ms, slowest, 1e-4);
+    EXPECT_GE(got->latency_ms + 1e-4, expected.latency_ms);
+  }
+
+  // Batch leg: a host carrying a few registered GUIDs moves to one AS.
+  DMapService batch_service(env_.graph, env_.table, service_options);
+  ProtocolNetwork batch_net(env_.graph, env_.table, net_options);
+  const std::uint64_t first = 2'000'000 + rng.NextBounded(1'000'000);
+  const int guids = int(rng.NextInRange(1, 6));
+  const AsId to = AsId(rng.NextBounded(num_ases));
+  std::vector<std::pair<Guid, NetworkAddress>> moves;
+  std::vector<AsId> from;
+  for (int i = 0; i < guids; ++i) {
+    const Guid guid = Guid::FromSequence(first + std::uint64_t(i));
+    const NetworkAddress at{AsId(rng.NextBounded(num_ases)), 1};
+    (void)batch_service.Insert(guid, at);
+    batch_net.InsertAsync(guid, at, [](const UpdateResult&) {});
+    batch_net.simulator().Run();
+    moves.emplace_back(guid, NetworkAddress{to, 2});
+    from.push_back(at.as);
+  }
+  const BatchUpdateResult want = batch_service.BatchUpdate(moves);
+  std::optional<BatchUpdateResult> wave;
+  batch_net.BatchUpdateAsync(moves,
+                             [&](const BatchUpdateResult& r) { wave = r; });
+  batch_net.simulator().Run();
+  ASSERT_TRUE(wave.has_value());
+  EXPECT_EQ(wave->guids, want.guids);
+  EXPECT_EQ(wave->messages, want.messages);
+  EXPECT_EQ(wave->unbatched_messages, want.unbatched_messages);
+  EXPECT_EQ(wave->entries, want.entries);
+  EXPECT_EQ(wave->entries_applied, wave->entries);
+  for (std::size_t i = 0; i < moves.size(); ++i) {
+    const Guid& guid = moves[i].first;
+    for (AsId as = 0; as < num_ases; ++as) {
+      // The closed form deletes a moved host's superseded local copy; the
+      // wire leaves it behind at the old attachment AS.
+      if (local && as == from[i] && as != to) continue;
+      const MappingEntry* a = batch_service.StoreLookup(as, guid);
+      const MappingEntry* b = batch_net.node(as).store().Lookup(guid);
+      ASSERT_EQ(a == nullptr, b == nullptr) << "guid " << i << " AS " << as;
+      if (a == nullptr) continue;
+      EXPECT_EQ(a->version, b->version);
+      EXPECT_EQ(a->writer, b->writer);
+      EXPECT_TRUE(a->nas == b->nas);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, WriteAgreementSweepTest, testing::Range(0, 64));
+
 // A replica that crashed, lost its store, and recovered answers "missing";
 // the lookup that finds the mapping elsewhere re-replicates it there, and
 // the next lookup is back to first-probe cost.

@@ -2,9 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <optional>
+#include <unordered_map>
+#include <unordered_set>
+#include <utility>
+#include <vector>
 
 #include "bgp/churn.h"
+#include "common/hash.h"
+#include "core/hole_resolver.h"
 #include "fault/fault_plan.h"
 #include "obs/probe_trace.h"
 #include "sim/environment.h"
@@ -305,6 +312,129 @@ TEST_F(ProtocolNetworkTest, WithdrawalOfUnknownPrefixThrows) {
                    Cidr(Ipv4Address::FromOctets(10, 0, 0, 0), 8), 0,
                    env_.table, [](int) {}),
                std::invalid_argument);
+}
+
+// A withdrawal whose orphans need no handoff message (the owner held a
+// stray copy under the prefix, off the GUID's chain) completes at once,
+// counting the orphan and dropping the copy, without throwing.
+TEST_F(ProtocolNetworkTest, WithdrawalWithNothingToSendStillCompletes) {
+  ProtocolNetworkOptions options = Options(3);
+  options.local_replica = false;
+  ProtocolNetwork net(env_.graph, env_.table, options);
+  const PrefixRecord record = env_.table.AllPrefixes().front();
+  const GuidHashFamily hashes(options.k, options.hash_seed);
+  const HoleResolver resolver(hashes, env_.table, options.max_hashes);
+  const auto chain_avoids_owner = [&](const Guid& guid) {
+    for (int replica = 0; replica < options.k; ++replica) {
+      if (resolver.Resolve(guid, replica).host == record.owner) return false;
+    }
+    return true;
+  };
+  std::uint64_t seq = 1;
+  while (!chain_avoids_owner(Guid::FromSequence(seq))) ++seq;
+  const Guid g = Guid::FromSequence(seq);
+
+  MappingEntry entry;
+  entry.nas = NaSet(NetworkAddress{record.owner, 1});
+  entry.version = 1;
+  entry.writer = record.owner;
+  ASSERT_TRUE(net.node(record.owner)
+                  .store()
+                  .Upsert(g, entry, record.prefix.First()));
+
+  int migrated = -1;
+  EXPECT_NO_THROW(net.WithdrawPrefixAsync(
+      record.prefix, record.owner, env_.table,
+      [&](int count) { migrated = count; }));
+  net.simulator().Run();
+  EXPECT_EQ(migrated, 1);
+  EXPECT_EQ(net.node(record.owner).store().Lookup(g), nullptr);
+}
+
+// The Section III-D no-orphan invariant of the withdrawal handoff: once a
+// prefix is withdrawn, every host of every registered GUID's chain holds
+// the entry. Owners announcing several prefixes withdraw one each, in
+// turn, so some new chains land back on their owner through another of its
+// prefixes, and some GUIDs hold two replica slots at the owner, only one
+// of them under the withdrawn prefix.
+TEST_F(ProtocolNetworkTest, WithdrawalLeavesEveryNewChainHostHoldingTheEntry) {
+  ProtocolNetworkOptions options = Options(3);
+  options.local_replica = false;
+  ProtocolNetwork net(env_.graph, env_.table, options);
+  WorkloadParams params;
+  params.num_guids = 20000;
+  params.seed = 29;
+  WorkloadGenerator workload(env_.graph, params);
+  for (const InsertOp& op : workload.Inserts()) {
+    net.InsertAsync(op.guid, op.na, [](const UpdateResult&) {});
+  }
+  net.simulator().Run();
+
+  std::unordered_map<AsId, int> prefixes_of;
+  for (const PrefixRecord& record : env_.table.AllPrefixes()) {
+    ++prefixes_of[record.owner];
+  }
+  std::vector<PrefixRecord> victims;
+  std::unordered_set<AsId> owners;
+  for (const PrefixRecord& record : env_.table.AllPrefixes()) {
+    if (victims.size() == 8) break;
+    if (prefixes_of[record.owner] < 2 || !owners.insert(record.owner).second) {
+      continue;
+    }
+    victims.push_back(record);
+  }
+  ASSERT_EQ(victims.size(), 8u);
+
+  const GuidHashFamily hashes(options.k, options.hash_seed);
+  const HoleResolver resolver(hashes, env_.table, options.max_hashes);
+  int landed_on_owner = 0;  // orphans' new replica slots at their owner
+  for (const PrefixRecord& victim : victims) {
+    // The orphans: GUIDs the owner holds under the prefix or for a replica
+    // placed inside it.
+    std::unordered_set<Guid, GuidHash> stored_in;
+    net.node(victim.owner)
+        .store()
+        .ForEachStoredIn(victim.prefix,
+                         [&](const Guid& guid, const MappingEntry&) {
+                           stored_in.insert(guid);
+                         });
+    std::vector<Guid> orphans;
+    for (std::uint64_t i = 0; i < params.num_guids; ++i) {
+      const Guid guid = workload.GuidAt(i);
+      if (net.node(victim.owner).store().Lookup(guid) == nullptr) continue;
+      bool orphaned = stored_in.contains(guid);
+      for (int replica = 0; replica < options.k; ++replica) {
+        const HostResolution r = resolver.Resolve(guid, replica);
+        orphaned |= r.host == victim.owner &&
+                    victim.prefix.Contains(r.stored_address);
+      }
+      if (orphaned) orphans.push_back(guid);
+    }
+    int migrated = -1;
+    net.WithdrawPrefixAsync(victim.prefix, victim.owner, env_.table,
+                            [&](int count) { migrated = count; });
+    net.simulator().Run();
+    EXPECT_EQ(migrated, int(orphans.size()));
+
+    for (const Guid& guid : orphans) {
+      for (int replica = 0; replica < options.k; ++replica) {
+        if (resolver.Resolve(guid, replica).host == victim.owner) {
+          ++landed_on_owner;
+        }
+      }
+    }
+    for (std::uint64_t i = 0; i < params.num_guids; ++i) {
+      const Guid guid = workload.GuidAt(i);
+      for (int replica = 0; replica < options.k; ++replica) {
+        const AsId host = resolver.Resolve(guid, replica).host;
+        ASSERT_NE(net.node(host).store().Lookup(guid), nullptr)
+            << "withdrawal by " << victim.owner << ": guid " << i
+            << " replica " << replica << " at " << host;
+      }
+    }
+  }
+  // The case the owner's in-place rewrite guards was exercised.
+  EXPECT_GT(landed_on_owner, 0);
 }
 
 TEST_F(ProtocolNetworkTest, TrafficAccountingIsConsistent) {

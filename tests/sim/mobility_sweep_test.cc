@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <stdexcept>
 
 #include "obs/export.h"
@@ -117,6 +118,32 @@ TEST_F(MobilitySweepTest, MetricsMergeIsThreadCountIndependent) {
   // The stable export is what CI byte-diffs across thread counts.
   EXPECT_EQ(MetricsSummaryJson(one_reg.Snapshot()),
             MetricsSummaryJson(four_reg.Snapshot()));
+}
+
+// The batched handoff's message saving is a count, so it is asserted here
+// rather than timed: a 12-AS gateway cluster (the regime the batch
+// targets) whose hosts carry 16 GUIDs each, every handoff sent as one
+// wave, needs at least 5x fewer wire messages than K singleton inserts per
+// GUID. Configured like perf_baseline's mobility leg at --scale 0.05.
+TEST(MobilityBatchFloorTest, BatchedHandoffsSendFiveTimesFewerMessages) {
+  SimEnvironment cluster = BuildEnvironment(EnvironmentParams::Scaled(12));
+  MobilityConfig config;
+  config.mobility.num_hosts = 20;
+  config.mobility.guids_per_host = 16;
+  config.mobility.handoff_rate_hz = 1.0;
+  config.mobility.horizon_s = 10.0;
+  config.batch_sizes = {16};
+  config.threads = 1;
+  const MobilityResult result = RunMobilitySweep(cluster, config);
+  ASSERT_EQ(result.batch_points.size(), 1u);
+  const MobilityBatchPoint& point = result.batch_points[0];
+  ASSERT_GT(point.handoffs, 0u);
+  EXPECT_EQ(point.waves, point.handoffs);
+  EXPECT_EQ(point.singleton_messages,
+            point.guid_updates * std::uint64_t(config.k));
+  EXPECT_GE(point.reduction, 5.0)
+      << point.singleton_messages << " singleton vs " << point.batch_messages
+      << " batched messages";
 }
 
 TEST_F(MobilitySweepTest, InvalidConfigThrows) {
