@@ -14,6 +14,7 @@
 #include <optional>
 #include <string>
 
+#include "common/config.h"
 #include "common/stats.h"
 #include "core/resolver_cache.h"
 #include "obs/export.h"
@@ -99,7 +100,8 @@ inline BenchOptions ParseBenchArgs(int argc, char** argv) {
       // which is a legal value (all cores) — it must be rejected instead.
       char* end = nullptr;
       const long threads = std::strtol(value, &end, 10);
-      if (end == value || *end != '\0' || threads < 0 || threads > 4096) {
+      if (end == value || *end != '\0' || threads < 0 ||
+          threads > long(SimConfig::kMaxThreads)) {
         std::fprintf(stderr, "bad --threads value: %s\n", value);
         std::exit(2);
       }
@@ -108,7 +110,8 @@ inline BenchOptions ParseBenchArgs(int argc, char** argv) {
                    BenchArgValue(arg, "--shards", argc, argv, &i)) {
       char* end = nullptr;
       const long shards = std::strtol(value, &end, 10);
-      if (end == value || *end != '\0' || shards < 0 || shards > 256) {
+      if (end == value || *end != '\0' || shards < 0 ||
+          shards > SimConfig::kMaxShards) {
         std::fprintf(stderr, "bad --shards value: %s\n", value);
         std::exit(2);
       }

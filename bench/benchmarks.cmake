@@ -29,7 +29,6 @@ target_link_libraries(chaos_sweep PRIVATE dmap_proto)
 dmap_add_bench(fig9_consistency)
 target_link_libraries(fig9_consistency PRIVATE dmap_proto)
 dmap_add_bench(fig10_mobility)
-dmap_add_bench(perf_baseline)
 
 add_executable(micro_benchmarks ${CMAKE_SOURCE_DIR}/bench/micro_benchmarks.cc)
 target_link_libraries(micro_benchmarks PRIVATE dmap_sim benchmark::benchmark)

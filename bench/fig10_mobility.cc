@@ -21,7 +21,7 @@
 // --batch-updates=<B> narrows the batch panel to one size; --cache=<...>
 // overrides the TTL panel's cache template (its ttl_ms seeds a one-point
 // sweep unless the built-in grid is used). Exports are byte-identical for
-// every --threads value (the CI mobility-smoke job diffs 1 vs 4).
+// every --threads value (tools/determinism_table.sh diffs 1 vs 4).
 #include <cstdio>
 #include <string>
 #include <vector>

@@ -15,7 +15,7 @@
 // measured goodput knee must agree with the analytic saturation on the
 // single-replica hot-skew sweep — the configuration where the hottest
 // server carries enough of the stream for its overload to dent goodput —
-// and the binary exits nonzero when it does not (the CI load-smoke job
+// and the binary exits nonzero when it does not (tools/determinism_table.sh
 // runs exactly this check).
 #include <cstdio>
 #include <vector>

@@ -1,8 +1,15 @@
-// Microbenchmarks (google-benchmark) for the performance-critical
-// primitives: the K-hash family, LPM trie operations (the per-query router
-// fast path the paper budgets ~100 instructions for), nearest-announced
-// queries, Algorithm 1 resolution, the event queue, Dijkstra SSSP, and the
-// mapping store.
+// Microbenchmarks (google-benchmark) for the primitives no dmapbench replay
+// leg times: SHA-1 and scalar SipHash, LPM trie vs DIR-24-8 lookups,
+// nearest-announced queries, announce/withdraw, the trie-walk Algorithm 1,
+// the hub-label build, thread-pool dispatch, parallel SSSP and the
+// single-AS mapping store. dmapbench's per-layer metrics (bench/perf/
+// layers.cc) time the rest: batched K-hash (hash.ns_per_call), the snapshot
+// resolve (algo1.ns_per_resolve), hub-label and Dijkstra queries
+// (oracle.point_ns, oracle.vector_ns), sharded store reads, upserts and
+// publishes (store.read_ns, store.upsert_ns, store.refresh_ms), cache hits
+// (cache.probe_ns), DMapService lookups with and without tracing
+// (dmap.lookup_ns, trace.overhead_frac), batched handoffs
+// (dmap.batch_ns_per_guid) and event dispatch (sim.dispatch_ns).
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -11,14 +18,9 @@
 #include "bgp/prefix_gen.h"
 #include "common/hash.h"
 #include "common/rng.h"
-#include "core/dmap_service.h"
 #include "core/hole_resolver.h"
 #include "core/mapping_store.h"
-#include "event/simulator.h"
-#include "obs/metrics_registry.h"
-#include "obs/probe_trace.h"
 #include "runtime/thread_pool.h"
-#include "sim/environment.h"
 #include "topo/generator.h"
 #include "topo/hub_labels.h"
 #include "topo/shortest_path.h"
@@ -113,48 +115,6 @@ void BM_HoleResolverResolve(benchmark::State& state) {
 }
 BENCHMARK(BM_HoleResolverResolve)->Arg(1)->Arg(10);
 
-void BM_EventQueueScheduleRun(benchmark::State& state) {
-  for (auto _ : state) {
-    Simulator sim;
-    for (int i = 0; i < 1000; ++i) {
-      sim.Schedule(SimTime::Millis(double((i * 7919) % 1000)), [] {});
-    }
-    benchmark::DoNotOptimize(sim.Run());
-  }
-  state.SetItemsProcessed(state.iterations() * 1000);
-}
-BENCHMARK(BM_EventQueueScheduleRun);
-
-void BM_Dijkstra(benchmark::State& state) {
-  static const AsGraph graph = GenerateInternetTopology(
-      ScaledTopologyParams(std::uint32_t(state.range(0)), 3));
-  AsId src = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(DijkstraLatency(graph, src));
-    src = (src + 1) % graph.num_nodes();
-  }
-}
-BENCHMARK(BM_Dijkstra)->Arg(5000);
-
-void BM_HubLabelQuery(benchmark::State& state) {
-  // One exact point-distance query as a sorted-label merge — the operation
-  // that replaces an amortised Dijkstra in the harness hot loops. Compare
-  // against BM_Dijkstra / its per-query amortisation.
-  static const AsGraph graph = GenerateInternetTopology(
-      ScaledTopologyParams(5000, 3));
-  static const HubLabels labels = [] {
-    ThreadPool pool(0);
-    return HubLabels(graph, &pool);
-  }();
-  Rng rng(3);
-  for (auto _ : state) {
-    const AsId u = AsId(rng.Next() % graph.num_nodes());
-    const AsId v = AsId(rng.Next() % graph.num_nodes());
-    benchmark::DoNotOptimize(labels.LatencyMs(u, v));
-  }
-}
-BENCHMARK(BM_HubLabelQuery);
-
 void BM_HubLabelBuild(benchmark::State& state) {
   // Full pruned-landmark build (latency + hop labels) over the pool — the
   // one-time topology-load cost the point queries amortise.
@@ -169,23 +129,6 @@ void BM_HubLabelBuild(benchmark::State& state) {
                           std::int64_t(graph.num_nodes()));
 }
 BENCHMARK(BM_HubLabelBuild)->Arg(2000)->Unit(benchmark::kMillisecond);
-
-void BM_ResolveSnapshot(benchmark::State& state) {
-  // Algorithm 1 with the owned epoch-versioned DIR-24-8 snapshot armed —
-  // the fast path against BM_HoleResolverResolve's trie walk.
-  const PrefixTable& table = SharedTable();
-  const GuidHashFamily family(5, 1);
-  HoleResolver resolver(family, table, int(state.range(0)));
-  resolver.EnableSnapshot();
-  resolver.RefreshSnapshot();
-  std::uint64_t seq = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        resolver.Resolve(Guid::FromSequence(seq), int(seq % 5)));
-    ++seq;
-  }
-}
-BENCHMARK(BM_ResolveSnapshot)->Arg(1)->Arg(10);
 
 void BM_ThreadPoolDispatch(benchmark::State& state) {
   // Cost of one RunChunks dispatch with near-empty chunks: the fixed
@@ -221,42 +164,6 @@ void BM_ParallelSssp(benchmark::State& state) {
 BENCHMARK(BM_ParallelSssp)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond);
 
-void BM_DMapLookupObservability(benchmark::State& state) {
-  // Instrumentation overhead on the end-to-end lookup path.
-  //   Arg(0): observability off (null metrics/tracer pointers)
-  //   Arg(1): metrics registry attached
-  //   Arg(2): metrics + tracer (1/8 GUID sampling, events materialised)
-  // Acceptance bar: Arg(0) must match the pre-instrumentation baseline —
-  // the `if (metrics_)` / `if (tracer_)` guards are all a disabled run pays.
-  static const SimEnvironment& env = [] () -> const SimEnvironment& {
-    static SimEnvironment e =
-        BuildEnvironment(EnvironmentParams::Scaled(2000));
-    return e;
-  }();
-  DMapOptions service_options;
-  service_options.measure_update_latency = false;
-  DMapService service(env.graph, env.table, service_options);
-  MetricsRegistry registry;
-  ProbeTracer tracer(1u, 8);
-  if (state.range(0) >= 1) service.SetMetrics(&registry);
-  if (state.range(0) >= 2) service.SetTracer(&tracer);
-  constexpr std::uint64_t kGuids = 10'000;
-  for (std::uint64_t i = 0; i < kGuids; ++i) {
-    (void)service.Insert(Guid::FromSequence(i),
-                         NetworkAddress{AsId(i % env.graph.num_nodes()), 1});
-  }
-  // A small querier set keeps the oracle cache hot so the benchmark
-  // measures the lookup path, not Dijkstra.
-  std::uint64_t seq = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        service.Lookup(Guid::FromSequence(seq % kGuids), AsId(seq % 16)));
-    ++seq;
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_DMapLookupObservability)->Arg(0)->Arg(1)->Arg(2);
-
 void BM_MappingStoreUpsertLookup(benchmark::State& state) {
   MappingStore store;
   for (std::uint64_t i = 0; i < 100000; ++i) {
@@ -270,137 +177,6 @@ void BM_MappingStoreUpsertLookup(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MappingStoreUpsertLookup);
-
-void BM_BatchedKHash(benchmark::State& state) {
-  // All-K hashing: the interleaved multi-lane SipHash kernel behind
-  // HashAllInto, against K scalar BM_SipHash_Guid calls. Items = replica
-  // hashes, so items/sec is directly comparable to BM_SipHash_Guid.
-  const int k = int(state.range(0));
-  const GuidHashFamily family(k, 1);
-  std::vector<Ipv4Address> out(16);
-  std::uint64_t seq = 0;
-  for (auto _ : state) {
-    family.HashAllInto(Guid::FromSequence(seq), out.data());
-    benchmark::DoNotOptimize(out.data());
-    ++seq;
-  }
-  state.SetItemsProcessed(state.iterations() * k);
-}
-BENCHMARK(BM_BatchedKHash)->Arg(3)->Arg(5)->Arg(8);
-
-void BM_ShardedLookup(benchmark::State& state) {
-  // Read path of the sharded store. Arg = shard count.
-  const unsigned shards = unsigned(state.range(0));
-  ShardedMappingStore store(1000, shards);
-  constexpr std::uint64_t kEntries = 100'000;
-  for (std::uint64_t i = 0; i < kEntries; ++i) {
-    store.Upsert(AsId(i % 1000), Guid::FromSequence(i),
-                 MappingEntry{NaSet(NetworkAddress{AsId(i % 1000), 1}), 1});
-  }
-  store.RefreshSnapshots();
-  std::uint64_t seq = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        store.Read(AsId(seq % 1000), Guid::FromSequence(seq % kEntries)));
-    ++seq;
-  }
-}
-BENCHMARK(BM_ShardedLookup)->Arg(1)->Arg(4)->Arg(16);
-
-void BM_UpsertAndPublish(benchmark::State& state) {
-  // Cost of one serial write point: 1024 in-place upserts into a loaded
-  // store, then the publish that makes them the read state. The publish
-  // only records the written shards' epochs, so items/sec is the upsert
-  // rate. Arg = shard count.
-  const unsigned shards = unsigned(state.range(0));
-  ShardedMappingStore store(1000, shards);
-  constexpr std::uint64_t kEntries = 100'000;
-  constexpr std::uint64_t kWrites = 1024;
-  for (std::uint64_t i = 0; i < kEntries; ++i) {
-    store.Upsert(AsId(i % 1000), Guid::FromSequence(i),
-                 MappingEntry{NaSet(NetworkAddress{AsId(i % 1000), 1}), 1});
-  }
-  store.RefreshSnapshots();
-  std::uint64_t seq = 0;
-  for (auto _ : state) {
-    for (std::uint64_t w = 0; w < kWrites; ++w, ++seq) {
-      store.Upsert(AsId(seq % 1000), Guid::FromSequence(seq % kEntries),
-                   MappingEntry{NaSet(NetworkAddress{AsId(seq % 7), 1}),
-                                std::uint32_t(2 + seq)});
-    }
-    store.RefreshSnapshots();
-    benchmark::DoNotOptimize(store.snapshots_fresh());
-  }
-  state.SetItemsProcessed(state.iterations() * std::int64_t(kWrites));
-}
-BENCHMARK(BM_UpsertAndPublish)->Arg(1)->Arg(4)->Arg(16)
-    ->Unit(benchmark::kMicrosecond);
-
-void BM_BatchUpdate(benchmark::State& state) {
-  // One batched handoff vs the equivalent sequential updates. Arg = GUIDs
-  // per batch; items = GUID moves, so items/sec compares directly across
-  // batch sizes (the store outcome is bit-identical for all of them).
-  static const SimEnvironment& env = [] () -> const SimEnvironment& {
-    static SimEnvironment e = BuildEnvironment(EnvironmentParams::Scaled(2000));
-    return e;
-  }();
-  const int batch = int(state.range(0));
-  DMapOptions service_options;
-  service_options.measure_update_latency = false;
-  DMapService service(env.graph, env.table, service_options);
-  std::vector<std::pair<Guid, NetworkAddress>> moves{std::size_t(batch)};
-  for (int i = 0; i < batch; ++i) {
-    moves[std::size_t(i)] = {Guid::FromSequence(std::uint64_t(i)),
-                             NetworkAddress{AsId(1), 1}};
-    (void)service.Insert(moves[std::size_t(i)].first,
-                         moves[std::size_t(i)].second);
-  }
-  std::uint32_t locator = 2;
-  for (auto _ : state) {
-    const AsId as = AsId(locator % env.graph.num_nodes());
-    for (auto& [guid, na] : moves) na = NetworkAddress{as, locator};
-    benchmark::DoNotOptimize(service.BatchUpdate(moves));
-    ++locator;
-  }
-  state.SetItemsProcessed(state.iterations() * batch);
-}
-BENCHMARK(BM_BatchUpdate)->Arg(1)->Arg(8)->Arg(64);
-
-void BM_CacheHit(benchmark::State& state) {
-  // The cache-served lookup path (snapshot probe + one intra-AS round
-  // trip) against BM_DMapLookupObservability's full probe path. Arg =
-  // cache shard count.
-  static const SimEnvironment& env = [] () -> const SimEnvironment& {
-    static SimEnvironment e = BuildEnvironment(EnvironmentParams::Scaled(2000));
-    return e;
-  }();
-  DMapOptions service_options;
-  service_options.measure_update_latency = false;
-  service_options.cache.capacity = 1 << 16;
-  service_options.cache.ttl_ms = 0;  // never expires
-  service_options.cache.shards = int(state.range(0));
-  DMapService service(env.graph, env.table, service_options);
-  constexpr std::uint64_t kGuids = 10'000;
-  for (std::uint64_t i = 0; i < kGuids; ++i) {
-    (void)service.Insert(Guid::FromSequence(i),
-                         NetworkAddress{AsId(i % env.graph.num_nodes()), 1});
-  }
-  // Warm pass: every (querier, guid) pair misses once and fills; the
-  // measured loop then runs entirely on snapshot hits.
-  for (std::uint64_t i = 0; i < kGuids; ++i) {
-    benchmark::DoNotOptimize(
-        service.Lookup(Guid::FromSequence(i), AsId(i % 16)));
-  }
-  service.RefreshReadSnapshots();
-  std::uint64_t seq = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        service.Lookup(Guid::FromSequence(seq % kGuids), AsId(seq % 16)));
-    ++seq;
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_CacheHit)->Arg(1)->Arg(8);
 
 }  // namespace
 }  // namespace dmap

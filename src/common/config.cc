@@ -191,8 +191,9 @@ SimConfig SimConfig::FromConfig(const Config& config) {
   }
   sim.threads = unsigned(threads);
   const std::int64_t shards = config.GetInt("shards", 0);
-  if (shards < 0 || shards > 256) {
-    throw std::runtime_error("config: 'shards' must be in [0, 256]");
+  if (shards < 0 || shards > kMaxShards) {
+    throw std::runtime_error("config: 'shards' must be in [0, " +
+                             std::to_string(kMaxShards) + "]");
   }
   sim.shards = int(shards);
   sim.metrics_out = config.GetString("metrics_out", "");

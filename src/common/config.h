@@ -72,7 +72,9 @@ struct SimConfig {
 
   // Mapping-store shard count handed to DMapOptions::store_shards; 0 =
   // auto (one shard per hardware thread, clamped to a power of two).
-  // Results are bit-identical for any value of `shards`.
+  // Results are bit-identical for any value of `shards`. At most
+  // kMaxShards, as on the bench CLI.
+  static constexpr int kMaxShards = 256;
   int shards = 0;
 
   // Observability sinks (src/obs/). Empty paths disable the corresponding

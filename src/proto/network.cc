@@ -331,20 +331,33 @@ std::shared_ptr<ProtocolNetwork::WriteOp> ProtocolNetwork::NewWriteOp() {
   return op;
 }
 
-std::pair<MappingEntry, bool> ProtocolNetwork::ClientWrite(
-    const Guid& guid, NetworkAddress na) {
-  MappingEntry entry;
-  entry.nas = NaSet(na);
-  entry.version = ++versions_[guid];
-  entry.writer = na.as;
-  const bool local_applied =
-      options_.local_replica && nodes_[na.as]->store().Upsert(guid, entry);
-  if (ae_owner_.emplace(guid, na.as).second) {
-    ae_guids_.push_back(guid);
-  } else {
-    ae_owner_[guid] = na.as;
+ProtocolNetwork::ClientStamp ProtocolNetwork::ClientWrite(const Guid& guid,
+                                                          NetworkAddress na) {
+  ClientStamp stamp;
+  stamp.entry.nas = NaSet(na);
+  stamp.entry.version = ++versions_[guid];
+  stamp.entry.writer = na.as;
+  stamp.hosts.reserve(std::size_t(options_.k));
+  for (int replica = 0; replica < options_.k; ++replica) {
+    stamp.hosts.push_back(resolver_.Resolve(guid, replica));
   }
-  return {entry, local_applied};
+  stamp.local_applied = options_.local_replica &&
+                        nodes_[na.as]->store().Upsert(guid, stamp.entry);
+  const auto [owner, fresh] = ae_owner_.try_emplace(guid, na.as);
+  if (fresh) {
+    ae_guids_.push_back(guid);
+  } else if (owner->second != na.as) {
+    // The host left its previous attachment AS: delete the superseded
+    // local copy there unless that AS is also a replica host, as the
+    // closed form's StoreReplicas does.
+    if (options_.local_replica &&
+        std::ranges::find(stamp.hosts, owner->second, &HostResolution::host) ==
+            stamp.hosts.end()) {
+      nodes_[owner->second]->store().Erase(guid);
+    }
+    owner->second = na.as;
+  }
+  return stamp;
 }
 
 void ProtocolNetwork::InsertAsync(
@@ -356,21 +369,20 @@ void ProtocolNetwork::InsertAsync(
   auto op = NewWriteOp();
   op->done = std::move(done);
   op->guid = guid;
-  const auto [entry, local_applied] = ClientWrite(guid, na);
-  op->version = entry.version;
-  op->stamp = entry.stamp();
-  op->flow = WriteFlow(write_quorum_effective_, local_applied);
+  const ClientStamp stamp = ClientWrite(guid, na);
+  op->version = stamp.entry.version;
+  op->stamp = stamp.entry.stamp();
+  op->flow = WriteFlow(write_quorum_effective_, stamp.local_applied);
 
   // All K messages go out regardless of W, so the message stream — and
   // every fault fate drawn from it — is identical across W settings.
   std::vector<Message> requests;
   requests.reserve(std::size_t(options_.k));
-  for (int replica = 0; replica < options_.k; ++replica) {
-    const HostResolution resolution = resolver_.Resolve(guid, replica);
+  for (const HostResolution& resolution : stamp.hosts) {
     op->replicas.push_back(resolution.host);
     requests.push_back(InsertRequest{
-        MessageHeader{op->request_id, na.as, resolution.host}, guid, entry,
-        resolution.stored_address});
+        MessageHeader{op->request_id, na.as, resolution.host}, guid,
+        stamp.entry, resolution.stored_address});
   }
   StartWrite(op, std::move(requests));
 }
@@ -488,12 +500,12 @@ void ProtocolNetwork::BatchUpdateAsync(
   std::vector<AsId> order;
   std::unordered_map<AsId, std::vector<BatchUpdateEntry>> grouped;
   for (const auto& [guid, na] : moves) {
-    const MappingEntry entry = ClientWrite(guid, na).first;
-    for (int replica = 0; replica < options_.k; ++replica) {
-      const HostResolution r = resolver_.Resolve(guid, replica);
+    const ClientStamp stamp = ClientWrite(guid, na);
+    for (const HostResolution& r : stamp.hosts) {
       const auto [it, fresh] = grouped.try_emplace(r.host);
       if (fresh) order.push_back(r.host);
-      it->second.push_back(BatchUpdateEntry{guid, entry, r.stored_address});
+      it->second.push_back(
+          BatchUpdateEntry{guid, stamp.entry, r.stored_address});
       ++op->batch->unbatched_messages;
       ++op->batch->entries;
     }

@@ -256,11 +256,17 @@ class ProtocolNetwork {
   // tracked by one op.
   void SendRepairs(const Guid& guid, AsId src, const MappingEntry& entry,
                    std::span<const WriteTarget> targets);
-  // Stamps the next entry of `guid` written from `na`, writes the local
-  // replica in place (Section III-C; true when it applied: the write's
-  // instant ack) and notes the GUID for anti-entropy.
-  std::pair<MappingEntry, bool> ClientWrite(const Guid& guid,
-                                            NetworkAddress na);
+  // What ClientWrite hands the write it starts.
+  struct ClientStamp {
+    MappingEntry entry;
+    bool local_applied = false;  // the write's instant local ack
+    std::vector<HostResolution> hosts;  // the K replica hosts, in order
+  };
+  // Stamps the next entry of `guid` written from `na`, resolves its K
+  // replica hosts, writes the local replica in place (Section III-C),
+  // deletes the superseded local copy a moved host left behind and notes
+  // the GUID for anti-entropy.
+  ClientStamp ClientWrite(const Guid& guid, NetworkAddress na);
 
   void Bump(std::uint64_t& plain, CounterId id, std::uint64_t delta = 1);
 

@@ -19,7 +19,7 @@
 // Determinism: points are the parallel unit. Each point owns a fully
 // private service + workload replay seeded only by the config, written to
 // its own result slot and merged in point order — bit-identical exports
-// for every `threads` value (the CI mobility-smoke job byte-diffs
+// for every `threads` value (tools/determinism_table.sh byte-diffs
 // --threads 1 vs 4).
 #pragma once
 

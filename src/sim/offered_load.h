@@ -10,8 +10,8 @@
 // Determinism: points are the parallel unit. Each point owns a serial
 // Simulator + EventDrivenLookup + ServingTier seeded purely by the point
 // index, and per-point results are merged in point order — so the sweep is
-// bit-identical for every `threads` value (the CI load-smoke job byte-diffs
-// the exports at --threads 1 vs 4).
+// bit-identical for every `threads` value (tools/determinism_table.sh
+// byte-diffs the exports at --threads 1 vs 4).
 #pragma once
 
 #include <vector>

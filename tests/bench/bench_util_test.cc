@@ -25,6 +25,19 @@ TEST(BenchUtilTest, ParsesWellFormedArguments) {
   EXPECT_EQ(options.fault_seed, 18446744073709551615ULL);
 }
 
+TEST(BenchUtilTest, AcceptsTheSimConfigMaxima) {
+  const BenchOptions options = Parse({"--threads=4096", "--shards", "256"});
+  EXPECT_EQ(options.threads, SimConfig::kMaxThreads);
+  EXPECT_EQ(options.shards, SimConfig::kMaxShards);
+}
+
+TEST(BenchUtilDeathTest, RejectsThreadsAndShardsBeyondSimConfigMaxima) {
+  EXPECT_EXIT((void)Parse({"--threads=4097"}), testing::ExitedWithCode(2),
+              "bad --threads");
+  EXPECT_EXIT((void)Parse({"--shards=257"}), testing::ExitedWithCode(2),
+              "bad --shards");
+}
+
 TEST(BenchUtilDeathTest, RejectsMalformedScale) {
   // NaN slips past a plain `<= 0` check into Scaled()'s integer cast.
   for (const char* bad : {"nan", "inf", "-inf", "0.5abc", "0", "-1", ""}) {

@@ -95,6 +95,17 @@ TEST(ConfigTest, SimConfigBoundsThreads) {
   }
 }
 
+TEST(ConfigTest, SimConfigBoundsShards) {
+  EXPECT_EQ(SimConfig::FromConfig(Config::ParseString("shards = 256\n"))
+                .shards,
+            SimConfig::kMaxShards);
+  for (const char* bad : {"shards = -1\n", "shards = 257\n"}) {
+    EXPECT_THROW(SimConfig::FromConfig(Config::ParseString(bad)),
+                 std::runtime_error)
+        << bad;
+  }
+}
+
 TEST(ConfigTest, FileRoundTrip) {
   const std::string path = testing::TempDir() + "/config_test.conf";
   {

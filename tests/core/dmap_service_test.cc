@@ -757,6 +757,48 @@ TEST_F(DMapServiceTest, CacheServesRepeatsPerAsAndScoresStaleness) {
   EXPECT_TRUE(fresh.nas.AttachedTo(20));
 }
 
+TEST_F(DMapServiceTest, CacheHitsAnswerLikeTheProbePathWithoutProbing) {
+  // 10,000 (GUID, querier) pairs over 16 querier ASes. With ttl_ms = 0
+  // (never expires) and every pair warmed and published, a cached service
+  // answers exactly as an uncached one; every pair the local replica does
+  // not answer is a hit, and a hit skips the probe walk altogether: no
+  // attempts and no hash evaluations.
+  constexpr std::uint64_t kGuids = 10'000;
+  DMapOptions options = Options();
+  options.measure_update_latency = false;
+  DMapService plain(env_.graph, env_.table, options);
+  options.cache.capacity = 1 << 17;
+  options.cache.ttl_ms = 0;
+  DMapService cached(env_.graph, env_.table, options);
+  for (std::uint64_t i = 0; i < kGuids; ++i) {
+    const NetworkAddress na{AsId(i % env_.graph.num_nodes()), 1};
+    (void)plain.Insert(Guid::FromSequence(i), na);
+    (void)cached.Insert(Guid::FromSequence(i), na);
+  }
+  for (std::uint64_t i = 0; i < kGuids; ++i) {
+    (void)cached.Lookup(Guid::FromSequence(i), AsId(i % 16));
+  }
+  cached.RefreshReadSnapshots();
+  ProbeTracer tracer(1u, 1);  // traces every lookup
+  cached.SetTracer(&tracer);
+
+  std::uint64_t hits = 0;
+  for (std::uint64_t i = 0; i < kGuids; ++i) {
+    const Guid guid = Guid::FromSequence(i);
+    const LookupResult want = plain.Lookup(guid, AsId(i % 16));
+    const LookupResult got = cached.Lookup(guid, AsId(i % 16));
+    ASSERT_EQ(got.found, want.found) << "pair " << i;
+    EXPECT_TRUE(got.nas == want.nas) << "pair " << i;
+    EXPECT_EQ(got.served_from_cache, !want.served_locally) << "pair " << i;
+    if (!got.served_from_cache) continue;
+    ++hits;
+    EXPECT_EQ(got.attempts, 0) << "pair " << i;
+    ASSERT_TRUE(got.trace.has_value());
+    EXPECT_EQ(got.trace->hash_evaluations, 0) << "pair " << i;
+  }
+  EXPECT_GT(hits, kGuids * 9 / 10);
+}
+
 TEST_F(DMapServiceTest, MetricsAccountInsertsAndLookups) {
   DMapService service(env_.graph, env_.table, Options(3));
   MetricsRegistry registry;

@@ -581,9 +581,6 @@ TEST_P(WriteAgreementSweepTest, ClosedFormAndWireAgree) {
   for (std::size_t i = 0; i < moves.size(); ++i) {
     const Guid& guid = moves[i].first;
     for (AsId as = 0; as < num_ases; ++as) {
-      // The closed form deletes a moved host's superseded local copy; the
-      // wire leaves it behind at the old attachment AS.
-      if (local && as == from[i] && as != to) continue;
       const MappingEntry* a = batch_service.StoreLookup(as, guid);
       const MappingEntry* b = batch_net.node(as).store().Lookup(guid);
       ASSERT_EQ(a == nullptr, b == nullptr) << "guid " << i << " AS " << as;

@@ -194,6 +194,51 @@ TEST_F(ProtocolNetworkTest, LocalReplicaAnswersWhenGlobalsAreDown) {
               1e-9);
 }
 
+TEST_F(ProtocolNetworkTest, MovedHostLeavesNoStaleLocalCopy) {
+  // A host leaves AS `from` for AS `to`, once by a re-insert and once by a
+  // batched handoff. As in the closed form, the superseded local copy at
+  // `from` is deleted (`from` hosts no replica here), so a lookup from
+  // `from` cannot win the local race with the old NA set.
+  const ProtocolNetworkOptions options = Options();
+  const GuidHashFamily hashes(options.k, options.hash_seed);
+  const HoleResolver resolver(hashes, env_.table, options.max_hashes);
+  const Guid moved = Guid::FromSequence(5);
+  const Guid batched = Guid::FromSequence(6);
+  const auto hosts_replica = [&](AsId as) {
+    for (const Guid& g : {moved, batched}) {
+      for (int i = 0; i < options.k; ++i) {
+        if (resolver.Resolve(g, i).host == as) return true;
+      }
+    }
+    return false;
+  };
+  AsId from = 10;
+  while (hosts_replica(from)) ++from;
+  const AsId to = from + 1;
+
+  ProtocolNetwork net(env_.graph, env_.table, options);
+  for (const Guid& g : {moved, batched}) {
+    net.InsertAsync(g, NetworkAddress{from, 1}, [](const UpdateResult&) {});
+  }
+  net.simulator().Run();
+  net.InsertAsync(moved, NetworkAddress{to, 2}, [](const UpdateResult&) {});
+  net.BatchUpdateAsync({{batched, NetworkAddress{to, 2}}},
+                       [](const BatchUpdateResult&) {});
+  net.simulator().Run();
+
+  for (const Guid& g : {moved, batched}) {
+    EXPECT_EQ(net.node(from).store().Lookup(g), nullptr);
+    std::optional<LookupResult> result;
+    net.LookupAsync(g, from, [&](const LookupResult& r) { result = r; });
+    net.simulator().Run();
+    ASSERT_TRUE(result.has_value());
+    EXPECT_TRUE(result->found);
+    EXPECT_FALSE(result->served_locally);
+    EXPECT_TRUE(result->nas.AttachedTo(to));
+    EXPECT_FALSE(result->nas.AttachedTo(from));
+  }
+}
+
 TEST_F(ProtocolNetworkTest, MigrationRepairsChurnOrphansOnFirstQuery) {
   // End-to-end Section III-D-1: place mappings, churn the table so some
   // lookups hash to newly-announcing ASs, and verify the migration

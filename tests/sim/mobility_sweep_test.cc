@@ -124,7 +124,7 @@ TEST_F(MobilitySweepTest, MetricsMergeIsThreadCountIndependent) {
 // rather than timed: a 12-AS gateway cluster (the regime the batch
 // targets) whose hosts carry 16 GUIDs each, every handoff sent as one
 // wave, needs at least 5x fewer wire messages than K singleton inserts per
-// GUID. Configured like perf_baseline's mobility leg at --scale 0.05.
+// GUID. A gateway-cluster mobility sweep at --scale 0.05.
 TEST(MobilityBatchFloorTest, BatchedHandoffsSendFiveTimesFewerMessages) {
   SimEnvironment cluster = BuildEnvironment(EnvironmentParams::Scaled(12));
   MobilityConfig config;

@@ -12,7 +12,7 @@
 # (default: a fresh mktemp directory, printed at the end) for inspection.
 #
 # The list covers the refactor-sensitive surfaces: the pre-quorum golden
-# commands of the consistency-smoke CI job, fig4 (closed form), chaos_sweep
+# commands of tools/determinism_table.sh, fig4 (closed form), chaos_sweep
 # and fig9 (wire protocol under faults and quorums), fig8 (event-driven
 # executor with a serving tier), fig10 (mobility and cache, at one worker
 # and at four, so the cache's serial and shard-parallel fill merges are
