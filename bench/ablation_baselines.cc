@@ -14,25 +14,28 @@
 
 int main(int argc, char** argv) {
   using namespace dmap;
-  const auto options = bench::ParseBenchArgs(argc, argv);
+  const Config args = Config::FromArgs(argc, argv);
+  const double scale = bench::Scale(args);
+  const SimConfig sim = SimConfig::FromConfig(args);
+  bench::CheckArgs(args);
 
   std::printf("=== Ablation: DMap vs baseline resolution schemes ===\n");
-  std::printf("scale=%.3f threads=%u\n\n", options.scale,
-              ThreadPool::Resolve(options.threads));
+  std::printf("scale=%.3f threads=%u\n\n", scale,
+              ThreadPool::Resolve(sim.threads));
 
   SimEnvironment env = BuildEnvironment(EnvironmentParams::Scaled(
-      bench::ScaledU32(8000, options.scale, 300)));
+      bench::ScaledU32(8000, scale, 300)));
 
-  bench::BenchObservability obs(options);
+  ObservabilitySinks obs(sim);
   ResponseTimeConfig config;
-  config.threads = options.threads;
-  config.shards = options.shards;
+  config.threads = sim.threads;
+  config.shards = sim.shards;
   config.metrics = obs.registry();
   config.tracer = obs.tracer();
   config.k = 5;
-  config.workload.num_guids = bench::Scaled(20'000, options.scale, 1000);
-  config.workload.num_lookups = bench::Scaled(100'000, options.scale, 5000);
-  const std::uint64_t moves = bench::Scaled(2'000, options.scale, 100);
+  config.workload.num_guids = bench::Scaled(20'000, scale, 1000);
+  config.workload.num_lookups = bench::Scaled(100'000, scale, 5000);
+  const std::uint64_t moves = bench::Scaled(2'000, scale, 100);
 
   const auto rows = RunBaselineComparison(env, config, moves);
 

@@ -22,14 +22,17 @@
 
 int main(int argc, char** argv) {
   using namespace dmap;
-  const auto options = bench::ParseBenchArgs(argc, argv);
+  const Config args = Config::FromArgs(argc, argv);
+  const double scale = bench::Scale(args);
+  const SimConfig sim = SimConfig::FromConfig(args);
+  bench::CheckArgs(args);
 
   std::printf("=== Ablation: response time during BGP convergence ===\n");
-  std::printf("scale=%.3f threads=%u\n\n", options.scale,
-              ThreadPool::Resolve(options.threads));
+  std::printf("scale=%.3f threads=%u\n\n", scale,
+              ThreadPool::Resolve(sim.threads));
 
   SimEnvironment env = BuildEnvironment(EnvironmentParams::Scaled(
-      bench::ScaledU32(8000, options.scale, 300)));
+      bench::ScaledU32(8000, scale, 300)));
   const PrefixTable old_view = env.table;  // snapshot before churn
 
   DMapOptions service_options;
@@ -37,12 +40,12 @@ int main(int argc, char** argv) {
   service_options.local_replica = false;
   service_options.measure_update_latency = false;
   DMapService service(env.graph, env.table, service_options);
-  bench::BenchObservability obs(options);
+  ObservabilitySinks obs(sim);
   if (obs.registry() != nullptr) service.SetMetrics(obs.registry());
   if (obs.tracer() != nullptr) service.SetTracer(obs.tracer());
 
   WorkloadParams params;
-  params.num_guids = bench::Scaled(20'000, options.scale, 1000);
+  params.num_guids = bench::Scaled(20'000, scale, 1000);
   WorkloadGenerator workload(env.graph, params);
   for (const InsertOp& op : workload.Inserts()) {
     (void)service.Insert(op.guid, op.na);
@@ -57,7 +60,7 @@ int main(int argc, char** argv) {
   ApplyChurn(env.table, SampleChurn(old_view, churn, rng));
   // env.table is now the new view; `service` resolves against it.
 
-  const std::uint64_t lookups = bench::Scaled(60'000, options.scale, 5000);
+  const std::uint64_t lookups = bench::Scaled(60'000, scale, 5000);
   TextTable table({"converged", "repair", "mean (ms)", "p95 (ms)",
                    "extra round trips"});
 

@@ -26,23 +26,26 @@
 
 int main(int argc, char** argv) {
   using namespace dmap;
-  const auto options = bench::ParseBenchArgs(argc, argv);
+  const Config args = Config::FromArgs(argc, argv);
+  const double scale = bench::Scale(args);
+  const SimConfig sim = SimConfig::FromConfig(args);
+  bench::CheckArgs(args);
 
   std::printf("=== Ablation: DMap design choices ===\n");
-  std::printf("scale=%.3f threads=%u\n\n", options.scale,
-              ThreadPool::Resolve(options.threads));
+  std::printf("scale=%.3f threads=%u\n\n", scale,
+              ThreadPool::Resolve(sim.threads));
 
   SimEnvironment env = BuildEnvironment(EnvironmentParams::Scaled(
-      bench::ScaledU32(8000, options.scale, 300)));
+      bench::ScaledU32(8000, scale, 300)));
 
-  bench::BenchObservability obs(options);
+  ObservabilitySinks obs(sim);
   ResponseTimeConfig config;
-  config.threads = options.threads;
-  config.shards = options.shards;
+  config.threads = sim.threads;
+  config.shards = sim.shards;
   config.metrics = obs.registry();
   config.tracer = obs.tracer();
-  config.workload.num_guids = bench::Scaled(20'000, options.scale, 1000);
-  config.workload.num_lookups = bench::Scaled(100'000, options.scale, 5000);
+  config.workload.num_guids = bench::Scaled(20'000, scale, 1000);
+  config.workload.num_lookups = bench::Scaled(100'000, scale, 5000);
 
   // (a) K sweep.
   {
@@ -92,7 +95,7 @@ int main(int argc, char** argv) {
   {
     TextTable table({"M", "deputy fallbacks", "fallback rate",
                      "hash evals/resolve"});
-    const std::uint64_t guids = bench::Scaled(200'000, options.scale, 10'000);
+    const std::uint64_t guids = bench::Scaled(200'000, scale, 10'000);
     for (const int m : {1, 2, 3, 5, 10, 20}) {
       LoadBalanceConfig c;
       c.metrics = obs.registry();
@@ -114,7 +117,7 @@ int main(int argc, char** argv) {
 
   // (e) placement mode: address-space hashing vs direct-to-AS hashing.
   {
-    const std::uint64_t guids = bench::Scaled(200'000, options.scale, 10'000);
+    const std::uint64_t guids = bench::Scaled(200'000, scale, 10'000);
     const GuidHashFamily hashes(5, 0x5eedf00dULL);
 
     // Baseline DMap placement.
@@ -294,7 +297,7 @@ int main(int argc, char** argv) {
     const double density = announced / 1.8446744e19;
 
     const BucketIndex index(segments, 65'536, hashes);
-    const std::uint64_t guids = bench::Scaled(100'000, options.scale, 5000);
+    const std::uint64_t guids = bench::Scaled(100'000, scale, 5000);
     std::uint64_t resolved = 0;
     for (std::uint64_t i = 0; i < guids; ++i) {
       const auto r = index.Resolve(Guid::FromSequence(i), int(i % 2));
@@ -321,7 +324,7 @@ int main(int argc, char** argv) {
   //     proportional latencies, regional peering).
   {
     EnvironmentParams geo_params = EnvironmentParams::Scaled(
-        bench::ScaledU32(8000, options.scale, 300));
+        bench::ScaledU32(8000, scale, 300));
     geo_params.topology.geographic = true;
     SimEnvironment geo_env = BuildEnvironment(geo_params);
     const auto sweep = RunResponseTimeSweep(geo_env, {1, 3, 5}, config);

@@ -20,26 +20,29 @@
 
 int main(int argc, char** argv) {
   using namespace dmap;
-  const auto options = bench::ParseBenchArgs(argc, argv);
+  const Config args = Config::FromArgs(argc, argv);
+  const double scale = bench::Scale(args);
+  const SimConfig sim = SimConfig::FromConfig(args);
+  const bench::FaultPlanArg fault_plan = bench::ReadFaultPlan(args);
+  bench::CheckArgs(args);
 
   std::printf("=== Ablation: router failures vs replication (Sec III-D-3) "
               "===\n");
-  std::printf("scale=%.3f threads=%u\n\n", options.scale,
-              ThreadPool::Resolve(options.threads));
+  std::printf("scale=%.3f threads=%u\n\n", scale,
+              ThreadPool::Resolve(sim.threads));
 
   SimEnvironment env = BuildEnvironment(EnvironmentParams::Scaled(
-      bench::ScaledU32(8000, options.scale, 300)));
+      bench::ScaledU32(8000, scale, 300)));
 
   // A --fault-plan contributes its crash/outage ASs (outages expanded to
   // the customer cone) as statically failed in every row — the closed-form
   // path has no clock, so the plan's window timings collapse to "down".
   std::vector<AsId> planned_failures;
-  if (!options.fault_plan.empty()) {
-    const FaultPlan plan = FaultPlan::ParseFile(options.fault_plan);
-    for (const CrashWindow& window : plan.crashes) {
+  if (!fault_plan.path.empty()) {
+    for (const CrashWindow& window : fault_plan.plan.crashes) {
       planned_failures.push_back(window.as);
     }
-    for (const CrashWindow& window : plan.outages) {
+    for (const CrashWindow& window : fault_plan.plan.outages) {
       for (const AsId as : CustomerCone(env.graph, window.as)) {
         planned_failures.push_back(as);
       }
@@ -49,14 +52,13 @@ int main(int argc, char** argv) {
         std::unique(planned_failures.begin(), planned_failures.end()),
         planned_failures.end());
     std::printf("fault plan %s: %zu AS(s) held down in every row\n\n",
-                options.fault_plan.c_str(), planned_failures.size());
+                fault_plan.path.c_str(), planned_failures.size());
   }
 
-  bench::BenchObservability obs(options);
+  ObservabilitySinks obs(sim);
   WorkloadParams workload_params;
-  workload_params.num_guids = bench::Scaled(20'000, options.scale, 1000);
-  const std::uint64_t lookups =
-      bench::Scaled(50'000, options.scale, 5000);
+  workload_params.num_guids = bench::Scaled(20'000, scale, 1000);
+  const std::uint64_t lookups = bench::Scaled(50'000, scale, 5000);
 
   TextTable table({"K", "failed ASs", "availability", "mean ok (ms)",
                    "p95 ok (ms)", "mean attempts"});

@@ -16,21 +16,24 @@
 
 int main(int argc, char** argv) {
   using namespace dmap;
-  const auto options = bench::ParseBenchArgs(argc, argv);
+  const Config args = Config::FromArgs(argc, argv);
+  const double scale = bench::Scale(args);
+  const SimConfig sim = SimConfig::FromConfig(args);
+  bench::CheckArgs(args);
 
   std::printf("=== Ablation: mobility staleness (Sec III-D-2) ===\n");
-  std::printf("scale=%.3f threads=%u\n\n", options.scale,
-              ThreadPool::Resolve(options.threads));
+  std::printf("scale=%.3f threads=%u\n\n", scale,
+              ThreadPool::Resolve(sim.threads));
 
   SimEnvironment env = BuildEnvironment(EnvironmentParams::Scaled(
-      bench::ScaledU32(2000, options.scale, 300)));
+      bench::ScaledU32(2000, scale, 300)));
 
-  bench::BenchObservability obs(options);
+  ObservabilitySinks obs(sim);
   TextTable table({"mean move interval", "moves", "lookups", "stale first",
                    "stale %", "rechecks (mean)", "t. fresh p95 (ms)"});
   for (const double interval_s : {300.0, 60.0, 20.0, 5.0}) {
     StalenessConfig config;
-    config.num_hosts = bench::ScaledU32(600, options.scale, 100);
+    config.num_hosts = bench::ScaledU32(600, scale, 100);
     config.mean_move_interval_s = interval_s;
     config.duration_s = 400.0;
     config.metrics = obs.registry();

@@ -60,34 +60,34 @@ struct TrialResult {
 
 int main(int argc, char** argv) {
   using namespace dmap;
-  const auto options = bench::ParseBenchArgs(argc, argv);
+  const Config args = Config::FromArgs(argc, argv);
+  const double scale = bench::Scale(args);
+  const SimConfig sim = SimConfig::FromConfig(args);
+  const bench::FaultPlanArg fault_plan = bench::ReadFaultPlan(args);
+  const std::uint64_t fault_seed = bench::FaultSeed(args);
+  const std::optional<int> write_quorum = bench::WriteQuorum(args);
+  const std::optional<int> read_quorum = bench::ReadQuorum(args);
+  bench::CheckArgs(args);
 
-  FaultPlan base_plan;
-  if (!options.fault_plan.empty()) {
-    base_plan = FaultPlan::ParseFile(options.fault_plan);
-  }
-
-  ThreadPool pool(options.threads);
+  ThreadPool pool(sim.threads);
   std::printf("=== Chaos sweep: wire protocol under injected faults ===\n");
   std::printf("scale=%.3f threads=%u fault_plan=%s fault_seed=%llu\n\n",
-              options.scale, pool.size(),
-              options.fault_plan.empty() ? "(none)"
-                                         : options.fault_plan.c_str(),
-              static_cast<unsigned long long>(options.fault_seed));
+              scale, pool.size(),
+              fault_plan.path.empty() ? "(none)" : fault_plan.path.c_str(),
+              static_cast<unsigned long long>(fault_seed));
 
   SimEnvironment env = BuildEnvironment(EnvironmentParams::Scaled(
-      bench::ScaledU32(2000, options.scale, 200)));
+      bench::ScaledU32(2000, scale, 200)));
   // Wire-path distances are point queries: every trial's oracle answers
   // them from the shared labels.
-  const HubLabels* labels = EnsureHubLabels(env, options.threads);
+  const HubLabels* labels = EnsureHubLabels(env, sim.threads);
 
-  bench::BenchObservability obs(options);
+  ObservabilitySinks obs(sim);
   if (obs.registry() != nullptr) obs.registry()->EnsureWorkers(pool.size());
   if (obs.tracer() != nullptr) obs.tracer()->EnsureWorkers(pool.size());
 
-  const std::uint64_t num_guids = bench::Scaled(2'000, options.scale, 200);
-  const std::uint64_t num_lookups =
-      bench::Scaled(5'000, options.scale, 500);
+  const std::uint64_t num_guids = bench::Scaled(2'000, scale, 200);
+  const std::uint64_t num_lookups = bench::Scaled(5'000, scale, 500);
   const std::size_t trials = 4;
 
   const double drop_points[] = {0.0, 0.02, 0.05, 0.10, 0.20};
@@ -102,15 +102,11 @@ int main(int argc, char** argv) {
       ProtocolNetworkOptions net_options;
       net_options.k = 3;
       net_options.probe_retries = retries;
-      // -1 = flag not given: keep the network defaults (majority writes,
+      // Flags absent: keep the network defaults (majority writes,
       // single-response reads). --write-quorum=1 reproduces the pre-quorum
       // legacy behaviour byte-for-byte (CI diffs it against the golden).
-      if (options.write_quorum >= 0) {
-        net_options.write_quorum = options.write_quorum;
-      }
-      if (options.read_quorum >= 1) {
-        net_options.read_quorum = options.read_quorum;
-      }
+      if (write_quorum) net_options.write_quorum = *write_quorum;
+      if (read_quorum) net_options.read_quorum = *read_quorum;
       // Metric registration is a serial phase (obs/metrics_registry.h): a
       // throwaway network registers this point's instruments before the
       // trials share the registry, so their SetMetrics calls only look up.
@@ -121,7 +117,7 @@ int main(int argc, char** argv) {
 
       std::vector<TrialResult> results(trials);
       pool.ParallelFor(0, trials, [&](std::size_t trial, unsigned worker) {
-        FaultPlan plan = base_plan;
+        FaultPlan plan = fault_plan.plan;
         plan.drop_probability = drop_p;
 
         ProtocolNetwork net(env.graph, env.table, net_options);
@@ -145,7 +141,7 @@ int main(int argc, char** argv) {
         // derived from (point, trial) only — never the worker.
         net.ApplyFaultPlan(
             ShiftPlan(plan, net.simulator().Now()),
-            options.fault_seed ^ (0x9e3779b97f4a7c15ULL * (point + 1)) ^
+            fault_seed ^ (0x9e3779b97f4a7c15ULL * (point + 1)) ^
                 (0xbf58476d1ce4e5b9ULL * (trial + 1)));
 
         // Stagger the lookups so scheduled windows open and close while

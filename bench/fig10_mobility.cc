@@ -31,27 +31,29 @@
 
 int main(int argc, char** argv) {
   using namespace dmap;
-  const auto options = bench::ParseBenchArgs(argc, argv);
+  const Config args = Config::FromArgs(argc, argv);
+  const double scale = bench::Scale(args);
+  const SimConfig sim = SimConfig::FromConfig(args);
+  const std::optional<int> batch_updates = bench::BatchUpdates(args);
+  const CacheConfig cache_flag = bench::Cache(args);
+  bench::CheckArgs(args);
 
   std::printf("=== Fig 10: mobility fast path ===\n");
 
   SimEnvironment env = BuildEnvironment(
-      EnvironmentParams::Scaled(bench::ScaledU32(2000, options.scale, 200)));
-  bench::BenchObservability obs(options);
+      EnvironmentParams::Scaled(bench::ScaledU32(2000, scale, 200)));
+  ObservabilitySinks obs(sim);
 
   MobilityConfig config;
-  config.mobility.num_hosts = bench::ScaledU32(1000, options.scale, 50);
+  config.mobility.num_hosts = bench::ScaledU32(1000, scale, 50);
   config.mobility.guids_per_host = 8;
   config.mobility.handoff_rate_hz = 1.0;
   config.mobility.horizon_s = 10.0;
-  config.threads = options.threads;
-  config.shards = options.shards;
+  config.threads = sim.threads;
+  config.shards = sim.shards;
   config.metrics = obs.registry();
-  if (options.batch_updates > 0) {
-    config.batch_sizes = {options.batch_updates};
-  }
+  if (batch_updates) config.batch_sizes = {*batch_updates};
 
-  const CacheConfig cache_flag = bench::ParsedCache(options);
   if (cache_flag.enabled()) {
     config.cache = cache_flag;
     // An explicit TTL makes the flag a one-point sweep; otherwise the
@@ -69,7 +71,7 @@ int main(int argc, char** argv) {
   std::printf(
       "scale=%.3f hosts=%u guids/host=%u handoff=%.1f/s horizon=%.0fs "
       "cache: cap=%zu shards=%d %s\n\n",
-      options.scale, config.mobility.num_hosts,
+      scale, config.mobility.num_hosts,
       config.mobility.guids_per_host, config.mobility.handoff_rate_hz,
       config.mobility.horizon_s, config.cache.capacity, config.cache.shards,
       config.cache.invalidate_on_update ? "invalidate-on-update" : "ttl-only");

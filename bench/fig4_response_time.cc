@@ -15,28 +15,31 @@
 
 int main(int argc, char** argv) {
   using namespace dmap;
-  const auto options = bench::ParseBenchArgs(argc, argv);
+  const Config args = Config::FromArgs(argc, argv);
+  const double scale = bench::Scale(args);
+  const SimConfig sim = SimConfig::FromConfig(args);
+  const std::optional<int> write_quorum = bench::WriteQuorum(args);
+  bench::CheckArgs(args);
 
   std::printf("=== Figure 4 / Table I: query response time vs K ===\n");
-  std::printf("scale=%.3f threads=%u\n\n", options.scale,
-              ThreadPool::Resolve(options.threads));
+  std::printf("scale=%.3f threads=%u\n\n", scale,
+              ThreadPool::Resolve(sim.threads));
 
   SimEnvironment env = BuildEnvironment(EnvironmentParams::Scaled(
-      bench::ScaledU32(26424, options.scale, 300)));
+      bench::ScaledU32(26424, scale, 300)));
 
-  bench::BenchObservability obs(options);
+  ObservabilitySinks obs(sim);
   ResponseTimeConfig config;
-  config.threads = options.threads;
-  config.shards = options.shards;
+  config.threads = sim.threads;
+  config.shards = sim.shards;
   // Lookup-only sweep: inserts are unmeasured, so every quorum setting
   // produces identical output — CI pins --write-quorum=1 here to assert
   // exactly that against the pre-quorum golden export.
-  if (options.write_quorum >= 0) config.write_quorum = options.write_quorum;
+  if (write_quorum) config.write_quorum = *write_quorum;
   config.metrics = obs.registry();
   config.tracer = obs.tracer();
-  config.workload.num_guids = bench::Scaled(100'000, options.scale, 1000);
-  config.workload.num_lookups =
-      bench::Scaled(1'000'000, options.scale, 10'000);
+  config.workload.num_guids = bench::Scaled(100'000, scale, 1000);
+  config.workload.num_lookups = bench::Scaled(1'000'000, scale, 10'000);
 
   const auto sweep = RunResponseTimeSweep(env, {1, 3, 5}, config);
 

@@ -12,26 +12,27 @@
 
 int main(int argc, char** argv) {
   using namespace dmap;
-  const auto options = bench::ParseBenchArgs(argc, argv);
+  const Config args = Config::FromArgs(argc, argv);
+  const double scale = bench::Scale(args);
+  const SimConfig sim = SimConfig::FromConfig(args);
+  bench::CheckArgs(args);
 
   std::printf("=== Figure 5: response time under BGP churn (K=5) ===\n");
-  std::printf("scale=%.3f threads=%u\n\n", options.scale,
-              ThreadPool::Resolve(options.threads));
+  std::printf("scale=%.3f threads=%u\n\n", scale,
+              ThreadPool::Resolve(sim.threads));
 
   SimEnvironment env = BuildEnvironment(EnvironmentParams::Scaled(
-      bench::ScaledU32(26424, options.scale, 300)));
+      bench::ScaledU32(26424, scale, 300)));
 
-  bench::BenchObservability obs(options);
+  ObservabilitySinks obs(sim);
   ChurnExperimentConfig config;
-  config.base.threads = options.threads;
-  config.base.shards = options.shards;
+  config.base.threads = sim.threads;
+  config.base.shards = sim.shards;
   config.base.metrics = obs.registry();
   config.base.tracer = obs.tracer();
   config.base.k = 5;
-  config.base.workload.num_guids =
-      bench::Scaled(100'000, options.scale, 1000);
-  config.base.workload.num_lookups =
-      bench::Scaled(300'000, options.scale, 10'000);
+  config.base.workload.num_guids = bench::Scaled(100'000, scale, 1000);
+  config.base.workload.num_lookups = bench::Scaled(300'000, scale, 10'000);
 
   const auto sweep = RunChurnSweep(env, {0.0, 0.05, 0.10}, config);
 

@@ -13,25 +13,28 @@
 
 int main(int argc, char** argv) {
   using namespace dmap;
-  const auto options = bench::ParseBenchArgs(argc, argv);
+  const Config args = Config::FromArgs(argc, argv);
+  const double scale = bench::Scale(args);
+  const SimConfig sim = SimConfig::FromConfig(args);
+  bench::CheckArgs(args);
 
   std::printf("=== Figure 6: Normalized Load Ratio per AS (K=5) ===\n");
-  std::printf("scale=%.3f threads=%u\n\n", options.scale,
-              ThreadPool::Resolve(options.threads));
+  std::printf("scale=%.3f threads=%u\n\n", scale,
+              ThreadPool::Resolve(sim.threads));
 
   const SimEnvironment env = BuildEnvironment(EnvironmentParams::Scaled(
-      bench::ScaledU32(26424, options.scale, 300)));
+      bench::ScaledU32(26424, scale, 300)));
 
-  bench::BenchObservability obs(options);
+  ObservabilitySinks obs(sim);
   TextTable table({"GUIDs", "ASs", "median NLR", "in [0.4,1.6]",
                    "deputy fallbacks", "hash evals/resolve"});
   std::vector<std::pair<std::uint64_t, LoadBalanceResult>> runs;
   for (const std::uint64_t guids :
-       {bench::Scaled(100'000, options.scale, 1000),
-        bench::Scaled(1'000'000, options.scale, 10'000),
-        bench::Scaled(10'000'000, options.scale, 100'000)}) {
+       {bench::Scaled(100'000, scale, 1000),
+        bench::Scaled(1'000'000, scale, 10'000),
+        bench::Scaled(10'000'000, scale, 100'000)}) {
     LoadBalanceConfig config;
-    config.threads = options.threads;
+    config.threads = sim.threads;
     config.metrics = obs.registry();
     config.num_guids = guids;
     LoadBalanceResult result = RunLoadBalanceExperiment(env, config);

@@ -19,11 +19,14 @@
 
 int main(int argc, char** argv) {
   using namespace dmap;
-  const auto options = bench::ParseBenchArgs(argc, argv);
+  const Config args = Config::FromArgs(argc, argv);
+  const double scale = bench::Scale(args);
+  const SimConfig sim = SimConfig::FromConfig(args);
+  bench::CheckArgs(args);
 
   std::printf("=== Figure 7: analytical response-time upper bound vs K ===\n");
-  std::printf("scale=%.3f threads=%u\n\n", options.scale,
-              ThreadPool::Resolve(options.threads));
+  std::printf("scale=%.3f threads=%u\n\n", scale,
+              ThreadPool::Resolve(sim.threads));
 
   const LayerModel present = PresentInternetModel();
   const LayerModel medium = MediumTermInternetModel();
@@ -47,22 +50,22 @@ int main(int argc, char** argv) {
   // simulated means for K = 1..5, and evaluate the bound.
   std::printf("--- cross-check on generated topology ---\n");
   SimEnvironment env = BuildEnvironment(EnvironmentParams::Scaled(
-      bench::ScaledU32(8000, options.scale, 300)));
+      bench::ScaledU32(8000, scale, 300)));
   const LayerModel measured =
       LayerModel::FromDecomposition(DecomposeJellyfish(env.graph));
   std::printf("measured layer ratios:");
   for (const double r : measured.ratios()) std::printf(" %.4f", r);
   std::printf("\n");
 
-  bench::BenchObservability obs(options);
+  ObservabilitySinks obs(sim);
   ResponseTimeConfig config;
-  config.threads = options.threads;
-  config.shards = options.shards;
+  config.threads = sim.threads;
+  config.shards = sim.shards;
   config.metrics = obs.registry();
   config.tracer = obs.tracer();
   config.local_replica = false;  // the model has no local-replica term
-  config.workload.num_guids = bench::Scaled(20'000, options.scale, 1000);
-  config.workload.num_lookups = bench::Scaled(100'000, options.scale, 5000);
+  config.workload.num_guids = bench::Scaled(20'000, scale, 1000);
+  config.workload.num_lookups = bench::Scaled(100'000, scale, 5000);
   const std::vector<int> ks{1, 2, 3, 4, 5};
   const auto sweep = RunResponseTimeSweep(env, ks, config);
 

@@ -22,6 +22,7 @@
 
 #include "bench/bench_util.h"
 #include "runtime/thread_pool.h"
+#include "serve/serving_config.h"
 #include "sim/offered_load.h"
 
 namespace {
@@ -56,9 +57,12 @@ const SkewPoint kSkews[] = {
 
 int main(int argc, char** argv) {
   using namespace dmap;
-  const auto options = bench::ParseBenchArgs(argc, argv);
+  const Config args = Config::FromArgs(argc, argv);
+  const double scale = bench::Scale(args);
+  const SimConfig sim = SimConfig::FromConfig(args);
+  ServingConfig serving = ServingConfig::FromOption(args);
+  bench::CheckArgs(args);
 
-  ServingConfig serving = bench::ParsedServing(options);
   if (!serving.enabled) {
     // Bench default: one exponential server per AS, 2 ms mean service, a
     // 64-deep queue, no token rate limit — an M/M/1 with a finite room,
@@ -73,19 +77,18 @@ int main(int argc, char** argv) {
   }
   const double mu_eff = EffectiveServiceRatePerS(serving);
 
-  ThreadPool pool(options.threads);
+  ThreadPool pool(sim.threads);
   std::printf("=== Fig 8: goodput and tail latency vs offered load ===\n");
   std::printf(
       "scale=%.3f threads=%u serving: model=%s mu=%.0f/s c=%d queue=%d\n\n",
-      options.scale, pool.size(), ServiceModelName(serving.model),
+      scale, pool.size(), ServiceModelName(serving.model),
       serving.service_rate_per_s, serving.concurrency, serving.queue_depth);
 
   SimEnvironment env = BuildEnvironment(EnvironmentParams::Scaled(
-      bench::ScaledU32(2000, options.scale, 200)));
-  bench::BenchObservability obs(options);
+      bench::ScaledU32(2000, scale, 200)));
+  ObservabilitySinks obs(sim);
 
-  const std::uint64_t target_arrivals =
-      bench::Scaled(50'000, options.scale, 2'000);
+  const std::uint64_t target_arrivals = bench::Scaled(50'000, scale, 2'000);
   const int ks[] = {1, 5};
 
   bool knee_checked = false;
@@ -94,12 +97,11 @@ int main(int argc, char** argv) {
     for (const int k : ks) {
       OfferedLoadConfig config;
       config.base.k = k;
-      config.base.workload.num_guids =
-          bench::Scaled(2'000, options.scale, 200);
+      config.base.workload.num_guids = bench::Scaled(2'000, scale, 200);
       config.base.workload.popularity_alpha = skew.alpha;
       config.base.workload.popularity_q = skew.q;
-      config.base.threads = options.threads;
-      config.base.shards = options.shards;
+      config.base.threads = sim.threads;
+      config.base.shards = sim.shards;
       config.base.serving = serving;
       config.base.metrics = obs.registry();
       config.base.tracer = obs.tracer();

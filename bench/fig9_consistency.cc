@@ -101,20 +101,22 @@ struct TrialResult {
 
 int main(int argc, char** argv) {
   using namespace dmap;
-  const auto options = bench::ParseBenchArgs(argc, argv);
-
-  FaultPlan base_plan;
-  if (!options.fault_plan.empty()) {
-    base_plan = FaultPlan::ParseFile(options.fault_plan);
-  }
+  const Config args = Config::FromArgs(argc, argv);
+  const double scale = bench::Scale(args);
+  const SimConfig sim = SimConfig::FromConfig(args);
+  const bench::FaultPlanArg fault_plan = bench::ReadFaultPlan(args);
+  const std::uint64_t fault_seed = bench::FaultSeed(args);
+  const std::optional<int> write_quorum = bench::WriteQuorum(args);
+  const std::optional<int> read_quorum = bench::ReadQuorum(args);
+  const std::optional<int> anti_entropy = bench::AntiEntropy(args);
+  bench::CheckArgs(args);
 
   std::vector<Leg> legs;
-  if (options.write_quorum >= 0 || options.read_quorum >= 1 ||
-      options.anti_entropy >= 0) {
+  if (write_quorum || read_quorum || anti_entropy) {
     Leg custom;
-    custom.write_quorum = options.write_quorum >= 0 ? options.write_quorum : 0;
-    custom.read_quorum = options.read_quorum >= 1 ? options.read_quorum : 1;
-    custom.anti_entropy = options.anti_entropy >= 0 ? options.anti_entropy : 0;
+    custom.write_quorum = write_quorum.value_or(0);
+    custom.read_quorum = read_quorum.value_or(1);
+    custom.anti_entropy = anti_entropy.value_or(0);
     custom.label = "W=" + (custom.write_quorum == 0
                                ? std::string("maj")
                                : std::to_string(custom.write_quorum)) +
@@ -130,27 +132,25 @@ int main(int argc, char** argv) {
             {"W=maj R=1 +AE", 0, 1, 16}};
   }
 
-  ThreadPool pool(options.threads);
+  ThreadPool pool(sim.threads);
   std::printf("=== Figure 9: stale reads and durability vs quorum ===\n");
   std::printf("scale=%.3f threads=%u fault_plan=%s fault_seed=%llu\n\n",
-              options.scale, pool.size(),
-              options.fault_plan.empty() ? "(none)"
-                                         : options.fault_plan.c_str(),
-              static_cast<unsigned long long>(options.fault_seed));
+              scale, pool.size(),
+              fault_plan.path.empty() ? "(none)" : fault_plan.path.c_str(),
+              static_cast<unsigned long long>(fault_seed));
 
   SimEnvironment env = BuildEnvironment(EnvironmentParams::Scaled(
-      bench::ScaledU32(2000, options.scale, 200)));
+      bench::ScaledU32(2000, scale, 200)));
   // Wire-path distances are point queries: every trial's oracle answers
   // them from the shared labels.
-  const HubLabels* labels = EnsureHubLabels(env, options.threads);
+  const HubLabels* labels = EnsureHubLabels(env, sim.threads);
 
-  bench::BenchObservability obs(options);
+  ObservabilitySinks obs(sim);
   if (obs.registry() != nullptr) obs.registry()->EnsureWorkers(pool.size());
   if (obs.tracer() != nullptr) obs.tracer()->EnsureWorkers(pool.size());
 
-  const std::uint64_t num_guids = bench::Scaled(1'000, options.scale, 150);
-  const std::uint64_t num_lookups =
-      bench::Scaled(3'000, options.scale, 400);
+  const std::uint64_t num_guids = bench::Scaled(1'000, scale, 150);
+  const std::uint64_t num_lookups = bench::Scaled(3'000, scale, 400);
   const std::size_t trials = 4;
 
   TextTable table({"leg", "found", "stale reads", "stale %", "net stale",
@@ -214,8 +214,8 @@ int main(int argc, char** argv) {
       // Chaos starts now: plan windows shift past the insert phase, and
       // fates are keyed off (leg, trial) only — never the worker.
       net.ApplyFaultPlan(
-          ShiftPlan(base_plan, net.simulator().Now()),
-          options.fault_seed ^ (0x9e3779b97f4a7c15ULL * (leg_index + 1)) ^
+          ShiftPlan(fault_plan.plan, net.simulator().Now()),
+          fault_seed ^ (0x9e3779b97f4a7c15ULL * (leg_index + 1)) ^
               (0xbf58476d1ce4e5b9ULL * (trial + 1)));
 
       // Phase 2 — churn: a deterministic ~quarter of the replica hosts

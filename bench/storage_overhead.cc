@@ -21,11 +21,14 @@
 
 int main(int argc, char** argv) {
   using namespace dmap;
-  const auto options = bench::ParseBenchArgs(argc, argv);
+  const Config args = Config::FromArgs(argc, argv);
+  const double scale = bench::Scale(args);
+  const SimConfig sim = SimConfig::FromConfig(args);
+  bench::CheckArgs(args);
 
   std::printf("=== Section IV-A: storage & update traffic overhead ===\n");
-  std::printf("scale=%.3f threads=%u\n\n", options.scale,
-              ThreadPool::Resolve(options.threads));
+  std::printf("scale=%.3f threads=%u\n\n", scale,
+              ThreadPool::Resolve(sim.threads));
 
   const StorageModelParams params;  // the paper's assumptions
   const StorageEstimate e = EstimateStorage(params);
@@ -46,7 +49,7 @@ int main(int argc, char** argv) {
               e.update_traffic_bps / 1e9);
 
   // Measured per-AS distribution over the generated prefix table.
-  const std::uint32_t num_ases = bench::ScaledU32(26424, options.scale, 300);
+  const std::uint32_t num_ases = bench::ScaledU32(26424, scale, 300);
   PrefixGenParams gen;
   gen.num_ases = num_ases;
   const PrefixTable table = GeneratePrefixTable(gen);
@@ -70,12 +73,12 @@ int main(int argc, char** argv) {
   // negligible; quantify that with an M/M/1 model fed by the measured NLR
   // distribution (hottest server = highest NLR).
   SimEnvironment env = BuildEnvironment(EnvironmentParams::Scaled(
-      bench::ScaledU32(8000, options.scale, 300)));
-  bench::BenchObservability obs(options);
+      bench::ScaledU32(8000, scale, 300)));
+  ObservabilitySinks obs(sim);
   LoadBalanceConfig lb;
-  lb.threads = options.threads;
+  lb.threads = sim.threads;
   lb.metrics = obs.registry();
-  lb.num_guids = bench::Scaled(500'000, options.scale, 50'000);
+  lb.num_guids = bench::Scaled(500'000, scale, 50'000);
   const LoadBalanceResult nlr_run = RunLoadBalanceExperiment(env, lb);
 
   ServerLoadParams server;  // 1M queries/s globally, IV-A update stream

@@ -4,38 +4,20 @@
 //   ./build/examples/run_experiment <config-file>
 //   ./build/examples/run_experiment --print-defaults
 //
-// Example config (all keys optional, defaults shown by --print-defaults):
-//
-//   experiment = response_time      # response_time | churn | load_balance
-//                                   # | analytical | baselines | staleness
-//                                   # | offered_load
-//   ases       = 8000
-//   seed       = 42
-//   geographic = false
-//   guids      = 20000
-//   lookups    = 100000
-//   ks         = 1, 3, 5
-//   churn_fractions = 0.0, 0.05, 0.10
-//   local_replica   = true
-//   threads    = 0                  # experiment workers; 0 = all cores
-//   shards     = 0                  # mapping-store shards; 0 = auto
-//   metrics_out  =                  # metrics summary (.json => JSON)
-//   trace_out    =                  # per-lookup probe-trace CSV
-//   trace_sample = 1                # trace 1-in-N GUIDs
-//   serving      =                  # serving tier: file or inline k=v,...
-//   offered_rates = 500, 1000, 2000, 4000   # offered_load sweep (req/s)
-//   horizon_s    = 5                # offered_load arrival horizon
+// Every key is optional; --print-defaults prints each one with its default
+// and range, as a config this runner accepts. `experiment` is one of
+// response_time | churn | load_balance | analytical | baselines | staleness
+// | offered_load. A key out of range fails naming the key, and an unknown
+// key exits 2, before any compute.
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <optional>
+#include <set>
 #include <string>
 
 #include "analysis/jellyfish_model.h"
 #include "common/config.h"
 #include "obs/export.h"
-#include "obs/metrics_registry.h"
-#include "obs/probe_trace.h"
 #include "sim/experiments.h"
 #include "sim/offered_load.h"
 #include "sim/replication.h"
@@ -46,74 +28,61 @@ namespace {
 
 using namespace dmap;
 
-int Run(const Config& config) {
+int Run(const Config& config, bool print_defaults) {
   const std::string experiment = config.GetString("experiment",
                                                   "response_time");
+  const std::set<std::string> experiments = {
+      "response_time", "churn",     "load_balance", "analytical",
+      "baselines",     "staleness", "offered_load"};
+  if (!experiments.contains(experiment)) {
+    std::fprintf(stderr, "unknown experiment '%s'\n", experiment.c_str());
+    return 2;
+  }
 
-  EnvironmentParams env_params = EnvironmentParams::Scaled(
-      std::uint32_t(config.GetInt("ases", 8000)),
-      std::uint64_t(config.GetInt("seed", 42)));
+  // Counts are bounded where they are read: a negative or overflowing value
+  // must not wrap into a huge allocation or loop.
+  const auto ases = config.GetInt<std::uint32_t>("ases", 8000, 2, 1'000'000);
+  EnvironmentParams env_params =
+      EnvironmentParams::Scaled(ases, config.GetInt<std::uint64_t>("seed", 42));
   env_params.topology.geographic = config.GetBool("geographic", false);
 
   const SimConfig sim = SimConfig::FromConfig(config);
 
-  // Observability sinks: exports are bit-identical for every `threads`
-  // value (execution-dependent counters are excluded by default).
-  std::optional<MetricsRegistry> registry;
-  std::optional<ProbeTracer> tracer;
-  if (!sim.metrics_out.empty()) registry.emplace();
-  if (!sim.trace_out.empty()) tracer.emplace(1u, sim.trace_sample);
-  const auto finish_observability = [&] {
-    if (registry.has_value()) {
-      WriteMetricsSummary(sim.metrics_out, registry->Snapshot(),
-                          MetricsExportOptions{});
-      std::printf("metrics summary written to %s\n",
-                  sim.metrics_out.c_str());
-    }
-    if (tracer.has_value()) {
-      const auto traces = tracer->Drain();
-      WriteOpTrace(sim.trace_out, traces);
-      std::printf("op trace (%zu sampled ops) written to %s\n",
-                  traces.size(), sim.trace_out.c_str());
-    }
-  };
-
   ResponseTimeConfig rt;
   rt.threads = sim.threads;
   rt.shards = sim.shards;
-  rt.metrics = registry.has_value() ? &*registry : nullptr;
-  rt.tracer = tracer.has_value() ? &*tracer : nullptr;
-  rt.workload.num_guids = std::uint64_t(config.GetInt("guids", 20'000));
+  rt.workload.num_guids =
+      config.GetInt<std::uint64_t>("guids", 20'000, 1, 1'000'000'000);
   rt.workload.num_lookups =
-      std::uint64_t(config.GetInt("lookups", 100'000));
-  rt.workload.seed = std::uint64_t(config.GetInt("workload_seed", 1));
+      config.GetInt<std::uint64_t>("lookups", 100'000, 1, 1'000'000'000);
+  rt.workload.seed = config.GetInt<std::uint64_t>("workload_seed", 1);
   rt.local_replica = config.GetBool("local_replica", true);
-  if (!sim.serving.empty()) {
-    rt.serving = ServingConfig::ParseArg(sim.serving);
-  }
+  rt.serving = ServingConfig::FromOption(config);
 
   std::vector<int> ks;
-  for (const std::int64_t k : config.GetIntList("ks", {1, 3, 5})) {
+  for (const std::int64_t k : config.GetIntList("ks", {1, 3, 5}, 1, 256)) {
     ks.push_back(int(k));
   }
   const std::vector<double> churn_fractions =
-      config.GetDoubleList("churn_fractions", {0.0, 0.05, 0.10});
-  const int replications = int(config.GetInt("replications", 1));
+      config.GetDoubleList("churn_fractions", {0.0, 0.05, 0.10}, 0.0, 1.0);
+  const int replications = config.GetInt("replications", 1, 1, 1000);
   const std::string topology_file = config.GetString("topology_file", "");
   const std::vector<double> move_intervals =
-      config.GetDoubleList("move_intervals", {300, 60, 20, 5});
+      config.GetDoubleList("move_intervals", {300, 60, 20, 5},
+                           Config::kMinPositive, Config::kMaxFinite);
   const std::vector<double> offered_rates =
-      config.GetDoubleList("offered_rates", {500, 1000, 2000, 4000});
-  const double horizon_s = config.GetDouble("horizon_s", 5.0);
+      config.GetDoubleList("offered_rates", {500, 1000, 2000, 4000},
+                           Config::kMinPositive, Config::kMaxFinite);
+  const double horizon_s = config.GetDouble(
+      "horizon_s", 5.0, Config::kMinPositive, Config::kMaxFinite);
 
-  // Typos in the config are fatal before any compute is spent.
-  const auto unused = config.UnusedKeys();
-  if (!unused.empty()) {
-    std::string all;
-    for (const auto& key : unused) all += " " + key;
-    std::fprintf(stderr, "unknown config key(s):%s\n", all.c_str());
-    return 2;
-  }
+  config.FinishReading(print_defaults);
+
+  // Observability sinks: exports are bit-identical for every `threads`
+  // value (execution-dependent counters are excluded by default).
+  ObservabilitySinks obs(sim);
+  rt.metrics = obs.registry();
+  rt.tracer = obs.tracer();
 
   if (experiment == "analytical") {
     TextTable table({"K", "present (ms)", "medium-term (ms)",
@@ -129,7 +98,7 @@ int Run(const Config& config) {
                LongTermInternetModel().ResponseTimeUpperBoundMs(k))});
     }
     std::printf("%s", table.Render().c_str());
-    finish_observability();
+    obs.Finish();
     return 0;
   }
 
@@ -155,7 +124,7 @@ int Run(const Config& config) {
                     "+-" + TextTable::FormatDouble(r.ci95_half, 2)});
     }
     std::printf("%s", table.Render().c_str());
-    finish_observability();
+    obs.Finish();
     return 0;
   }
 
@@ -280,7 +249,7 @@ int Run(const Config& config) {
                        "/s")
                           .c_str()
                     : "(none)");
-  } else if (experiment == "baselines") {
+  } else {  // baselines
     const auto rows = RunBaselineComparison(env, rt, rt.workload.num_guids / 10);
     TextTable table({"scheme", "lookup mean (ms)", "lookup p95 (ms)",
                      "update mean (ms)"});
@@ -291,37 +260,25 @@ int Run(const Config& config) {
                     TextTable::FormatDouble(row.update.mean_ms)});
     }
     std::printf("%s", table.Render().c_str());
-  } else {
-    std::fprintf(stderr, "unknown experiment '%s'\n", experiment.c_str());
-    return 2;
   }
-  finish_observability();
+  obs.Finish();
   return 0;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc == 2 && std::strcmp(argv[1], "--print-defaults") == 0) {
-    std::printf(
-        "experiment = response_time\nases = 8000\nseed = 42\n"
-        "geographic = false\nguids = 20000\nlookups = 100000\n"
-        "workload_seed = 1\nks = 1, 3, 5\n"
-        "churn_fractions = 0.0, 0.05, 0.10\nlocal_replica = true\n"
-        "replications = 1\ntopology_file =\nmove_intervals = 300, 60, 20, 5\n"
-        "threads = 0\nshards = 0\nmetrics_out =\n"
-        "trace_out =\n"
-        "trace_sample = 1\nserving =\n"
-        "offered_rates = 500, 1000, 2000, 4000\nhorizon_s = 5\n");
-    return 0;
-  }
+  const bool print_defaults =
+      argc == 2 && std::strcmp(argv[1], "--print-defaults") == 0;
   if (argc != 2) {
     std::fprintf(stderr,
                  "usage: %s <config-file> | --print-defaults\n", argv[0]);
     return 2;
   }
   try {
-    return Run(dmap::Config::ParseFile(argv[1]));
+    return Run(print_defaults ? dmap::Config()
+                              : dmap::Config::ParseFile(argv[1]),
+               print_defaults);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;

@@ -13,33 +13,30 @@ void CacheConfig::Validate() const {
   if (shards < 1 || shards > ResolverCache::kMaxShards) {
     throw std::invalid_argument("CacheConfig: shards out of [1, 256]");
   }
-  if (ttl_ms < 0.0) {
+  if (!(ttl_ms >= 0.0)) {  // also rejects NaN
     throw std::invalid_argument("CacheConfig: negative ttl_ms");
   }
 }
 
-CacheConfig CacheConfig::FromConfig(const Config& config) {
-  CacheConfig out;
-  out.capacity = std::size_t(config.GetInt("capacity", 0));
-  out.ttl_ms = config.GetDouble("ttl_ms", 0.0);
-  out.shards = unsigned(config.GetInt("shards", 8));
-  out.invalidate_on_update =
-      config.Has("invalidate_on_update")
-          ? config.GetBool("invalidate_on_update", false)
-          : config.GetBool("invalidate", false);
-  out.Validate();
-  return out;
-}
-
 CacheConfig CacheConfig::ParseArg(const std::string& arg) {
   // A bare number is shorthand for `capacity=<n>`.
-  if (!arg.empty() && arg.find('=') == std::string::npos) {
-    std::string text = "capacity = " + arg;
-    return FromConfig(Config::ParseString(text));
-  }
-  std::string text = arg;
+  std::string text = arg.find('=') == std::string::npos ? "capacity = " + arg
+                                                         : arg;
   std::replace(text.begin(), text.end(), ',', '\n');
-  return FromConfig(Config::ParseString(text));
+  const Config config = Config::ParseString(text);
+  CacheConfig out;
+  out.capacity = config.GetInt("capacity", out.capacity);
+  out.ttl_ms = config.GetDouble("ttl_ms", out.ttl_ms);
+  out.shards = config.GetInt("shards", out.shards);
+  // `invalidate` is the short spelling; `invalidate_on_update` wins.
+  out.invalidate_on_update = config.GetBool(
+      "invalidate_on_update", config.GetBool("invalidate", false));
+  const auto unused = config.UnusedKeys();
+  if (!unused.empty()) {
+    throw std::invalid_argument("CacheConfig: unknown key '" + unused[0] + "'");
+  }
+  out.Validate();
+  return out;
 }
 
 ResolverCache::ResolverCache(const CacheConfig& config) : config_(config) {

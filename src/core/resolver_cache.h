@@ -53,11 +53,8 @@
 
 namespace dmap {
 
-class Config;
-
-// The `--cache=` knob surface. Parsed once from an inline `k=v,...` string
-// (or a config file section), never as N separate flags — the same
-// convention as ServingConfig:
+// The `--cache=` knob surface. Parsed once from an inline `k=v,...` string,
+// never as N separate flags — the same convention as ServingConfig:
 //
 //   capacity   = 4096    # cached entries per shard-set; 0 disables
 //   ttl_ms     = 200     # freshness bound; 0 = entries never expire
@@ -81,9 +78,9 @@ struct CacheConfig {
   // Throws std::invalid_argument naming the offending field.
   void Validate() const;
 
-  static CacheConfig FromConfig(const Config& config);
   // `--cache=<inline k=v,...>`: commas separate pairs; a bare number is
-  // shorthand for `capacity=<n>`.
+  // shorthand for `capacity=<n>`. Each key is read at its field's type;
+  // unknown keys throw std::invalid_argument, then Validate() runs.
   static CacheConfig ParseArg(const std::string& arg);
 };
 

@@ -174,4 +174,23 @@ void WriteOpTrace(const std::string& path,
   WriteFileOrThrow(path, OpTraceCsv(traces));
 }
 
+ObservabilitySinks::ObservabilitySinks(const SimConfig& sim)
+    : metrics_out_(sim.metrics_out), trace_out_(sim.trace_out) {
+  if (!metrics_out_.empty()) registry_.emplace();
+  if (!trace_out_.empty()) tracer_.emplace(1u, sim.trace_sample);
+}
+
+void ObservabilitySinks::Finish() {
+  if (registry_.has_value()) {
+    WriteMetricsSummary(metrics_out_, registry_->Snapshot());
+    std::printf("metrics_summary: %s\n", metrics_out_.c_str());
+  }
+  if (tracer_.has_value()) {
+    const std::vector<ProbeTrace> traces = tracer_->Drain();
+    WriteOpTrace(trace_out_, traces);
+    std::printf("op_trace: %s (%zu sampled ops)\n", trace_out_.c_str(),
+                traces.size());
+  }
+}
+
 }  // namespace dmap

@@ -9,9 +9,11 @@
 // regardless of thread count (CI diffs them).
 #pragma once
 
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "common/config.h"
 #include "obs/metrics_registry.h"
 #include "obs/probe_trace.h"
 
@@ -48,5 +50,29 @@ void WriteMetricsSummary(const std::string& path,
 
 void WriteOpTrace(const std::string& path,
                   const std::vector<ProbeTrace>& traces);
+
+// The optional observability sinks of one bench or runner invocation, from
+// SimConfig's metrics_out / trace_out / trace_sample. registry()/tracer()
+// are null when the matching path is empty: no registry or tracer is even
+// created, so the measured loops keep their uninstrumented hot path.
+class ObservabilitySinks {
+ public:
+  explicit ObservabilitySinks(const SimConfig& sim);
+
+  MetricsRegistry* registry() {
+    return registry_.has_value() ? &*registry_ : nullptr;
+  }
+  ProbeTracer* tracer() { return tracer_.has_value() ? &*tracer_ : nullptr; }
+
+  // Writes the requested files (deterministic exports only) and prints
+  // where they went. Call exactly once, after the measured phase.
+  void Finish();
+
+ private:
+  std::string metrics_out_;
+  std::string trace_out_;
+  std::optional<MetricsRegistry> registry_;
+  std::optional<ProbeTracer> tracer_;
+};
 
 }  // namespace dmap

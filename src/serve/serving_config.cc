@@ -22,7 +22,7 @@ void ServingConfig::Validate() const {
         "ServingConfig: bucket_rate must be a non-negative finite rate");
   }
   if (admission == AdmissionPolicy::kTokenBucket && bucket_rate_per_s > 0.0 &&
-      bucket_burst < 1.0) {
+      !(bucket_burst >= 1.0)) {  // also rejects NaN
     throw std::invalid_argument(
         "ServingConfig: bucket_burst < 1 with an active token bucket");
   }
@@ -55,46 +55,43 @@ const char* AdmissionPolicyName(AdmissionPolicy policy) {
   return policy == AdmissionPolicy::kTokenBucket ? "token_bucket" : "none";
 }
 
-ServingConfig ServingConfig::FromConfig(const Config& config,
-                                        bool default_enabled) {
+namespace {
+
+// Reads every key of a serving config; `where` ends the unknown-key error.
+ServingConfig FromConfig(const Config& config, bool default_enabled,
+                         const std::string& where) {
   ServingConfig serving;
   serving.enabled = config.GetBool("enabled", default_enabled);
   serving.model = ParseModel(config.GetString("model", "deterministic"));
   serving.service_rate_per_s =
       config.GetDouble("service_rate", serving.service_rate_per_s);
-  serving.concurrency = int(config.GetInt("concurrency", serving.concurrency));
-  serving.queue_depth = int(config.GetInt("queue_depth", serving.queue_depth));
+  serving.concurrency = config.GetInt("concurrency", serving.concurrency);
+  serving.queue_depth = config.GetInt("queue_depth", serving.queue_depth);
   serving.admission =
       ParseAdmission(config.GetString("admission", "token_bucket"));
   serving.bucket_rate_per_s =
       config.GetDouble("bucket_rate", serving.bucket_rate_per_s);
   serving.bucket_burst = config.GetDouble("bucket_burst", serving.bucket_burst);
-  serving.seed = std::uint64_t(config.GetInt("seed", 1));
+  serving.seed = config.GetInt("seed", serving.seed);
   serving.Validate();
+  const auto unused = config.UnusedKeys();
+  if (!unused.empty()) {
+    throw std::invalid_argument("ServingConfig: unknown key '" + unused[0] +
+                                "'" + where);
+  }
   return serving;
 }
+
+}  // namespace
 
 ServingConfig ServingConfig::ParseString(const std::string& text,
                                          bool default_enabled) {
-  const Config config = Config::ParseString(text);
-  ServingConfig serving = FromConfig(config, default_enabled);
-  const auto unused = config.UnusedKeys();
-  if (!unused.empty()) {
-    throw std::invalid_argument("ServingConfig: unknown key '" + unused[0] +
-                                "'");
-  }
-  return serving;
+  return FromConfig(Config::ParseString(text), default_enabled, "");
 }
 
 ServingConfig ServingConfig::ParseFile(const std::string& path) {
-  const Config config = Config::ParseFile(path);
-  ServingConfig serving = FromConfig(config, /*default_enabled=*/true);
-  const auto unused = config.UnusedKeys();
-  if (!unused.empty()) {
-    throw std::invalid_argument("ServingConfig: unknown key '" + unused[0] +
-                                "' in " + path);
-  }
-  return serving;
+  return FromConfig(Config::ParseFile(path), /*default_enabled=*/true,
+                    " in " + path);
 }
 
 ServingConfig ServingConfig::ParseArg(const std::string& arg) {
@@ -104,6 +101,10 @@ ServingConfig ServingConfig::ParseArg(const std::string& arg) {
   std::string text = arg;
   std::replace(text.begin(), text.end(), ',', '\n');
   return ParseString(text, /*default_enabled=*/true);
+}
+
+ServingConfig ServingConfig::FromOption(const Config& options) {
+  return options.GetParsed("serving", ServingConfig{}, ParseArg);
 }
 
 }  // namespace dmap

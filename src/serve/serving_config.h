@@ -19,7 +19,9 @@
 //   seed         = 1                 # exponential service-time draws
 //
 // Like DMapOptions, Validate() throws std::invalid_argument naming the
-// offending field, so a typo fails before any compute is spent.
+// offending field, so a typo fails before any compute is spent. The parser
+// reads each key at its field's type (a count that does not fit an int, a
+// NaN or an infinity is refused there); Validate() states the ranges.
 #pragma once
 
 #include <cstdint>
@@ -77,11 +79,9 @@ struct ServingConfig {
   // Mean service time in milliseconds (1000 / service_rate).
   double MeanServiceMs() const { return 1000.0 / service_rate_per_s; }
 
-  // Parsers; all Validate() before returning. `default_enabled` covers the
-  // `--serving=` use: passing the flag implies enabled=true unless the
-  // config says otherwise.
-  static ServingConfig FromConfig(const Config& config,
-                                  bool default_enabled = false);
+  // Parsers; all reject unknown keys and Validate() before returning.
+  // `default_enabled` covers the `--serving=` use: passing the flag implies
+  // enabled=true unless the config says otherwise.
   static ServingConfig ParseString(const std::string& text,
                                    bool default_enabled = false);
   static ServingConfig ParseFile(const std::string& path);
@@ -89,6 +89,10 @@ struct ServingConfig {
   // is inline (commas separate pairs), anything else is a file path.
   // Inline and file forms accept the same keys.
   static ServingConfig ParseArg(const std::string& arg);
+  // The `serving` option of the bench command line and of run_experiment
+  // configs, in ParseArg form; absent or empty = the disabled default. A
+  // bad value throws std::runtime_error naming the option.
+  static ServingConfig FromOption(const Config& options);
 };
 
 const char* ServiceModelName(ServiceModel model);

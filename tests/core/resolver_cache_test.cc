@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <iterator>
+#include <limits>
 #include <list>
 #include <map>
 #include <random>
@@ -64,6 +65,21 @@ TEST(CacheConfigTest, ValidateRejectsBadFields) {
                std::invalid_argument);
   // Disabled cache short-circuits field validation.
   EXPECT_NO_THROW(CacheConfig::ParseArg("capacity=0,shards=0").Validate());
+}
+
+TEST(CacheConfigTest, ParseArgRejectsTyposNarrowingAndNan) {
+  // A misspelt key used to be dropped silently (TTL 0, never expires).
+  EXPECT_THROW(CacheConfig::ParseArg("capacity=4096,tll_ms=500"),
+               std::invalid_argument);
+  // 2^32 + 1 used to narrow to one shard.
+  EXPECT_THROW(CacheConfig::ParseArg("capacity=8,shards=4294967297"),
+               std::runtime_error);
+  // NaN used to pass Validate()'s `ttl_ms < 0` check.
+  EXPECT_THROW(CacheConfig::ParseArg("capacity=8,ttl_ms=nan"),
+               std::runtime_error);
+  CacheConfig config = CacheConfig::ParseArg("8");
+  config.ttl_ms = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(config.Validate(), std::invalid_argument);
 }
 
 TEST(ResolverCacheTest, ZeroCapacityConstructionThrows) {

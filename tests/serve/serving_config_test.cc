@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -80,6 +81,36 @@ TEST(ServingConfigTest, InlineRejectsUnknownKeysAndBadEnums) {
                std::invalid_argument);
   EXPECT_THROW(ServingConfig::ParseArg("service_rate=-5"),
                std::invalid_argument);
+}
+
+TEST(ServingConfigTest, RejectsNarrowingAndNan) {
+  // 2^32 + 1 used to narrow to 1 in both int fields.
+  EXPECT_THROW(ServingConfig::ParseArg("concurrency=4294967297"),
+               std::runtime_error);
+  EXPECT_THROW(ServingConfig::ParseArg("queue_depth=4294967297"),
+               std::runtime_error);
+  // NaN used to pass Validate()'s `bucket_burst < 1` with the bucket on.
+  EXPECT_THROW(ServingConfig::ParseArg("bucket_rate=100,bucket_burst=nan"),
+               std::runtime_error);
+  ServingConfig config;
+  config.bucket_rate_per_s = 100.0;
+  config.bucket_burst = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(config.Validate(), std::invalid_argument);
+  // A negative seed used to wrap to 2^64 - 1.
+  EXPECT_THROW(ServingConfig::ParseArg("seed=-1"), std::runtime_error);
+}
+
+TEST(ServingConfigTest, FromOptionNamesTheOption) {
+  EXPECT_FALSE(ServingConfig::FromOption(Config()).enabled);
+  const Config inline_arg = Config::ParseString("serving = service_rate=100");
+  EXPECT_TRUE(ServingConfig::FromOption(inline_arg).enabled);
+  try {
+    ServingConfig::FromOption(Config::ParseString("serving = model=gauss"));
+    FAIL() << "expected runtime_error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("'serving'"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(ServingConfigTest, ParsesFileFormAndShippedExample) {
