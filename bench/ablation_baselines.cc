@@ -17,6 +17,7 @@ int main(int argc, char** argv) {
   const Config args = Config::FromArgs(argc, argv);
   const double scale = bench::Scale(args);
   const SimConfig sim = SimConfig::FromConfig(args);
+  const int shards = SimConfig::Shards(args);
   bench::CheckArgs(args);
 
   std::printf("=== Ablation: DMap vs baseline resolution schemes ===\n");
@@ -29,7 +30,7 @@ int main(int argc, char** argv) {
   ObservabilitySinks obs(sim);
   ResponseTimeConfig config;
   config.threads = sim.threads;
-  config.shards = sim.shards;
+  config.shards = shards;
   config.metrics = obs.registry();
   config.tracer = obs.tracer();
   config.k = 5;

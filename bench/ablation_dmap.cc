@@ -29,6 +29,7 @@ int main(int argc, char** argv) {
   const Config args = Config::FromArgs(argc, argv);
   const double scale = bench::Scale(args);
   const SimConfig sim = SimConfig::FromConfig(args);
+  const int shards = SimConfig::Shards(args);
   bench::CheckArgs(args);
 
   std::printf("=== Ablation: DMap design choices ===\n");
@@ -41,7 +42,7 @@ int main(int argc, char** argv) {
   ObservabilitySinks obs(sim);
   ResponseTimeConfig config;
   config.threads = sim.threads;
-  config.shards = sim.shards;
+  config.shards = shards;
   config.metrics = obs.registry();
   config.tracer = obs.tracer();
   config.workload.num_guids = bench::Scaled(20'000, scale, 1000);

@@ -1,6 +1,7 @@
 // Shared helpers for the experiment drivers: one reader per bench flag
-// (Config::FromArgs keys; SimConfig::FromConfig reads --threads, --shards
-// and the observability sinks, ServingConfig::FromOption --serving), and
+// (Config::FromArgs keys; SimConfig::FromConfig reads --threads and the
+// observability sinks, SimConfig::Shards --shards in the benches that
+// build a sharded store, ServingConfig::FromOption --serving), and
 // uniform printing of summaries and CDF series. A bench reads every flag it
 // takes, then calls CheckArgs once before any compute.
 #pragma once

@@ -1,7 +1,7 @@
 # One binary per paper table/figure plus ablations and microbenchmarks.
 # Every bench binary runs with sensible full-scale defaults and takes
 # --scale=<f> (shrink or grow the workload), --threads=<n> (workers, 0 =
-# all cores; results are identical for every value), --shards and the
+# all cores; results are identical for every value) and the
 # observability flags; `--help` lists the flags that bench reads, and any
 # other flag exits 2. So `for b in build/bench/*; do $b; done` regenerates
 # every result. The <name>_cli test checks that `unread`, a flag the bench
@@ -24,7 +24,7 @@ dmap_add_bench(fig5_churn --write-quorum=1)
 dmap_add_bench(fig6_load_balance --cache=64)
 dmap_add_bench(fig7_analytical --serving=service_rate=500)
 dmap_add_bench(fig8_offered_load --cache=64)
-dmap_add_bench(storage_overhead --fault-seed=7)
+dmap_add_bench(storage_overhead --shards=16)
 dmap_add_bench(ablation_baselines --batch-updates=8)
 dmap_add_bench(ablation_dmap --cache=64)
 dmap_add_bench(ablation_failures --fault-seed=7)

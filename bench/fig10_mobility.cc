@@ -34,6 +34,7 @@ int main(int argc, char** argv) {
   const Config args = Config::FromArgs(argc, argv);
   const double scale = bench::Scale(args);
   const SimConfig sim = SimConfig::FromConfig(args);
+  const int shards = SimConfig::Shards(args);
   const std::optional<int> batch_updates = bench::BatchUpdates(args);
   const CacheConfig cache_flag = bench::Cache(args);
   bench::CheckArgs(args);
@@ -50,7 +51,7 @@ int main(int argc, char** argv) {
   config.mobility.handoff_rate_hz = 1.0;
   config.mobility.horizon_s = 10.0;
   config.threads = sim.threads;
-  config.shards = sim.shards;
+  config.shards = shards;
   config.metrics = obs.registry();
   if (batch_updates) config.batch_sizes = {*batch_updates};
 

@@ -18,6 +18,7 @@ int main(int argc, char** argv) {
   const Config args = Config::FromArgs(argc, argv);
   const double scale = bench::Scale(args);
   const SimConfig sim = SimConfig::FromConfig(args);
+  const int shards = SimConfig::Shards(args);
   const std::optional<int> write_quorum = bench::WriteQuorum(args);
   bench::CheckArgs(args);
 
@@ -31,7 +32,7 @@ int main(int argc, char** argv) {
   ObservabilitySinks obs(sim);
   ResponseTimeConfig config;
   config.threads = sim.threads;
-  config.shards = sim.shards;
+  config.shards = shards;
   // Lookup-only sweep: inserts are unmeasured, so every quorum setting
   // produces identical output — CI pins --write-quorum=1 here to assert
   // exactly that against the pre-quorum golden export.

@@ -15,6 +15,7 @@ int main(int argc, char** argv) {
   const Config args = Config::FromArgs(argc, argv);
   const double scale = bench::Scale(args);
   const SimConfig sim = SimConfig::FromConfig(args);
+  const int shards = SimConfig::Shards(args);
   bench::CheckArgs(args);
 
   std::printf("=== Figure 5: response time under BGP churn (K=5) ===\n");
@@ -27,7 +28,7 @@ int main(int argc, char** argv) {
   ObservabilitySinks obs(sim);
   ChurnExperimentConfig config;
   config.base.threads = sim.threads;
-  config.base.shards = sim.shards;
+  config.base.shards = shards;
   config.base.metrics = obs.registry();
   config.base.tracer = obs.tracer();
   config.base.k = 5;

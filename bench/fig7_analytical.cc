@@ -22,6 +22,7 @@ int main(int argc, char** argv) {
   const Config args = Config::FromArgs(argc, argv);
   const double scale = bench::Scale(args);
   const SimConfig sim = SimConfig::FromConfig(args);
+  const int shards = SimConfig::Shards(args);
   bench::CheckArgs(args);
 
   std::printf("=== Figure 7: analytical response-time upper bound vs K ===\n");
@@ -60,7 +61,7 @@ int main(int argc, char** argv) {
   ObservabilitySinks obs(sim);
   ResponseTimeConfig config;
   config.threads = sim.threads;
-  config.shards = sim.shards;
+  config.shards = shards;
   config.metrics = obs.registry();
   config.tracer = obs.tracer();
   config.local_replica = false;  // the model has no local-replica term

@@ -60,6 +60,7 @@ int main(int argc, char** argv) {
   const Config args = Config::FromArgs(argc, argv);
   const double scale = bench::Scale(args);
   const SimConfig sim = SimConfig::FromConfig(args);
+  const int shards = SimConfig::Shards(args);
   ServingConfig serving = ServingConfig::FromOption(args);
   bench::CheckArgs(args);
 
@@ -101,7 +102,7 @@ int main(int argc, char** argv) {
       config.base.workload.popularity_alpha = skew.alpha;
       config.base.workload.popularity_q = skew.q;
       config.base.threads = sim.threads;
-      config.base.shards = sim.shards;
+      config.base.shards = shards;
       config.base.serving = serving;
       config.base.metrics = obs.registry();
       config.base.tracer = obs.tracer();

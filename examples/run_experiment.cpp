@@ -50,7 +50,7 @@ int Run(const Config& config, bool print_defaults) {
 
   ResponseTimeConfig rt;
   rt.threads = sim.threads;
-  rt.shards = sim.shards;
+  rt.shards = SimConfig::Shards(config);
   rt.workload.num_guids =
       config.GetInt<std::uint64_t>("guids", 20'000, 1, 1'000'000'000);
   rt.workload.num_lookups =

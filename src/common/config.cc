@@ -272,10 +272,13 @@ void Config::FinishReading(bool describe) const {
   std::exit(2);
 }
 
+int SimConfig::Shards(const Config& config) {
+  return config.GetInt("shards", 0, 0, kMaxShards);
+}
+
 SimConfig SimConfig::FromConfig(const Config& config) {
   SimConfig sim;
   sim.threads = config.GetInt("threads", sim.threads, 0u, kMaxThreads);
-  sim.shards = config.GetInt("shards", sim.shards, 0, kMaxShards);
   sim.metrics_out = config.GetString("metrics_out", sim.metrics_out);
   sim.trace_out = config.GetString("trace_out", sim.trace_out);
   sim.trace_sample = config.GetInt<std::uint64_t>(

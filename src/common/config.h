@@ -191,12 +191,14 @@ struct SimConfig {
   static constexpr unsigned kMaxThreads = 4096;
   unsigned threads = 0;
 
-  // Mapping-store shard count handed to DMapOptions::store_shards; 0 =
-  // auto (one shard per hardware thread, clamped to a power of two).
-  // Results are bit-identical for any value of `shards`. At most
-  // kMaxShards.
+  // The `shards` key: the mapping-store shard count handed to
+  // DMapOptions::store_shards; 0 (the default) = auto, one shard per
+  // hardware thread clamped to a power of two. Results are bit-identical
+  // for any value. At most kMaxShards. Read apart from FromConfig, only by
+  // the programs that build a sharded store, so that the others reject
+  // the key as unread.
   static constexpr int kMaxShards = 256;
-  int shards = 0;
+  static int Shards(const Config& config);
 
   // Observability sinks (src/obs/). Empty paths disable the corresponding
   // export; exports are bit-identical for every value of `threads`.
@@ -204,8 +206,8 @@ struct SimConfig {
   std::string trace_out;    // per-lookup probe trace CSV
   std::uint64_t trace_sample = 1;  // trace 1-in-N GUIDs (by fingerprint)
 
-  // Reads the `threads`, `shards`, `metrics_out`, `trace_out` and
-  // `trace_sample` keys (defaults above) for the benches and the runner.
+  // Reads the `threads`, `metrics_out`, `trace_out` and `trace_sample`
+  // keys (defaults above) for the benches and the runner.
   static SimConfig FromConfig(const Config& config);
 };
 

@@ -56,10 +56,9 @@ DMapService::DMapService(const AsGraph& graph, const PrefixTable& table,
       resolver_(hashes_, table, options.max_hashes),
       oracle_(graph),
       store_(graph.num_nodes(), unsigned(options.store_shards)) {
-  // Arm the DIR-24-8 snapshot but defer the (64 MB) build to the first
-  // serial write point — the prefix table is typically still being
-  // announced when the service is constructed.
-  resolver_.EnableSnapshot();
+  // The resolver's DIR-24-8 snapshot is built at the first serial write
+  // point, not here: the prefix table is typically still being announced
+  // when the service is constructed.
   if (options_.cache.enabled()) {
     cache_ = std::make_unique<ResolverCache>(options_.cache);
   }
@@ -557,17 +556,6 @@ std::vector<PlannedProbe> DMapService::Plan(const Guid& guid, AsId querier,
                                             unsigned shard) {
   return PlanProbes(resolver_.ResolveAll(guid, shard), querier,
                     options_.selection, oracle_, shard);
-}
-
-std::vector<std::pair<AsId, double>> DMapService::ProbePlan(const Guid& guid,
-                                                            AsId querier,
-                                                            unsigned shard) {
-  std::vector<std::pair<AsId, double>> plan;
-  plan.reserve(std::size_t(options_.k));
-  for (const PlannedProbe& probe : Plan(guid, querier, shard)) {
-    plan.emplace_back(probe.host, probe.rtt);
-  }
-  return plan;
 }
 
 void DMapService::SetFailedAses(const std::vector<AsId>& failed) {

@@ -134,9 +134,9 @@ struct ResolverOutcome {
   // replica that resolved the operation, and how its admission went. Every
   // backend without a capacity model — the closed form and all baselines —
   // keeps the defaults (zero-delay kServed), so the cross-backend contract
-  // stays uniform; only the event-driven and wire executors with a
-  // ServingTier installed report anything else. A lookup that exhausted
-  // its plan with at least one probe shed reports kShed.
+  // stays uniform; only the event-driven executor with a ServingTier
+  // installed reports anything else. A lookup that exhausted its plan with
+  // at least one probe shed reports kShed.
   double queue_delay_ms = 0.0;
   AdmissionOutcome admission = AdmissionOutcome::kServed;
   std::optional<ProbeTrace> trace;  // filled only for sampled operations
@@ -366,11 +366,6 @@ class DMapService {
   // the Algorithm 1 metrics slab, as for Lookup.
   std::vector<PlannedProbe> Plan(const Guid& guid, AsId querier,
                                  unsigned shard = 0) REQUIRES_SHARD(shard);
-  // The same plan as (host, RTT ms) pairs.
-  std::vector<std::pair<AsId, double>> ProbePlan(const Guid& guid,
-                                                 AsId querier,
-                                                 unsigned shard = 0)
-      REQUIRES_SHARD(shard);
 
   bool IsFailed(AsId as) const { return failures_.IsFailed(as); }
   bool IsFailedAt(AsId as, SimTime t) const {

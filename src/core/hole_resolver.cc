@@ -24,17 +24,10 @@ void HoleResolver::SetMetrics(MetricsRegistry* registry) {
       "algo1.rehash_depth", MetricsRegistry::CountBoundaries());
 }
 
-void HoleResolver::EnableSnapshot(bool enable) {
-  snapshot_enabled_ = enable;
-  if (!enable) snapshot_.reset();
-}
-
 void HoleResolver::RefreshSnapshot() {
-  // Epoch early-out: equal epochs imply an identical announced set, so a
-  // rebuild would reproduce the snapshot bit for bit. Fast-path early-out:
-  // while an external Dir24_8 is installed the owned snapshot is never
-  // probed (ActiveFast prefers fast_), so keeping it warm is pure waste.
-  if (!snapshot_enabled_ || fast_ != nullptr || snapshot_fresh()) return;
+  // Equal epochs imply an identical announced set, so a rebuild would
+  // reproduce the snapshot bit for bit.
+  if (snapshot_fresh()) return;
   if (snapshot_ == nullptr) {
     snapshot_ = std::make_unique<Dir24_8>(*table_);
   } else {

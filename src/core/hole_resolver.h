@@ -68,33 +68,21 @@ class HoleResolver {
   // uninstrumented path pays one predictable branch per resolution.
   void SetMetrics(MetricsRegistry* registry);
 
-  // Routes the hot-path LPM probes through a DIR-24-8 snapshot (one or two
-  // array reads instead of a trie walk, ~7x faster at full table size) —
-  // the configuration a real router would run. `fast` must be a snapshot
-  // of the same table and must outlive the resolver; the rare deputy
-  // fall-through still uses the trie's nearest-announced query. Pass
-  // nullptr to go back to the trie. An externally-installed fast path
-  // takes priority over the owned snapshot below and is trusted blindly —
-  // the caller owns its freshness.
-  void SetFastPath(const Dir24_8* fast) { fast_ = fast; }
-
-  // Owned, epoch-versioned DIR-24-8 snapshot. Once enabled AND built (the
-  // first RefreshSnapshot call), LPM probes use the snapshot whenever its
-  // epoch matches the prefix table's current epoch(), and silently fall
-  // back to the trie walk when BGP churn has made it stale — resolutions
-  // are always correct, never against stale routing state. EnableSnapshot
-  // only arms the mechanism; RefreshSnapshot() (re)builds a missing or
-  // stale snapshot (64 MB + O(table); a no-op when fresh or disabled) and
-  // must only be called from serial sections: the snapshot is shared
-  // read-only across workers while resolutions run.
-  // RefreshSnapshot early-outs when the snapshot is already fresh (the
-  // prefix-table epoch is unchanged since the last build — equal epochs
-  // imply an identical announced set) and when an external fast path is
-  // installed (the owned snapshot would never be probed while fast_ takes
-  // priority, so rebuilding it would be 64 MB of wasted work per write
-  // point). snapshot_rebuilds() counts actual rebuilds so tests can pin
-  // both early-outs.
-  void EnableSnapshot(bool enable = true) REQUIRES_SERIAL();
+  // Owned, epoch-versioned DIR-24-8 snapshot of the prefix table: LPM
+  // probes read one or two array entries instead of walking the trie (~7x
+  // faster at full table size), the configuration a real router would
+  // run; the rare deputy fall-through still uses the trie's nearest-
+  // announced query. RefreshSnapshot() builds the snapshot (64 MB +
+  // O(table)) or rebuilds a stale one, and must only be called from serial
+  // sections: the snapshot is shared read-only across workers while
+  // resolutions run. It is a no-op when the snapshot is fresh (the prefix-
+  // table epoch is unchanged since the last build; equal epochs imply an
+  // identical announced set), and snapshot_rebuilds() counts actual
+  // rebuilds so tests can pin that early-out. Probes use the snapshot only
+  // while its epoch matches the table's current epoch() and silently fall
+  // back to the trie when BGP churn has made it stale, so resolutions are
+  // never made against stale routing state. A resolver never refreshed
+  // always walks the trie: the reference the snapshot is tested against.
   void RefreshSnapshot() REQUIRES_SERIAL();
   bool snapshot_fresh() const {
     return snapshot_ != nullptr && snapshot_epoch_ == table_->epoch();
@@ -102,14 +90,9 @@ class HoleResolver {
   std::uint64_t snapshot_rebuilds() const { return snapshot_rebuilds_; }
 
  private:
-  // The LPM structure probes go through: an explicit fast path first, then
-  // the owned snapshot if fresh, else nullptr (trie walk).
+  // The snapshot if fresh, else nullptr (trie walk).
   const Dir24_8* ActiveFast() const {
-    if (fast_ != nullptr) return fast_;
-    if (snapshot_ != nullptr && snapshot_epoch_ == table_->epoch()) {
-      return snapshot_.get();
-    }
-    return nullptr;
+    return snapshot_fresh() ? snapshot_.get() : nullptr;
   }
   // LPM owner of `addr` (kInvalidAs in a hole): one or two array reads via
   // `fast` when non-null, else a trie walk.
@@ -121,8 +104,6 @@ class HoleResolver {
 
   const GuidHashFamily* hashes_;
   const PrefixTable* table_;
-  const Dir24_8* fast_ = nullptr;
-  bool snapshot_enabled_ = false;
   std::unique_ptr<Dir24_8> snapshot_;
   std::uint64_t snapshot_epoch_ = 0;
   std::uint64_t snapshot_rebuilds_ = 0;

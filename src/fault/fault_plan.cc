@@ -8,6 +8,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "common/config.h"
+
 namespace dmap {
 namespace {
 
@@ -189,7 +191,11 @@ void FaultPlan::Validate() const {
   }
 }
 
-FaultPlan FaultPlan::FromConfig(const Config& config) {
+namespace {
+
+// Reads every key of a fault plan; `where` ends the unknown-key error, so
+// a misspelt key fails instead of silently running without that fault.
+FaultPlan FromConfig(const Config& config, const std::string& where) {
   FaultPlan plan;
   plan.drop_probability = config.GetDouble("drop_probability", 0.0);
   plan.duplicate_probability =
@@ -198,16 +204,23 @@ FaultPlan FaultPlan::FromConfig(const Config& config) {
   plan.crashes = ParseWindowList(config, "crash", /*wipe_storage=*/true);
   plan.outages = ParseWindowList(config, "outage", /*wipe_storage=*/false);
   plan.partitions = ParsePartitionList(config);
+  const auto unused = config.UnusedKeys();
+  if (!unused.empty()) {
+    throw std::invalid_argument("FaultPlan: unknown key '" + unused[0] +
+                                "'" + where);
+  }
   plan.Validate();
   return plan;
 }
 
+}  // namespace
+
 FaultPlan FaultPlan::ParseString(const std::string& text) {
-  return FromConfig(Config::ParseString(text));
+  return FromConfig(Config::ParseString(text), "");
 }
 
 FaultPlan FaultPlan::ParseFile(const std::string& path) {
-  return FromConfig(Config::ParseFile(path));
+  return FromConfig(Config::ParseFile(path), " in " + path);
 }
 
 std::vector<AsId> CustomerCone(const AsGraph& graph, AsId center) {

@@ -32,7 +32,6 @@
 #include <string>
 #include <vector>
 
-#include "common/config.h"
 #include "event/sim_time.h"
 #include "fault/failure_view.h"
 #include "topo/graph.h"
@@ -85,9 +84,8 @@ struct FaultPlan {
   // with down_at > up_at).
   void Validate() const;
 
-  // Parsers; all Validate() before returning. The Config form lets the
-  // experiment runner embed a plan in its main config file.
-  static FaultPlan FromConfig(const Config& config);
+  // Parsers; both Validate() before returning, and throw
+  // std::invalid_argument naming the first key no field reads.
   static FaultPlan ParseString(const std::string& text);
   static FaultPlan ParseFile(const std::string& path);
 };

@@ -396,11 +396,7 @@ LoadBalanceResult RunLoadBalanceExperiment(const SimEnvironment& env,
   // No MappingStore is materialised, which keeps the 10^7-GUID point cheap.
   const GuidHashFamily hashes(config.k, config.hash_seed);
   HoleResolver resolver(hashes, env.table, config.max_hashes);
-  std::unique_ptr<Dir24_8> fast;
-  if (config.use_fast_path) {
-    fast = std::make_unique<Dir24_8>(env.table);
-    resolver.SetFastPath(fast.get());
-  }
+  resolver.RefreshSnapshot();
   if (config.metrics != nullptr) resolver.SetMetrics(config.metrics);
 
   // GUID-range partitioned: replica placement is independent per GUID, and

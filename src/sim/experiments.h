@@ -101,9 +101,6 @@ struct LoadBalanceConfig {
   std::uint64_t num_guids = 1'000'000;
   std::uint64_t hash_seed = 0x5eedf00dULL;
   std::uint64_t guid_seed = 11;
-  // Route LPM probes through a DIR-24-8 snapshot (identical results,
-  // asserted by tests; ~7x faster per probe at full table size).
-  bool use_fast_path = true;
   // Worker threads for the GUID-range-partitioned resolve pass; 0 = one
   // per hardware thread. Results do not depend on this value.
   unsigned threads = 0;

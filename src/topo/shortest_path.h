@@ -135,7 +135,7 @@ class PathOracle {
   std::uint64_t hops_cache_misses() const REQUIRES_ALL_SHARDS() {
     return bfs_runs();
   }
-  // Point queries answered by the hub-label backend (0 under kLru).
+  // Point queries answered by the hub labels (0 while none are set).
   std::uint64_t label_queries() const REQUIRES_ALL_SHARDS();
 
  private:

@@ -36,16 +36,15 @@ TEST(BenchUtilTest, ParsesWellFormedArguments) {
 }
 
 TEST(BenchUtilTest, AcceptsTheSimConfigMaxima) {
-  const SimConfig sim =
-      SimConfig::FromConfig(Parse({"--threads=4096", "--shards", "256"}));
-  EXPECT_EQ(sim.threads, SimConfig::kMaxThreads);
-  EXPECT_EQ(sim.shards, SimConfig::kMaxShards);
+  const Config args = Parse({"--threads=4096", "--shards", "256"});
+  EXPECT_EQ(SimConfig::FromConfig(args).threads, SimConfig::kMaxThreads);
+  EXPECT_EQ(SimConfig::Shards(args), SimConfig::kMaxShards);
 }
 
 TEST(BenchUtilDeathTest, RejectsThreadsAndShardsBeyondSimConfigMaxima) {
   EXPECT_EXIT((void)SimConfig::FromConfig(Parse({"--threads=4097"})),
               testing::ExitedWithCode(2), "bad --threads");
-  EXPECT_EXIT((void)SimConfig::FromConfig(Parse({"--shards=257"})),
+  EXPECT_EXIT((void)SimConfig::Shards(Parse({"--shards=257"})),
               testing::ExitedWithCode(2), "bad --shards");
 }
 

@@ -98,14 +98,18 @@ TEST(ConfigTest, SimConfigBoundsThreads) {
 }
 
 TEST(ConfigTest, SimConfigBoundsShards) {
-  EXPECT_EQ(SimConfig::FromConfig(Config::ParseString("shards = 256\n"))
-                .shards,
+  EXPECT_EQ(SimConfig::Shards(Config::ParseString("shards = 256\n")),
             SimConfig::kMaxShards);
+  EXPECT_EQ(SimConfig::Shards(Config::ParseString("")), 0);
   for (const char* bad : {"shards = -1\n", "shards = 257\n"}) {
-    EXPECT_THROW(SimConfig::FromConfig(Config::ParseString(bad)),
+    EXPECT_THROW(SimConfig::Shards(Config::ParseString(bad)),
                  std::runtime_error)
         << bad;
   }
+  // FromConfig leaves the key to the programs that build a sharded store.
+  const Config shards_only = Config::ParseString("shards = 4\n");
+  (void)SimConfig::FromConfig(shards_only);
+  EXPECT_EQ(shards_only.UnusedKeys(), std::vector<std::string>{"shards"});
 }
 
 TEST(ConfigTest, BoundedGettersCheckBeforeNarrowing) {

@@ -231,13 +231,13 @@ TEST_F(DMapServiceTest, FailedReplicaCostsTimeoutAndFallsThrough) {
   const UpdateResult up = service.Insert(g, NetworkAddress{10, 1});
 
   // Fail the best replica for querier 77.
-  const auto plan = service.ProbePlan(g, 77);
-  service.SetFailedAses({plan[0].first});
+  const auto plan = service.Plan(g, 77);
+  service.SetFailedAses({plan[0].host});
   const LookupResult r = service.Lookup(g, 77);
-  if (plan[1].first != plan[0].first) {
+  if (plan[1].host != plan[0].host) {
     ASSERT_TRUE(r.found);
     EXPECT_EQ(r.attempts, 2);
-    EXPECT_DOUBLE_EQ(r.latency_ms, 500.0 + plan[1].second);
+    EXPECT_DOUBLE_EQ(r.latency_ms, 500.0 + plan[1].rtt);
   }
   (void)up;
 }
@@ -330,27 +330,27 @@ TEST_F(DMapServiceTest, StaleViewPlusFailuresCompose) {
   // when the view is the (consistent) table — then verify latency
   // accounting includes both penalty types when we also displace storage
   // by deregistering and re-inserting nothing (miss at every replica).
-  const auto plan = service.ProbePlan(g, 99);
-  service.SetFailedAses({plan[0].first});
+  const auto plan = service.Plan(g, 99);
+  service.SetFailedAses({plan[0].host});
   const LookupResult ok = service.LookupWithView(g, 99, env_.table);
-  if (plan[1].first != plan[0].first) {
+  if (plan[1].host != plan[0].host) {
     ASSERT_TRUE(ok.found);
-    EXPECT_DOUBLE_EQ(ok.latency_ms, 400.0 + plan[1].second);
+    EXPECT_DOUBLE_EQ(ok.latency_ms, 400.0 + plan[1].rtt);
   }
 
   // Unknown GUID with one dead replica: all K probed, one timeout + the
   // remaining (K-1) miss round trips.
   const Guid unknown = Guid::FromSequence(78);
-  const auto unknown_plan = service.ProbePlan(unknown, 99);
-  service.SetFailedAses({unknown_plan[0].first});
+  const auto unknown_plan = service.Plan(unknown, 99);
+  service.SetFailedAses({unknown_plan[0].host});
   const LookupResult miss = service.LookupWithView(unknown, 99, env_.table);
   EXPECT_FALSE(miss.found);
   double expected = 400.0;
   for (std::size_t i = 1; i < unknown_plan.size(); ++i) {
-    if (unknown_plan[i].first == unknown_plan[0].first) {
+    if (unknown_plan[i].host == unknown_plan[0].host) {
       expected += 400.0;  // duplicate replica host also counts as failed
     } else {
-      expected += unknown_plan[i].second;
+      expected += unknown_plan[i].rtt;
     }
   }
   EXPECT_DOUBLE_EQ(miss.latency_ms, expected);
@@ -677,7 +677,7 @@ TEST_F(DMapServiceTest, HubLabelsAndDijkstraRunIdentically) {
     // Fail the first replica the first lookup probes.
     const LookupOp& first = lookups.front();
     service.SetFailedAses(
-        {service.ProbePlan(first.guid, first.source).front().first});
+        {service.Plan(first.guid, first.source).front().host});
     Run out;
     for (const LookupOp& op : lookups) {
       out.results.push_back(service.Lookup(op.guid, op.source));

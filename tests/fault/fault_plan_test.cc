@@ -6,6 +6,7 @@
 #include <fstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "sim/environment.h"
 
@@ -80,6 +81,36 @@ TEST(FaultPlanTest, ValidateNamesTheOffendingField) {
   inverted.up_at = SimTime::Millis(50.0);
   plan.crashes.push_back(inverted);
   EXPECT_THROW(plan.Validate(), std::invalid_argument);
+}
+
+TEST(FaultPlanTest, ParseRejectsUnknownKeysNamingThem) {
+  // A misspelt key must not quietly run the plan without that fault.
+  const std::pair<const char*, const char*> cases[] = {
+      {"drop_probabilty = 0.5\n", "'drop_probabilty'"},
+      {"drop_probability = 0.1\njiter_ms = 3\n", "'jiter_ms'"},
+  };
+  for (const auto& [text, key] : cases) {
+    try {
+      (void)FaultPlan::ParseString(text);
+      ADD_FAILURE() << "accepted: " << text;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+          << e.what();
+    }
+  }
+  const std::string path = testing::TempDir() + "/fault_plan_typo.plan";
+  {
+    std::ofstream out(path);
+    out << "crash = 3:10:20\ncrash_at = 5\n";
+  }
+  try {
+    (void)FaultPlan::ParseFile(path);
+    ADD_FAILURE() << "accepted crash_at";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("'crash_at' in " + path),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(FaultPlanTest, ParseRejectsMalformedWindows) {

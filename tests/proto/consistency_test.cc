@@ -97,7 +97,7 @@ class ConsistencyTest : public testing::Test {
 
   // The probe order a client at `querier` uses, from a closed-form
   // reference configured like `options`.
-  std::vector<std::pair<AsId, double>> ReferencePlan(
+  std::vector<PlannedProbe> ReferencePlan(
       const ProtocolNetworkOptions& options, const Guid& guid,
       NetworkAddress na, AsId querier) {
     DMapOptions ref;
@@ -105,7 +105,7 @@ class ConsistencyTest : public testing::Test {
     ref.local_replica = options.local_replica;
     DMapService reference(env_.graph, env_.table, ref);
     (void)reference.Insert(guid, na);
-    return reference.ProbePlan(guid, querier);
+    return reference.Plan(guid, querier);
   }
 
   std::optional<UpdateResult> Insert(ProtocolNetwork& net, const Guid& g,
@@ -236,7 +236,7 @@ TEST_F(ConsistencyTest, SingleReadQuorumCountsStaleReads) {
   // Rewind the first-probe replica to version 1: a crash that lost the
   // second write, restored from an old copy.
   const auto plan = ReferencePlan(options, g, NetworkAddress{10, 1}, querier);
-  const AsId stale_host = plan[0].first;
+  const AsId stale_host = plan[0].host;
   MappingEntry old_entry;
   old_entry.version = v1->version;
   old_entry.writer = 10;
@@ -266,7 +266,7 @@ TEST_F(ConsistencyTest, ReadFanoutReturnsMaxStampAndRepairsStaleReplica) {
   ASSERT_TRUE(v1.has_value() && v2.has_value());
 
   const auto plan = ReferencePlan(options, g, NetworkAddress{10, 1}, querier);
-  const AsId stale_host = plan[0].first;
+  const AsId stale_host = plan[0].host;
   MappingEntry old_entry;
   old_entry.version = v1->version;
   old_entry.writer = 10;
@@ -299,17 +299,17 @@ TEST_F(ConsistencyTest, ReadQuorumTimeoutRowChargesEveryArmedTimeout) {
   const NetworkAddress na{10, 1};
   const AsId querier = 77;
   const auto plan = ReferencePlan(options, g, na, querier);
-  ASSERT_NE(plan[0].first, plan[1].first);
-  ASSERT_NE(plan[0].first, plan[2].first);
+  ASSERT_NE(plan[0].host, plan[1].host);
+  ASSERT_NE(plan[0].host, plan[2].host);
   // A base timeout below the dead replica's RTT: the 1.5x RTT floor binds
   // on the first transmission and the backoff on the later ones.
-  options.failure_timeout_ms = plan[0].second;
+  options.failure_timeout_ms = plan[0].rtt;
   ProtocolNetwork net(env_.graph, env_.table, options);
   ASSERT_TRUE(Insert(net, g, na).has_value());
 
   ProbeTracer tracer;
   net.SetTracer(&tracer);
-  net.FailAs(plan[0].first);
+  net.FailAs(plan[0].host);
   const auto result = Lookup(net, g, querier);
   ASSERT_TRUE(result.has_value());
   EXPECT_TRUE(result->found);
@@ -319,7 +319,7 @@ TEST_F(ConsistencyTest, ReadQuorumTimeoutRowChargesEveryArmedTimeout) {
   double armed = 0.0;
   for (int retry = 0; retry <= options.probe_retries; ++retry) {
     armed += AdaptiveTimeoutMs(options.failure_timeout_ms, retry,
-                               options.retry_backoff, plan[0].second);
+                               options.retry_backoff, plan[0].rtt);
   }
   const std::vector<ProbeTrace> traces = tracer.Drain();
   ASSERT_EQ(traces.size(), 1u);
@@ -327,19 +327,19 @@ TEST_F(ConsistencyTest, ReadQuorumTimeoutRowChargesEveryArmedTimeout) {
   for (const ProbeEvent& probe : traces[0].probes) {
     if (probe.outcome == ProbeOutcome::kTimeout) {
       ++timeouts;
-      EXPECT_EQ(probe.replica, plan[0].first);
+      EXPECT_EQ(probe.replica, plan[0].host);
       EXPECT_EQ(probe.rtt_ms, armed);
     } else {
       EXPECT_EQ(probe.outcome, ProbeOutcome::kHit);
       const auto entry = std::find_if(
           plan.begin(), plan.end(),
-          [&](const auto& p) { return p.first == probe.replica; });
+          [&](const auto& p) { return p.host == probe.replica; });
       ASSERT_NE(entry, plan.end());
-      EXPECT_NEAR(probe.rtt_ms, entry->second, 1e-9);
+      EXPECT_NEAR(probe.rtt_ms, entry->rtt, 1e-9);
     }
   }
   EXPECT_EQ(timeouts, 1u);
-  EXPECT_NEAR(result->latency_ms, armed + plan[2].second, 1e-9);
+  EXPECT_NEAR(result->latency_ms, armed + plan[2].rtt, 1e-9);
 }
 
 // A pairwise partition silently eats the probe to the first replica (both
@@ -354,13 +354,13 @@ TEST_F(ConsistencyTest, PartitionDropsOnlyTheCutPair) {
   ASSERT_TRUE(Insert(net, g, na).has_value());
 
   const auto plan = ReferencePlan(options, g, na, querier);
-  ASSERT_NE(plan[0].first, plan[1].first);
-  ASSERT_NE(plan[1].first, querier);
+  ASSERT_NE(plan[0].host, plan[1].host);
+  ASSERT_NE(plan[1].host, querier);
 
   FaultPlan fault_plan;
   PartitionWindow window;
   window.a = querier;
-  window.b = plan[0].first;
+  window.b = plan[0].host;
   fault_plan.partitions.push_back(window);  // [0, forever)
   net.ApplyFaultPlan(fault_plan, /*seed=*/4);
 
@@ -370,8 +370,8 @@ TEST_F(ConsistencyTest, PartitionDropsOnlyTheCutPair) {
   EXPECT_TRUE(result->found);
   EXPECT_EQ(result->attempts, 2);  // cut pair timed out, next replica hit
   const double expected_timeout =
-      std::max(options.failure_timeout_ms, 1.5 * plan[0].second);
-  EXPECT_NEAR(result->latency_ms, expected_timeout + plan[1].second, 1e-4);
+      std::max(options.failure_timeout_ms, 1.5 * plan[0].rtt);
+  EXPECT_NEAR(result->latency_ms, expected_timeout + plan[1].rtt, 1e-4);
   EXPECT_EQ(net.messages_dropped(), dropped_before + 1);
 }
 

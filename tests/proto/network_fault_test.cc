@@ -37,7 +37,7 @@ class NetworkFaultTest : public testing::Test {
 
   // The probe order a client at `querier` uses, from a closed-form
   // reference configured like `options`.
-  std::vector<std::pair<AsId, double>> ReferencePlan(
+  std::vector<PlannedProbe> ReferencePlan(
       const ProtocolNetworkOptions& options, const Guid& guid,
       NetworkAddress na, AsId querier) {
     DMapOptions ref;
@@ -45,7 +45,7 @@ class NetworkFaultTest : public testing::Test {
     ref.local_replica = options.local_replica;
     DMapService reference(env_.graph, env_.table, ref);
     (void)reference.Insert(guid, na);
-    return reference.ProbePlan(guid, querier);
+    return reference.Plan(guid, querier);
   }
 
   // Finds a GUID for which wiping the first-probe replica leads to a real
@@ -63,15 +63,15 @@ class NetworkFaultTest : public testing::Test {
       net.simulator().Run();
       if (!inserted) continue;
       const auto plan = ReferencePlan(options, g, na, querier);
-      if (plan[0].first == plan[1].first) continue;
-      net.node(plan[0].first).store().Clear();
+      if (plan[0].host == plan[1].host) continue;
+      net.node(plan[0].host).store().Clear();
       std::optional<LookupResult> result;
       net.LookupAsync(g, querier,
                       [&](const LookupResult& r) { result = r; });
       net.simulator().Run();
       if (result.has_value() && result->found && result->attempts == 2 &&
           net.repairs_sent() == 1 &&
-          net.node(plan[0].first).store().Lookup(g) != nullptr) {
+          net.node(plan[0].host).store().Lookup(g) != nullptr) {
         return seq;
       }
     }
@@ -104,23 +104,23 @@ TEST_F(NetworkFaultTest, FailureLandingMidFlightDropsTheRequest) {
 
   const AsId querier = 123;
   const auto plan = ReferencePlan(options, g, na, querier);
-  ASSERT_NE(plan[0].first, plan[1].first);
-  const double one_way = net.oracle().OneWayMs(querier, plan[0].first);
+  ASSERT_NE(plan[0].host, plan[1].host);
+  const double one_way = net.oracle().OneWayMs(querier, plan[0].host);
 
   const std::uint64_t dropped_before = net.messages_dropped();
   std::optional<LookupResult> result;
   net.LookupAsync(g, querier, [&](const LookupResult& r) { result = r; });
   // The destination dies after the probe went out but before it arrives.
   net.simulator().Schedule(SimTime::Millis(0.5 * one_way),
-                           [&net, as = plan[0].first] { net.FailAs(as); });
+                           [&net, as = plan[0].host] { net.FailAs(as); });
   net.simulator().Run();
 
   ASSERT_TRUE(result.has_value());
   EXPECT_TRUE(result->found);
   EXPECT_EQ(result->attempts, 2);
   const double expected_timeout =
-      std::max(options.failure_timeout_ms, 1.5 * plan[0].second);
-  EXPECT_NEAR(result->latency_ms, expected_timeout + plan[1].second, 1e-4);
+      std::max(options.failure_timeout_ms, 1.5 * plan[0].rtt);
+  EXPECT_NEAR(result->latency_ms, expected_timeout + plan[1].rtt, 1e-4);
   EXPECT_GT(net.messages_dropped(), dropped_before);
 }
 
@@ -138,21 +138,21 @@ TEST_F(NetworkFaultTest, RecoveryLandingMidFlightDeliversTheRequest) {
 
   const AsId querier = 123;
   const auto plan = ReferencePlan(options, g, na, querier);
-  const double one_way = net.oracle().OneWayMs(querier, plan[0].first);
+  const double one_way = net.oracle().OneWayMs(querier, plan[0].host);
 
-  net.FailAs(plan[0].first);  // down when the probe is sent...
+  net.FailAs(plan[0].host);  // down when the probe is sent...
   std::optional<LookupResult> result;
   net.LookupAsync(g, querier, [&](const LookupResult& r) { result = r; });
   // ...but back up before it can arrive.
   net.simulator().Schedule(
       SimTime::Millis(0.5 * one_way),
-      [&net, as = plan[0].first] { net.RecoverAs(as); });
+      [&net, as = plan[0].host] { net.RecoverAs(as); });
   net.simulator().Run();
 
   ASSERT_TRUE(result.has_value());
   EXPECT_TRUE(result->found);
   EXPECT_EQ(result->attempts, 1);
-  EXPECT_NEAR(result->latency_ms, plan[0].second, 1e-4);
+  EXPECT_NEAR(result->latency_ms, plan[0].rtt, 1e-4);
   EXPECT_EQ(net.messages_dropped(), 0u);
 }
 
@@ -292,11 +292,11 @@ TEST_F(NetworkFaultTest, RetryCostAgreesAcrossAllThreePaths) {
   const NetworkAddress na{10, 1};
   const AsId querier = 99;
   const auto probe_order = ReferencePlan(Options(), g, na, querier);
-  ASSERT_NE(probe_order[0].first, probe_order[1].first);
+  ASSERT_NE(probe_order[0].host, probe_order[1].host);
 
   // Pick the base timeout above the adaptive floor (1.5 * rtt) of the dead
   // replica, so all three paths charge the pure policy geometry.
-  const double base = std::max(400.0, 1.5 * probe_order[0].second + 10.0);
+  const double base = std::max(400.0, 1.5 * probe_order[0].rtt + 10.0);
 
   DMapOptions service_options;
   service_options.k = 3;
@@ -309,14 +309,14 @@ TEST_F(NetworkFaultTest, RetryCostAgreesAcrossAllThreePaths) {
 
   // One FailureView, shared by every path.
   FailureView view;
-  view.Fail(probe_order[0].first);
+  view.Fail(probe_order[0].host);
   service.SetFailureView(view);
 
   const LookupResult expected = service.Lookup(g, querier);
   ASSERT_TRUE(expected.found);
   EXPECT_EQ(expected.attempts, 2);
   EXPECT_NEAR(expected.latency_ms,
-              TotalTimeoutCostMs(base, 2, 3.0) + probe_order[1].second,
+              TotalTimeoutCostMs(base, 2, 3.0) + probe_order[1].rtt,
               1e-9);
 
   // Event-driven path.
@@ -406,8 +406,8 @@ TEST_P(RetryCostSweepTest, RetryCostAgreesAcrossAllThreePaths) {
   {
     DMapService reference(env_.graph, env_.table, service_options);
     (void)reference.Insert(g, na);
-    for (const auto& [host, rtt] : reference.ProbePlan(g, querier)) {
-      max_rtt = std::max(max_rtt, rtt);
+    for (const PlannedProbe& probe : reference.Plan(g, querier)) {
+      max_rtt = std::max(max_rtt, probe.rtt);
     }
   }
   service_options.failure_timeout_ms = std::max(200.0, 1.5 * max_rtt);
@@ -612,7 +612,7 @@ TEST_F(NetworkFaultTest, RecoveredEmptyReplicaIsRepairedByLookup) {
   ASSERT_TRUE(inserted.has_value());
 
   const auto plan = ReferencePlan(options, g, na, querier);
-  const AsId crashed = plan[0].first;
+  const AsId crashed = plan[0].host;
 
   // Crash-with-wipe, then immediate recovery: the host is live but empty.
   net.node(crashed).store().Clear();
@@ -637,7 +637,7 @@ TEST_F(NetworkFaultTest, RecoveredEmptyReplicaIsRepairedByLookup) {
   ASSERT_TRUE(second.has_value());
   EXPECT_TRUE(second->found);
   EXPECT_EQ(second->attempts, 1);  // back to normal cost
-  EXPECT_NEAR(second->latency_ms, plan[0].second, 1e-4);
+  EXPECT_NEAR(second->latency_ms, plan[0].rtt, 1e-4);
 }
 
 // The whole tentpole arc through the declarative plan: a scheduled crash
@@ -658,8 +658,8 @@ TEST_F(NetworkFaultTest, FaultPlanCrashWipeRecoverRepairEndToEnd) {
   ASSERT_TRUE(inserted);
 
   const auto plan = ReferencePlan(options, g, na, querier);
-  const AsId crashed = plan[0].first;
-  ASSERT_NE(crashed, plan[1].first);
+  const AsId crashed = plan[0].host;
+  ASSERT_NE(crashed, plan[1].host);
   const double now = net.simulator().Now().millis();
 
   FaultPlan fault_plan;
@@ -795,10 +795,10 @@ TEST_F(NetworkFaultTest, DeputyMigrationUnderConcurrentFailure) {
   for (std::uint64_t i = 0; i < params.num_guids && !found_scenario; ++i) {
     const Guid guid = workload.GuidAt(i);
     bool has_holder = false, has_hunter = false;
-    for (const auto& [as, rtt] : reference.ProbePlan(guid, querier)) {
-      if (net.node(as).store().Lookup(guid) != nullptr) {
+    for (const PlannedProbe& probe : reference.Plan(guid, querier)) {
+      if (net.node(probe.host).store().Lookup(guid) != nullptr) {
         has_holder = true;
-      } else if (!net.node(as).DeputyCandidates(guid).empty()) {
+      } else if (!net.node(probe.host).DeputyCandidates(guid).empty()) {
         has_hunter = true;
       }
     }

@@ -126,27 +126,27 @@ TEST_F(ProtocolNetworkTest, FailedReplicaFallsThroughAfterTimeout) {
   ref_options.local_replica = false;
   DMapService reference(env_.graph, env_.table, ref_options);
   (void)reference.Insert(g, NetworkAddress{10, 1});
-  const auto plan = reference.ProbePlan(g, querier);
-  net.FailAs(plan[0].first);
+  const auto plan = reference.Plan(g, querier);
+  net.FailAs(plan[0].host);
 
   std::optional<LookupResult> lookup_result;
   net.LookupAsync(g, querier,
                   [&](const LookupResult& r) { lookup_result = r; });
   net.simulator().Run();
   ASSERT_TRUE(lookup_result.has_value());
-  if (plan[1].first != plan[0].first) {
+  if (plan[1].host != plan[0].host) {
     EXPECT_TRUE(lookup_result->found);
     EXPECT_EQ(lookup_result->attempts, 2);
     // Cost = adaptive timeout for the dead replica + second replica RTT.
     const double expected_timeout =
-        std::max(options.failure_timeout_ms, 1.5 * plan[0].second);
+        std::max(options.failure_timeout_ms, 1.5 * plan[0].rtt);
     EXPECT_NEAR(lookup_result->latency_ms,
-                expected_timeout + plan[1].second, 1e-4);
+                expected_timeout + plan[1].rtt, 1e-4);
   }
   EXPECT_GT(net.messages_dropped(), 0u);
 
   // Recovery: the replica answers again.
-  net.RecoverAs(plan[0].first);
+  net.RecoverAs(plan[0].host);
   std::optional<LookupResult> after;
   net.LookupAsync(g, querier, [&](const LookupResult& r) { after = r; });
   net.simulator().Run();

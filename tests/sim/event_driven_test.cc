@@ -98,8 +98,8 @@ TEST_F(EventDrivenTest, AgreesWithClosedFormUnderFailures) {
   const Guid g = Guid::FromSequence(2);
   (void)service.Insert(g, NetworkAddress{10, 1});
 
-  const auto plan = service.ProbePlan(g, 99);
-  service.SetFailedAses({plan[0].first});
+  const auto plan = service.Plan(g, 99);
+  service.SetFailedAses({plan[0].host});
 
   const LookupResult expected = service.Lookup(g, 99);
   Simulator sim;
@@ -178,10 +178,10 @@ TEST_F(EventDrivenTest, TimeVaryingWindowsTakeEffectAtProbeTime) {
   DMapService service(env_.graph, env_.table, options);
   const Guid g = Guid::FromSequence(42);
   (void)service.Insert(g, NetworkAddress{10, 1});
-  const auto plan = service.ProbePlan(g, 99);
+  const auto plan = service.Plan(g, 99);
 
   FailureView view;
-  view.AddWindow(plan[0].first, SimTime::Zero(), SimTime::Millis(1000.0));
+  view.AddWindow(plan[0].host, SimTime::Zero(), SimTime::Millis(1000.0));
   service.SetFailureView(view);
   ASSERT_TRUE(view.TimeVarying());
 
@@ -260,7 +260,7 @@ TEST_F(EventDrivenTest, ConcurrentLookupsDoNotInterfere) {
 }
 
 // Executors driven concurrently on distinct shards share no mutable state:
-// ProbePlan resolves on the executor's own Algorithm 1 metrics slab, not
+// Plan resolves on the executor's own Algorithm 1 metrics slab, not
 // worker 0's, so two threads never write one slab (the TSan job checks the
 // race), and the merged algo1.* totals equal a serial run's.
 TEST_F(EventDrivenTest, ConcurrentShardsKeepAlgo1MetricsApart) {

@@ -8,7 +8,7 @@
 Exit status: 0 when no new findings, 1 when findings remain after baseline
 filtering, 2 on usage/environment errors.
 
-Baseline format (shared with tools/lint_determinism.py --baseline):
+Baseline format:
 
     {"schema": "dmap.lint_baseline.v1", "findings": ["<fingerprint>", ...]}
 
@@ -46,6 +46,13 @@ def load_baseline(path: Path) -> set[str]:
 
 def build_program(root: Path, paths: list[Path], frontend: str,
                   compile_commands: Path) -> ir.Program:
+    program = lower(root, paths, frontend, compile_commands)
+    ir.scan_allows(program, root, paths)
+    return program
+
+
+def lower(root: Path, paths: list[Path], frontend: str,
+          compile_commands: Path) -> ir.Program:
     if frontend in ("auto", "clang"):
         from . import frontend_clang  # noqa: PLC0415 — optional dependency
         clang_ok = frontend_clang.available() and compile_commands.is_file()

@@ -9,11 +9,16 @@ The IR is deliberately small:
 
   * FunctionInfo — one node per function/method/lambda, carrying the
     annotations attached to any of its declarations, the per-function
-    "facts" (locks / allocates / io / banned seed sources, with line and
-    detail), and the outgoing call edges that could be resolved.
+    "facts" (locks / allocates / io / banned seed sources / float
+    accumulation / unordered iteration, with line and detail), and the
+    outgoing call edges that could be resolved. Code outside any function
+    body (namespace-scope variables, default member initializers, macro
+    bodies) that carries a fact lowers to a synthetic
+    `<scope>::{initializer@<file>}` node.
   * Program — the whole-program view: the function index, the lambdas
     passed to ThreadPool::ParallelFor/RunChunks (the parallel-phase entry
-    set), and every MetricsRegistry registration site.
+    set), every MetricsRegistry registration site, and every
+    `lint:allow` waiver marker in the analyzed files.
 
 Qualified names use `::` separators (`dmap::HoleResolver::ResolveBatch`);
 lambdas get synthetic names `<parent>::{lambda@<line>}`. Anonymous
@@ -24,7 +29,11 @@ not collide.
 from __future__ import annotations
 
 import dataclasses
+import re
+from pathlib import Path
 from typing import Iterable, Optional
+
+SOURCE_SUFFIXES = {".h", ".cc", ".cpp", ".hpp"}
 
 # Annotation identifiers, as produced by both frontends.
 ANN_REQUIRES_SERIAL = "requires_serial"
@@ -41,6 +50,15 @@ FACT_LOCKS = "locks"
 FACT_ALLOCATES = "allocates"
 FACT_IO = "io"
 FACT_SEED = "seed"  # detail names the banned source (rand, wall-clock, ...)
+FACT_FLOAT_ACCUM = "float-accumulation"  # `x +=` onto a float/double
+FACT_UNORDERED_ITER = "unordered-iteration"  # iterates an unordered_* container
+
+
+def initializer_name(scope: str, file: str) -> str:
+    """The synthetic node holding one scope's initializer facts in `file`
+    (the file keeps same-named namespaces of different TUs apart)."""
+    node = "{initializer@%s}" % file
+    return f"{scope}::{node}" if scope else node
 
 
 @dataclasses.dataclass
@@ -48,6 +66,10 @@ class Fact:
     kind: str
     line: int
     detail: str
+    # Where the fact was seen. Same-named definitions in different files
+    # (overloads, `main`s) share one FunctionInfo, so this can differ from
+    # the function's own file.
+    file: str = ""
 
 
 @dataclasses.dataclass
@@ -105,11 +127,25 @@ class MetricSite:
 
 
 @dataclasses.dataclass
+class Allow:
+    """One `// lint:allow(determinism:<rule>) <reason>` marker."""
+
+    file: str
+    line: int
+    rule: str
+    reason: str  # empty when the marker carries none
+
+
+ALLOW_RE = re.compile(r"//\s*lint:allow\(determinism:([\w-]+)\)\s*(\S.*)?")
+
+
+@dataclasses.dataclass
 class Program:
     functions: dict[str, FunctionInfo] = dataclasses.field(default_factory=dict)
     parallel_entries: list[ParallelEntry] = dataclasses.field(
         default_factory=list)
     metric_sites: list[MetricSite] = dataclasses.field(default_factory=list)
+    allows: list[Allow] = dataclasses.field(default_factory=list)
     # Frontend name + per-TU parse warnings, carried into the JSON report.
     frontend: str = ""
     warnings: list[str] = dataclasses.field(default_factory=list)
@@ -129,6 +165,41 @@ class Program:
 
     def function(self, qname: str) -> Optional[FunctionInfo]:
         return self.functions.get(qname)
+
+
+def source_files(paths: Iterable[Path]) -> list[Path]:
+    """The C++ sources under `paths` (files or directories), sorted."""
+    files = []
+    for target in paths:
+        if target.is_file():
+            candidates = [target]
+        elif target.is_dir():
+            candidates = sorted(target.rglob("*"))
+        else:
+            raise FileNotFoundError(f"no such file or directory: {target}")
+        files.extend(f for f in candidates
+                     if f.is_file() and f.suffix in SOURCE_SUFFIXES)
+    return files
+
+
+def relative(root: Path, path: Path) -> str:
+    return path.relative_to(root).as_posix() if path.is_relative_to(root) \
+        else path.as_posix()
+
+
+def scan_allows(program: Program, root: Path, paths: list[Path]) -> None:
+    """Records every lint:allow marker in the sources under `paths`.
+
+    Markers live in comments, which neither frontend lowers, so both share
+    this raw-text scan."""
+    for f in source_files(paths):
+        text = f.read_text(encoding="utf-8", errors="replace")
+        for line_no, line in enumerate(text.splitlines(), start=1):
+            m = ALLOW_RE.search(line)
+            if m:
+                program.allows.append(Allow(relative(root, f), line_no,
+                                            m.group(1),
+                                            (m.group(2) or "").strip()))
 
 
 def reachable(program: Program, roots: Iterable[str],
