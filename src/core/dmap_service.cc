@@ -82,6 +82,10 @@ void DMapService::SetMetrics(MetricsRegistry* registry) {
   ins_.probe_misses = registry->Counter("dmap.probe_misses");
   ins_.probe_failures = registry->Counter("dmap.probe_failures");
   ins_.hash_evaluations = registry->Counter("dmap.hash_evaluations");
+  // How a resolution was obtained, not what it is: kExecution keeps it out
+  // of the deterministic exports, whose bytes predate the reuse.
+  ins_.resolutions_reused = registry->Counter("dmap.resolutions_reused",
+                                              MetricStability::kExecution);
   ins_.lookup_latency_ms = registry->Histogram(
       "dmap.lookup_latency_ms", MetricsRegistry::LatencyBoundariesMs());
   ins_.update_latency_ms = registry->Histogram(
@@ -122,29 +126,34 @@ UpdateResult DMapService::StoreReplicas(const Guid& guid, OwnerState& state,
   // with any BGP churn since the last write.
   resolver_.RefreshSnapshot();
 
-  // Remove entries from replicas that are no longer in the set (only
-  // happens via Rehome/Update-after-churn; the common case is a no-op).
-  const std::vector<HostResolution> resolutions =
-      resolver_.ResolveAll(guid, shard);
-  std::vector<AsId> new_replicas;
-  new_replicas.reserve(resolutions.size());
+  std::vector<HostResolution> fresh;
+  const std::span<const HostResolution> resolutions =
+      Resolutions(guid, &state, fresh, shard);
+  result.replicas.reserve(resolutions.size());
   for (const HostResolution& r : resolutions) {
-    new_replicas.push_back(r.host);
+    result.replicas.push_back(r.host);
     result.hash_evaluations += r.hash_count;
   }
+  const std::vector<AsId>& new_replicas = result.replicas;
 
   const MappingEntry entry{state.nas, state.version, state.writer};
   for (const HostResolution& r : resolutions) {
     store_.Upsert(r.host, guid, entry, r.stored_address);
   }
-  // Drop stale replicas (set difference; K is tiny so quadratic is fine).
-  for (const AsId old_host : state.replicas) {
-    if (std::find(new_replicas.begin(), new_replicas.end(), old_host) ==
-        new_replicas.end()) {
-      store_.Erase(old_host, guid);
+  // `fresh` is filled only when the stored resolutions were absent or
+  // stale: keep the new ones, and drop the replicas that left the set (set
+  // difference; K is tiny so quadratic is fine). Only the first write and
+  // Rehome/Update after churn get here; a reused set has no stale replica.
+  if (!fresh.empty()) {
+    for (const HostResolution& old : state.resolutions) {
+      if (std::find(new_replicas.begin(), new_replicas.end(), old.host) ==
+          new_replicas.end()) {
+        store_.Erase(old.host, guid);
+      }
     }
+    state.resolutions = std::move(fresh);
+    state.resolved_epoch = table_->epoch();
   }
-  state.replicas = new_replicas;
 
   // Local replica at the attachment AS (Section III-C).
   if (options_.local_replica) {
@@ -161,8 +170,7 @@ UpdateResult DMapService::StoreReplicas(const Guid& guid, OwnerState& state,
     state.local_as = new_local;
   }
 
-  result.replicas = state.replicas;
-  result.attempts = int(state.replicas.size());
+  result.attempts = int(new_replicas.size());
 
   // Invalidate-on-update coherence: drop every AS's cached copy at the
   // same serial write point the replicas change, so no cache can serve
@@ -352,7 +360,9 @@ bool DMapService::Deregister(const Guid& guid) {
   const auto it = owners_.find(guid);
   if (it == owners_.end()) return false;
   OwnerState& state = it->second;
-  for (const AsId host : state.replicas) store_.Erase(host, guid);
+  for (const HostResolution& r : state.resolutions) {
+    store_.Erase(r.host, guid);
+  }
   if (state.local_as != kInvalidAs) store_.Erase(state.local_as, guid);
   owners_.erase(it);
   // A deregistered GUID must not be served from any cache, whatever the
@@ -471,11 +481,38 @@ LookupResult DMapService::LookupInternal(
   return result;
 }
 
+const DMapService::OwnerState* DMapService::FindOwner(
+    const Guid& guid) const {
+  const auto it = owners_.find(guid);
+  return it == owners_.end() ? nullptr : &it->second;
+}
+
+std::span<const HostResolution> DMapService::Resolutions(
+    const Guid& guid, const OwnerState* state,
+    std::vector<HostResolution>& fresh, unsigned shard) const {
+  if (state != nullptr && !state->resolutions.empty() &&
+      state->resolved_epoch == table_->epoch()) {
+    resolver_.Account(state->resolutions, shard);
+    if (metrics_) metrics_->Add(ins_.resolutions_reused, 1, shard);
+    return state->resolutions;
+  }
+  fresh = resolver_.ResolveAll(guid, shard);
+  return fresh;
+}
+
+std::vector<HostResolution> DMapService::ReplicaResolutions(
+    const Guid& guid, unsigned shard) const {
+  std::vector<HostResolution> fresh;
+  const std::span<const HostResolution> resolutions =
+      Resolutions(guid, FindOwner(guid), fresh, shard);
+  return {resolutions.begin(), resolutions.end()};
+}
+
 bool DMapService::IsStaleStamp(const Guid& guid,
                                const LogicalStamp& stamp) const {
-  const auto it = owners_.find(guid);
-  if (it == owners_.end()) return false;
-  return stamp < LogicalStamp{it->second.version, it->second.writer};
+  const OwnerState* state = FindOwner(guid);
+  if (state == nullptr) return false;
+  return stamp < LogicalStamp{state->version, state->writer};
 }
 
 LookupResult DMapService::ServeFromCache(const Guid& guid, AsId querier,
@@ -526,7 +563,9 @@ LookupResult DMapService::Lookup(const Guid& guid, AsId querier,
       return ServeFromCache(guid, querier, *cached, shard, 'L');
     }
   }
-  return LookupInternal(guid, querier, resolver_.ResolveAll(guid, shard),
+  std::vector<HostResolution> fresh;
+  return LookupInternal(guid, querier,
+                        Resolutions(guid, FindOwner(guid), fresh, shard),
                         shard, 'L');
 }
 
@@ -547,6 +586,9 @@ LookupResult DMapService::LookupWithView(const Guid& guid, AsId querier,
       return ServeFromCache(guid, querier, *cached, shard, 'V');
     }
   }
+  // Always resolved against `view`, never through Resolutions: the stored
+  // resolutions follow the authoritative table, and a view is stamped by
+  // its own epoch counter (a copy of the table shares its epoch).
   HoleResolver view_resolver(hashes_, view, options_.max_hashes);
   return LookupInternal(guid, querier, view_resolver.ResolveAll(guid), shard,
                         'V');
@@ -554,7 +596,8 @@ LookupResult DMapService::LookupWithView(const Guid& guid, AsId querier,
 
 std::vector<PlannedProbe> DMapService::Plan(const Guid& guid, AsId querier,
                                             unsigned shard) {
-  return PlanProbes(resolver_.ResolveAll(guid, shard), querier,
+  std::vector<HostResolution> fresh;
+  return PlanProbes(Resolutions(guid, FindOwner(guid), fresh, shard), querier,
                     options_.selection, oracle_, shard);
 }
 
@@ -566,11 +609,12 @@ int DMapService::Rehome(const Guid& guid) {
   const auto it = owners_.find(guid);
   if (it == owners_.end()) return 0;
   OwnerState& state = it->second;
-  const std::vector<AsId> before = state.replicas;
-  WriteReplicas(guid, state, state.nas.empty() ? 0 : state.nas[0].as);
+  const std::vector<HostResolution> before = state.resolutions;
+  const UpdateResult result =
+      WriteReplicas(guid, state, state.nas.empty() ? 0 : state.nas[0].as);
   int moved = 0;
-  for (std::size_t i = 0; i < state.replicas.size(); ++i) {
-    if (i >= before.size() || before[i] != state.replicas[i]) ++moved;
+  for (std::size_t i = 0; i < result.replicas.size(); ++i) {
+    if (i >= before.size() || before[i].host != result.replicas[i]) ++moved;
   }
   if (metrics_) {
     metrics_->Add(ins_.rehomes, 1, 0);

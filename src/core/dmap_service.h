@@ -367,6 +367,15 @@ class DMapService {
   std::vector<PlannedProbe> Plan(const Guid& guid, AsId querier,
                                  unsigned shard = 0) REQUIRES_SHARD(shard);
 
+  // The K replica resolutions of `guid` against the authoritative table —
+  // the ones Lookup, Plan and the writes use. A GUID written at the table's
+  // current epoch returns the resolutions its copies were written under;
+  // any other GUID is resolved afresh. The algo1.* metrics on slab `shard`
+  // are recorded identically either way.
+  std::vector<HostResolution> ReplicaResolutions(const Guid& guid,
+                                                 unsigned shard = 0) const
+      REQUIRES_SHARD(shard);
+
   bool IsFailed(AsId as) const { return failures_.IsFailed(as); }
   bool IsFailedAt(AsId as, SimTime t) const {
     return failures_.IsFailedAt(as, t);
@@ -393,18 +402,38 @@ class DMapService {
     // Rehome re-writes at the *same* (version, writer) stamp, so its
     // refresh of stored addresses rides the idempotent equal-stamp path.
     AsId writer = 0;
-    std::vector<AsId> replicas;  // current global replica hosts
     AsId local_as = kInvalidAs;  // where the local copy lives
+    // The K resolutions the global copies were last written under (empty
+    // before the first write), and the prefix-table epoch they were
+    // resolved at. Equal epochs imply an identical announced set, so while
+    // the table's epoch is still `resolved_epoch` they are exactly what
+    // Algorithm 1 would compute.
+    std::vector<HostResolution> resolutions;
+    std::uint64_t resolved_epoch = 0;
   };
+
+  // The owner state of `guid`, or nullptr when it is not registered.
+  const OwnerState* FindOwner(const Guid& guid) const;
+  // Every closed-form resolution of `guid` against the authoritative table
+  // goes through here. When `state` (the GUID's owner state, or nullptr)
+  // holds resolutions stamped with the table's current epoch, they are
+  // returned and replayed into the algo1.* metrics; otherwise `guid` is
+  // resolved afresh into `fresh`. Read-shared: only StoreReplicas, at a
+  // serial write point, refreshes the stored resolutions.
+  std::span<const HostResolution> Resolutions(
+      const Guid& guid, const OwnerState* state,
+      std::vector<HostResolution>& fresh, unsigned shard) const
+      REQUIRES_SHARD(shard);
 
   // StoreReplicas, then (with measure_update_latency) AckLatency over the
   // round trips from `src_as`, the writer's AS.
   UpdateResult WriteReplicas(const Guid& guid, OwnerState& state,
                              AsId src_as, unsigned shard = 0);
-  // Writes `state` to its K global replicas (re-derived from the
-  // authoritative table) and its local replica, drops replicas that left
-  // the set and applies invalidate-on-update. The result carries the
-  // replica set and hash count; its latency is left unset.
+  // Writes `state` to its K global replicas (Resolutions against the
+  // authoritative table, kept in `state` when re-resolved) and its local
+  // replica, drops replicas that left the set and applies
+  // invalidate-on-update. The result carries the replica set and hash
+  // count; its latency is left unset.
   UpdateResult StoreReplicas(const Guid& guid, OwnerState& state,
                              unsigned shard);
   // The update's completion time and quorum status from `rtts[i]`, the
@@ -431,7 +460,8 @@ class DMapService {
   struct Instruments {
     CounterId inserts, updates, add_attachments, deregisters, rehomes,
         replicas_moved, lookups, lookup_hits, lookup_misses, local_wins,
-        probes, probe_misses, probe_failures, hash_evaluations;
+        probes, probe_misses, probe_failures, hash_evaluations,
+        resolutions_reused;
     HistogramId lookup_latency_ms, update_latency_ms, lookup_attempts;
   };
 

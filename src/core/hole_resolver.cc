@@ -37,6 +37,16 @@ void HoleResolver::RefreshSnapshot() {
   ++snapshot_rebuilds_;
 }
 
+void HoleResolver::Account(std::span<const HostResolution> resolutions,
+                           unsigned worker) const {
+  if (metrics_ == nullptr) return;
+  for (const HostResolution& r : resolutions) {
+    metrics_->Add(hash_evaluations_id_, std::uint64_t(r.hash_count), worker);
+    metrics_->Observe(rehash_depth_id_, double(r.hash_count), worker);
+    if (r.used_nearest) metrics_->Add(deputy_fallbacks_id_, 1, worker);
+  }
+}
+
 HostResolution HoleResolver::Resolve(const Guid& guid, int replica,
                                      unsigned worker) const {
   const Dir24_8* fast = ActiveFast();
@@ -49,10 +59,7 @@ HostResolution HoleResolver::Resolve(const Guid& guid, int replica,
       result.hashed_address = addr;
       result.stored_address = addr;
       result.hash_count = tries;
-      if (metrics_ != nullptr) {
-        metrics_->Add(hash_evaluations_id_, std::uint64_t(tries), worker);
-        metrics_->Observe(rehash_depth_id_, double(tries), worker);
-      }
+      Account({&result, 1}, worker);
       return result;
     }
     if (tries == max_hashes_) break;
@@ -70,11 +77,7 @@ HostResolution HoleResolver::Resolve(const Guid& guid, int replica,
   result.stored_address = nearest->address;
   result.hash_count = max_hashes_;
   result.used_nearest = true;
-  if (metrics_ != nullptr) {
-    metrics_->Add(hash_evaluations_id_, std::uint64_t(max_hashes_), worker);
-    metrics_->Observe(rehash_depth_id_, double(max_hashes_), worker);
-    metrics_->Add(deputy_fallbacks_id_, 1, worker);
-  }
+  Account({&result, 1}, worker);
   return result;
 }
 
@@ -136,9 +139,10 @@ void HoleResolver::ResolveBatch(std::span<const Guid> guids,
   // Wavefront over rehash rounds: round r probes the r-th hash of every
   // (guid, replica) pair still unresolved, then advances the surviving
   // chains in one batched rehash. With the snapshot installed each round
-  // is a tight pass of independent array probes. Resolutions and metric
-  // totals are identical to resolving each replica independently; only the
-  // evaluation order differs. Flat index f is replica f % k of guid f / k.
+  // is a tight pass of independent array probes. Resolutions are identical
+  // to resolving each replica independently; only the evaluation order
+  // differs, and the metrics are recorded once the batch is resolved. Flat
+  // index f is replica f % k of guid f / k.
   std::vector<std::uint32_t>& pending = scratch.pending;
   for (std::size_t f = 0; f < total; ++f) pending[f] = std::uint32_t(f);
   std::size_t pending_count = total;
@@ -158,10 +162,7 @@ void HoleResolver::ResolveBatch(std::span<const Guid> guids,
         result.hashed_address = addr;
         result.stored_address = addr;
         result.hash_count = tries;
-        if (metrics_ != nullptr) {
-          metrics_->Add(hash_evaluations_id_, std::uint64_t(tries), worker);
-          metrics_->Observe(rehash_depth_id_, double(tries), worker);
-        }
+        result.used_nearest = false;  // `out` may hold an earlier batch
       } else if (tries == max_hashes_) {
         const auto nearest = table_->NearestAnnounced(addr);
         if (!nearest) {
@@ -172,12 +173,6 @@ void HoleResolver::ResolveBatch(std::span<const Guid> guids,
         result.stored_address = nearest->address;
         result.hash_count = max_hashes_;
         result.used_nearest = true;
-        if (metrics_ != nullptr) {
-          metrics_->Add(hash_evaluations_id_, std::uint64_t(max_hashes_),
-                        worker);
-          metrics_->Observe(rehash_depth_id_, double(max_hashes_), worker);
-          metrics_->Add(deputy_fallbacks_id_, 1, worker);
-        }
       } else {
         pending[keep++] = f;
       }
@@ -195,6 +190,7 @@ void HoleResolver::ResolveBatch(std::span<const Guid> guids,
       }
     }
   }
+  Account({out, total}, worker);
 }
 
 }  // namespace dmap

@@ -68,6 +68,13 @@ class HoleResolver {
   // uninstrumented path pays one predictable branch per resolution.
   void SetMetrics(MetricsRegistry* registry);
 
+  // Records `resolutions` in the "algo1.*" metrics on slab `worker`, exactly
+  // as resolving them records them: every resolve path ends here, and a
+  // caller that reuses stored resolutions (DMapService) replays them
+  // through it, so the exports do not depend on what was reused.
+  void Account(std::span<const HostResolution> resolutions,
+               unsigned worker = 0) const;
+
   // Owned, epoch-versioned DIR-24-8 snapshot of the prefix table: LPM
   // probes read one or two array entries instead of walking the trie (~7x
   // faster at full table size), the configuration a real router would

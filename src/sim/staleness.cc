@@ -54,7 +54,7 @@ void DoMove(World& world, std::uint32_t host) {
   // replica writes would be version-rejected anyway).
   const std::uint64_t this_move = ++world.move_id[host];
   std::vector<AsId> replicas;
-  for (const HostResolution& r : world.service->resolver().ResolveAll(guid)) {
+  for (const HostResolution& r : world.service->ReplicaResolutions(guid)) {
     replicas.push_back(r.host);
   }
   std::vector<double> rtts(replicas.size());

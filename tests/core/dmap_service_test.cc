@@ -6,6 +6,7 @@
 #include <functional>
 #include <limits>
 #include <numeric>
+#include <optional>
 #include <tuple>
 #include <stdexcept>
 #include <string>
@@ -13,6 +14,7 @@
 #include <vector>
 
 #include "bgp/churn.h"
+#include "common/rng.h"
 #include "obs/metrics_registry.h"
 #include "obs/probe_trace.h"
 #include "proto/network.h"
@@ -929,6 +931,251 @@ TEST_F(DMapServiceTest, RefreshReadSnapshotsFreshensStoreAndResolver) {
                                 Guid::FromSequence(1)),
             nullptr);
 }
+
+std::uint64_t CounterIn(const MetricsSnapshot& snapshot,
+                        const std::string& name) {
+  for (const CounterSnapshot& c : snapshot.counters) {
+    if (c.name == name) return c.value;
+  }
+  return 0;
+}
+
+std::uint64_t HistogramCountIn(const MetricsSnapshot& snapshot,
+                               const std::string& name) {
+  for (const HistogramSnapshot& h : snapshot.histograms) {
+    if (h.name == name) return h.count;
+  }
+  return 0;
+}
+
+TEST_F(DMapServiceTest, ResolutionReuseIsCountedAndReplaysAlgo1Metrics) {
+  DMapService service(env_.graph, env_.table, Options(4));
+  MetricsRegistry registry;
+  service.SetMetrics(&registry);
+  const AsId n = AsId(env_.graph.num_nodes());
+  constexpr std::uint64_t kGuids = 40;
+  for (std::uint64_t i = 0; i < kGuids; ++i) {
+    (void)service.Insert(Guid::FromSequence(i), NetworkAddress{AsId(i % n), 1});
+  }
+  const auto reused = [&] {
+    return CounterIn(registry.Snapshot(), "dmap.resolutions_reused");
+  };
+  // A first write has nothing stored to reuse.
+  EXPECT_EQ(reused(), 0u);
+
+  // The expectations come from a resolver without metrics, so computing
+  // them records nothing.
+  const HoleResolver reference(service.hash_family(), env_.table,
+                               service.options().max_hashes);
+  const MetricsSnapshot before = registry.Snapshot();
+  std::uint64_t ops = 0;
+  std::uint64_t hash_evaluations = 0;
+  std::uint64_t deputies = 0;
+  for (std::uint64_t i = 0; i < kGuids; ++i) {
+    const Guid g = Guid::FromSequence(i);
+    const AsId querier = AsId((i * 7 + 3) % n);
+    (void)service.Lookup(g, querier);
+    (void)service.Plan(g, querier);
+    (void)service.Update(g, NetworkAddress{AsId((i + 1) % n), 2});
+    ops += 3;
+    for (const HostResolution& r : reference.ResolveAll(g)) {
+      hash_evaluations += 3 * std::uint64_t(r.hash_count);
+      deputies += r.used_nearest ? 3 : 0;
+    }
+  }
+  const MetricsSnapshot after = registry.Snapshot();
+  EXPECT_EQ(CounterIn(after, "dmap.resolutions_reused"), ops);
+  EXPECT_EQ(CounterIn(after, "algo1.hash_evaluations") -
+                CounterIn(before, "algo1.hash_evaluations"),
+            hash_evaluations);
+  EXPECT_EQ(HistogramCountIn(after, "algo1.rehash_depth") -
+                HistogramCountIn(before, "algo1.rehash_depth"),
+            ops * 4);
+  EXPECT_EQ(CounterIn(after, "algo1.deputy_fallbacks") -
+                CounterIn(before, "algo1.deputy_fallbacks"),
+            deputies);
+
+  // One announcement moves the table's epoch: no stored resolution is
+  // reused until its GUID is written again.
+  bool announced = false;
+  for (std::uint32_t i = 0; !announced; ++i) {
+    announced = env_.table.Announce(
+        Cidr(Ipv4Address(0xcb007100u + (i << 8)), 24), AsId(i % n));
+  }
+  const Guid g = Guid::FromSequence(0);
+  const Guid other = Guid::FromSequence(1);
+  const std::uint64_t at_announce = reused();
+  (void)service.Lookup(g, 5);
+  (void)service.Plan(g, 5);
+  (void)service.ReplicaResolutions(g);
+  (void)service.Lookup(other, 5);
+  EXPECT_EQ(reused(), at_announce);
+  (void)service.Update(g, NetworkAddress{7, 3});  // re-resolves, stores
+  EXPECT_EQ(reused(), at_announce);
+  (void)service.Lookup(g, 5);
+  EXPECT_EQ(reused(), at_announce + 1);
+  (void)service.Lookup(other, 5);  // not written since the announcement
+  EXPECT_EQ(reused(), at_announce + 1);
+}
+
+// Seeded sweep over the resolution memo's validity rule. Each seed draws
+// K, M, the local replica and the selection rule on a small topology, then
+// interleaves every write, in-place BGP churn on the service's own table,
+// lookups and plans. The service reuses the resolutions a GUID was written
+// under while the table's epoch is unchanged; LookupWithView and
+// HoleResolver::ResolveAll never do, so every lookup and plan must match
+// theirs bit for bit, and every write must land on a fresh resolution.
+class ResolutionMemoSweepTest : public testing::TestWithParam<int> {};
+
+void ExpectSameLookup(const LookupResult& got, const LookupResult& want,
+                      int step) {
+  ASSERT_EQ(got.found, want.found) << "step " << step;
+  EXPECT_TRUE(got.nas == want.nas) << "step " << step;
+  EXPECT_EQ(got.serving_as, want.serving_as) << "step " << step;
+  EXPECT_EQ(got.served_locally, want.served_locally) << "step " << step;
+  EXPECT_EQ(got.latency_ms, want.latency_ms) << "step " << step;
+  EXPECT_EQ(got.attempts, want.attempts) << "step " << step;
+  ASSERT_TRUE(got.trace.has_value() && want.trace.has_value());
+  const ProbeTrace& a = *got.trace;
+  const ProbeTrace& b = *want.trace;
+  EXPECT_EQ(a.hash_evaluations, b.hash_evaluations) << "step " << step;
+  EXPECT_EQ(a.latency_ms, b.latency_ms) << "step " << step;
+  EXPECT_EQ(a.local_won, b.local_won) << "step " << step;
+  ASSERT_EQ(a.probes.size(), b.probes.size()) << "step " << step;
+  for (std::size_t i = 0; i < a.probes.size(); ++i) {
+    EXPECT_EQ(a.probes[i].replica, b.probes[i].replica) << "step " << step;
+    EXPECT_EQ(a.probes[i].rtt_ms, b.probes[i].rtt_ms) << "step " << step;
+    EXPECT_EQ(a.probes[i].outcome, b.probes[i].outcome) << "step " << step;
+  }
+}
+
+TEST_P(ResolutionMemoSweepTest, MatchesFreshResolution) {
+  const int seed = GetParam();
+  Rng rng(0x5eed0000ULL + std::uint64_t(seed));
+  SimEnvironment env =
+      BuildEnvironment(EnvironmentParams::Scaled(120, 1000 + seed));
+  const AsId n = AsId(env.graph.num_nodes());
+  DMapOptions options;
+  options.k = int(rng.NextInRange(1, 5));
+  options.max_hashes = int(rng.NextInRange(1, 10));
+  options.local_replica = rng.NextBounded(2) == 0;
+  options.selection = rng.NextBounded(4) == 0 ? ReplicaSelection::kFewestHops
+                                              : ReplicaSelection::kLowestRtt;
+  DMapService service(env.graph, env.table, options);
+  MetricsRegistry registry;
+  service.SetMetrics(&registry);
+  ProbeTracer tracer(1, 1);  // traces every lookup
+  service.SetTracer(&tracer);
+
+  constexpr std::uint64_t kGuids = 24;
+  std::vector<int> attachments(kGuids, 0);  // 0 = not registered
+  std::uint32_t locator = 1;
+  std::vector<PrefixRecord> withdrawn;
+  const auto pick_as = [&] { return AsId(rng.NextBounded(n)); };
+  const auto check_write = [&](const Guid& g, const UpdateResult& result,
+                               int step) {
+    const std::vector<HostResolution> fresh = service.resolver().ResolveAll(g);
+    ASSERT_EQ(result.replicas.size(), fresh.size()) << "step " << step;
+    int hash_evaluations = 0;
+    for (std::size_t i = 0; i < fresh.size(); ++i) {
+      EXPECT_EQ(result.replicas[i], fresh[i].host) << "step " << step;
+      EXPECT_NE(service.StoreLookup(fresh[i].host, g), nullptr)
+          << "step " << step;
+      hash_evaluations += fresh[i].hash_count;
+    }
+    EXPECT_EQ(result.hash_evaluations, hash_evaluations) << "step " << step;
+  };
+
+  for (int step = 0; step < 200; ++step) {
+    const std::uint64_t op = rng.NextBounded(100);
+    const std::uint64_t index = rng.NextBounded(kGuids);
+    const Guid g = Guid::FromSequence(index);
+    const bool registered = attachments[index] != 0;
+    if (op < 10) {
+      check_write(g, service.Insert(g, NetworkAddress{pick_as(), locator++}),
+                  step);
+      attachments[index] = 1;
+    } else if (op < 20) {
+      if (!registered) continue;
+      check_write(g, service.Update(g, NetworkAddress{pick_as(), locator++}),
+                  step);
+      attachments[index] = 1;
+    } else if (op < 26) {
+      const AsId to = pick_as();
+      std::vector<std::pair<Guid, NetworkAddress>> moves;
+      for (std::uint64_t j = 0; j < kGuids && moves.size() < 4; ++j) {
+        const std::uint64_t m = (index + j) % kGuids;
+        if (attachments[m] == 0 || rng.NextBounded(2) == 0) continue;
+        moves.emplace_back(Guid::FromSequence(m),
+                           NetworkAddress{to, locator++});
+        attachments[m] = 1;
+      }
+      const BatchUpdateResult batch = service.BatchUpdate(moves);
+      ASSERT_EQ(batch.per_guid.size(), moves.size());
+      for (std::size_t j = 0; j < moves.size(); ++j) {
+        check_write(moves[j].first, batch.per_guid[j], step);
+      }
+    } else if (op < 31) {
+      if (!registered || attachments[index] == NaSet::kMaxNas) continue;
+      const NetworkAddress na{pick_as(), locator++};
+      check_write(g, service.AddAttachment(g, na), step);
+      ++attachments[index];
+    } else if (op < 35) {
+      EXPECT_EQ(service.Deregister(g), registered) << "step " << step;
+      attachments[index] = 0;
+    } else if (op < 40) {
+      (void)service.Rehome(g);
+      if (!registered) continue;
+      for (const HostResolution& r : service.resolver().ResolveAll(g)) {
+        EXPECT_NE(service.StoreLookup(r.host, g), nullptr) << "step " << step;
+      }
+    } else if (op < 45) {
+      // In-place BGP churn on the service's own table, aimed at the prefix
+      // holding one of g's replicas so that it moves. Each churn makes the
+      // next write rebuild the resolver's 64 MB snapshot, hence the rarity.
+      const Ipv4Address stored =
+          service.resolver()
+              .Resolve(g, int(rng.NextBounded(std::uint64_t(options.k))))
+              .stored_address;
+      const std::uint64_t kind = rng.NextBounded(3);
+      if (kind == 0 && !withdrawn.empty()) {
+        (void)env.table.Announce(withdrawn.back().prefix, pick_as());
+        withdrawn.pop_back();
+      } else if (kind == 1 && env.table.num_prefixes() > 8) {
+        const std::optional<PrefixRecord> victim = env.table.Lookup(stored);
+        ASSERT_TRUE(victim.has_value());
+        ASSERT_TRUE(env.table.Withdraw(victim->prefix));
+        withdrawn.push_back(*victim);
+      } else {
+        (void)env.table.Announce(Cidr(stored, int(rng.NextInRange(16, 28))),
+                                 pick_as());
+      }
+    } else if (op < 72) {
+      const AsId querier = pick_as();
+      const LookupResult got = service.Lookup(g, querier);
+      const LookupResult want = service.LookupWithView(g, querier, env.table);
+      ExpectSameLookup(got, want, step);
+    } else {
+      const AsId querier = pick_as();
+      const std::vector<PlannedProbe> got = service.Plan(g, querier);
+      const std::vector<PlannedProbe> want =
+          PlanProbes(service.resolver().ResolveAll(g), querier,
+                     options.selection, service.oracle());
+      ASSERT_EQ(got.size(), want.size()) << "step " << step;
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].host, want[i].host) << "step " << step;
+        EXPECT_EQ(got[i].rtt, want[i].rtt) << "step " << step;
+        EXPECT_EQ(got[i].stored_address.value(),
+                  want[i].stored_address.value())
+            << "step " << step;
+      }
+    }
+  }
+  // The sweep exercised the reuse path, not only fresh resolutions.
+  EXPECT_GT(CounterIn(registry.Snapshot(), "dmap.resolutions_reused"), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ResolutionMemoSweepTest, testing::Range(0, 64));
 
 }  // namespace
 }  // namespace dmap

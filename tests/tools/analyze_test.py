@@ -53,24 +53,27 @@ def stage(tmp, *fixtures, rel="src"):
     return dest
 
 
-def write_compile_commands(tmp, fixtures):
-    """A compile_commands.json for fixtures staged under <tmp>/src/, as the
-    clang frontend needs."""
+def write_compile_commands(tmp, fixtures, rel="src"):
+    """A compile_commands.json for fixtures staged under <tmp>/<rel>/, as
+    the clang frontend needs."""
     path = Path(tmp) / "compile_commands.json"
     path.write_text(json.dumps([
         {"directory": str(tmp),
-         "command": f"clang++ -std=c++20 -I{REPO}/src -c src/{f}",
-         "file": f"src/{f}"}
+         "command": f"clang++ -std=c++20 -I{REPO}/src -c {rel}/{f}",
+         "file": f"{rel}/{f}"}
         for f in fixtures
     ]))
     return path
 
 
 class AnalyzeCheckerTest(unittest.TestCase):
-    def analyze_fixture(self, fixture, *extra, rel="src"):
+    def analyze_fixture(self, fixture, *extra, rel="src", frontend="lite"):
         with tempfile.TemporaryDirectory() as tmp:
             stage(tmp, fixture, rel=rel)
-            return run_analyzer(tmp, *extra)
+            if frontend == "clang":
+                extra += ("--compile-commands",
+                          str(write_compile_commands(tmp, [fixture], rel)))
+            return run_analyzer(tmp, *extra, frontend=frontend)
 
     def assert_findings(self, result, checker, count):
         self.assertEqual(result.returncode, 1,
@@ -127,29 +130,58 @@ class AnalyzeCheckerTest(unittest.TestCase):
                                               "--checks", "seed-purity")
                 self.assert_findings(result, "seed-purity", 2)
 
-    def test_file_scope_sources_fire_seed_purity(self):
-        result = self.analyze_fixture("file_scope.cc",
-                                      "--checks", "seed-purity")
-        self.assert_findings(result, "seed-purity", 4)
-        for line, node, source in (
-                (8, "{initializer@", "time()"),
-                (15, "fix::{initializer@", "std::random_device"),
-                (18, "fix::Stamped::{initializer@", "clock()"),
-                (22, "{initializer@", "rand()")):
+    # Seed sources of file_scope.cc that both frontends lower: a namespace-
+    # scope static and a default member initializer, each on its scope's
+    # synthetic `<scope>::{initializer@<file>}` node.
+    FILE_SCOPE_INITIALIZERS = (
+        (15, "fix::{initializer@", "std::random_device"),
+        (18, "fix::Stamped::{initializer@", "clock()"))
+
+    def assert_file_scope_sources(self, result, sources):
+        for line, node, source in sources:
             self.assertRegex(
                 result.stdout,
                 rf"file_scope\.cc:{line}: \[seed-purity\] "
                 rf"{re.escape(node)}[^\n]*{re.escape(source)}")
 
-    def test_float_accumulation_fires_only_in_obs(self):
+    def test_file_scope_sources_fire_seed_purity(self):
+        result = self.analyze_fixture("file_scope.cc",
+                                      "--checks", "seed-purity")
+        self.assert_findings(result, "seed-purity", 4)
+        self.assert_file_scope_sources(
+            result, self.FILE_SCOPE_INITIALIZERS + (
+                (8, "{initializer@", "time()"),
+                (22, "{initializer@", "rand()")))
+
+    @unittest.skipUnless(clang_frontend_available(),
+                         "libclang python bindings not installed")
+    def test_clang_frontend_parity_on_file_scope_initializers(self):
+        # The two #define bodies are never expanded, so only the lite
+        # frontend, which scans macro text, reports them.
+        result = self.analyze_fixture("file_scope.cc", "--checks",
+                                      "seed-purity", frontend="clang")
+        self.assertEqual(result.returncode, 1, result.stdout + result.stderr)
+        self.assert_file_scope_sources(result, self.FILE_SCOPE_INITIALIZERS)
+
+    def assert_float_accumulation(self, frontend):
         result = self.analyze_fixture("float_accumulation.cc", "--checks",
-                                      "float-accumulation", rel="src/obs")
+                                      "float-accumulation", rel="src/obs",
+                                      frontend=frontend)
         self.assert_findings(result, "float-accumulation", 1)
         self.assertIn("`merged +=`", result.stdout)
         # The same construct outside src/obs/ is not a merge/export path.
         result = self.analyze_fixture("float_accumulation.cc", "--checks",
-                                      "float-accumulation", rel="src/core")
+                                      "float-accumulation", rel="src/core",
+                                      frontend=frontend)
         self.assertEqual(result.returncode, 0, result.stdout + result.stderr)
+
+    def test_float_accumulation_fires_only_in_obs(self):
+        self.assert_float_accumulation("lite")
+
+    @unittest.skipUnless(clang_frontend_available(),
+                         "libclang python bindings not installed")
+    def test_clang_frontend_parity_on_float_accumulation(self):
+        self.assert_float_accumulation("clang")
 
     def assert_unordered_iteration(self, result):
         # ExportCounters is flagged; ExportOne only looks a key up with
@@ -166,14 +198,9 @@ class AnalyzeCheckerTest(unittest.TestCase):
     @unittest.skipUnless(clang_frontend_available(),
                          "libclang python bindings not installed")
     def test_clang_frontend_parity_on_unordered_iteration(self):
-        fixture = "unordered_iteration.cc"
-        with tempfile.TemporaryDirectory() as tmp:
-            stage(tmp, fixture)
-            result = run_analyzer(
-                tmp, "--checks", "unordered-iteration", "--compile-commands",
-                str(write_compile_commands(tmp, [fixture])),
-                frontend="clang")
-        self.assert_unordered_iteration(result)
+        self.assert_unordered_iteration(self.analyze_fixture(
+            "unordered_iteration.cc", "--checks", "unordered-iteration",
+            frontend="clang"))
 
     def test_shard_merge_functions_are_critical(self):
         result = self.analyze_fixture(

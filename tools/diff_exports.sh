@@ -12,8 +12,11 @@
 # (default: a fresh mktemp directory, printed at the end) for inspection.
 #
 # The list covers the refactor-sensitive surfaces: the pre-quorum golden
-# commands of tools/determinism_table.sh, fig4 (closed form), fig6
-# (Algorithm 1 through the resolver's DIR-24-8 snapshot), chaos_sweep
+# commands of tools/determinism_table.sh, fig4 (closed form), fig5
+# (LookupWithView under stale BGP views, which never reuses a GUID's
+# stored resolutions), fig6 (Algorithm 1 through the resolver's DIR-24-8
+# snapshot), ablation_convergence (Rehome after churn of the service's own
+# table, where stored resolutions go stale), chaos_sweep
 # and fig9 (wire protocol under faults and quorums), fig8 (event-driven
 # executor with a serving tier), fig10 (mobility and cache, at one worker
 # and at four, so the cache's serial and shard-parallel fill merges are
@@ -46,6 +49,7 @@ commands=(
   "golden-chaos|chaos_sweep --scale 0.05 --threads 1 --write-quorum=1 --metrics-out metrics.json|metrics.json"
   "golden-fig4|fig4_response_time --scale 0.05 --threads 1 --write-quorum=1 --metrics-out metrics.json|metrics.json"
   "fig4|fig4_response_time --scale 0.02 --threads 4 --metrics-out metrics.json --trace-out trace.csv|metrics.json trace.csv"
+  "fig5|fig5_churn --scale 0.05 --threads 4 --metrics-out metrics.json|metrics.json stdout"
   "fig6|fig6_load_balance --scale 0.05 --threads 4 --metrics-out metrics.json|metrics.json stdout"
   "chaos|chaos_sweep --scale 0.02 --threads 4 --fault-plan $root/configs/chaos_smoke.plan --fault-seed 7 --metrics-out metrics.json --trace-out trace.csv|metrics.json trace.csv"
   "fig8|fig8_offered_load --scale 0.1 --threads 4 --metrics-out metrics.json --trace-out trace.csv|metrics.json trace.csv"
@@ -54,6 +58,7 @@ commands=(
   "fig10-t1|fig10_mobility --scale 0.05 --threads 1 --metrics-out metrics.json|metrics.json stdout"
   "staleness|ablation_staleness --scale 0.05 --threads 4 --metrics-out metrics.json --trace-out trace.csv|metrics.json trace.csv stdout"
   "ablation|ablation_dmap --scale 0.05 --threads 4|stdout"
+  "convergence|ablation_convergence --scale 0.05 --threads 4 --metrics-out metrics.json|metrics.json stdout"
 )
 
 differs=0
