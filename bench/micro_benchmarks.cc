@@ -102,21 +102,20 @@ void BM_AnnounceWithdraw(benchmark::State& state) {
 }
 BENCHMARK(BM_AnnounceWithdraw);
 
-void BM_HoleResolverResolve(benchmark::State& state) {
+void BM_HoleResolverResolveAll(benchmark::State& state) {
   const PrefixTable& table = SharedTable();
   const GuidHashFamily family(5, 1);
   const HoleResolver resolver(family, table, int(state.range(0)));
   std::uint64_t seq = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        resolver.Resolve(Guid::FromSequence(seq), int(seq % 5)));
+    benchmark::DoNotOptimize(resolver.ResolveAll(Guid::FromSequence(seq)));
     ++seq;
   }
 }
-BENCHMARK(BM_HoleResolverResolve)->Arg(1)->Arg(10);
+BENCHMARK(BM_HoleResolverResolveAll)->Arg(1)->Arg(10);
 
 void BM_HubLabelBuild(benchmark::State& state) {
-  // Full pruned-landmark build (latency + hop labels) over the pool — the
+  // Full pruned-landmark latency-label build over the pool — the
   // one-time topology-load cost the point queries amortise.
   static const AsGraph graph = GenerateInternetTopology(
       ScaledTopologyParams(std::uint32_t(state.range(0)), 3));

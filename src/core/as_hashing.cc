@@ -47,38 +47,4 @@ AsId AsHashResolver::Resolve(const Guid& guid, int replica) const {
   return AsId(it - cumulative_.begin());
 }
 
-std::vector<AsId> AsHashResolver::ResolveAll(const Guid& guid) const {
-  // Batched form of the per-replica draw: one interleaved K-hash pass for
-  // the high words (also shared with the low words' rehash inputs — the
-  // scalar path evaluates Hash(guid, i) twice), then one batched rehash
-  // for the low words. Bit-identical to Resolve(guid, i) per i.
-  const int k = hashes_->k();
-  std::vector<Ipv4Address> highs, lows;
-  highs.resize(std::size_t(k));
-  lows.resize(std::size_t(k));
-  std::vector<int> lanes;
-  lanes.resize(std::size_t(k));
-  for (int i = 0; i < k; ++i) lanes[std::size_t(i)] = i;
-  hashes_->HashAllInto(guid, highs.data());
-  hashes_->RehashManyInto(highs.data(), lanes.data(), std::size_t(k),
-                          lows.data());
-
-  std::vector<AsId> out;
-  out.reserve(std::size_t(k));
-  for (int i = 0; i < k; ++i) {
-    const std::uint64_t draw =
-        (std::uint64_t(highs[std::size_t(i)].value()) << 32) |
-        lows[std::size_t(i)].value();
-    if (cumulative_.empty()) {
-      out.push_back(AsId(draw % num_ases_));
-      continue;
-    }
-    const double u = double(draw >> 11) * 0x1.0p-53 * cumulative_.back();
-    const auto it =
-        std::lower_bound(cumulative_.begin(), cumulative_.end(), u);
-    out.push_back(AsId(it - cumulative_.begin()));
-  }
-  return out;
-}
-
 }  // namespace dmap

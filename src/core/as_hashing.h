@@ -32,12 +32,6 @@ class AsHashResolver {
 
   AsId Resolve(const Guid& guid, int replica) const;
 
-  // All K placements at once via the batched SipHash kernels — bit-
-  // identical to Resolve per replica, and cheaper: the scalar path
-  // evaluates each replica's GUID hash twice (once for the high word, once
-  // as the rehash input), the batch shares a single K-lane pass.
-  std::vector<AsId> ResolveAll(const Guid& guid) const;
-
  private:
   const GuidHashFamily* hashes_;
   std::uint32_t num_ases_;

@@ -47,40 +47,6 @@ void HoleResolver::Account(std::span<const HostResolution> resolutions,
   }
 }
 
-HostResolution HoleResolver::Resolve(const Guid& guid, int replica,
-                                     unsigned worker) const {
-  const Dir24_8* fast = ActiveFast();
-  HostResolution result;
-  Ipv4Address addr = hashes_->Hash(guid, replica);
-  for (int tries = 1; tries <= max_hashes_; ++tries) {
-    const AsId owner = LpmOwner(fast, addr);
-    if (owner != kInvalidAs) {
-      result.host = owner;
-      result.hashed_address = addr;
-      result.stored_address = addr;
-      result.hash_count = tries;
-      Account({&result, 1}, worker);
-      return result;
-    }
-    if (tries == max_hashes_) break;
-    addr = hashes_->Rehash(addr, replica);
-  }
-
-  // All M tries landed in holes: deputy rule — the announced address with
-  // minimum IP distance to the final hashed value.
-  const auto nearest = table_->NearestAnnounced(addr);
-  if (!nearest) {
-    throw std::logic_error("HoleResolver: prefix table is empty");
-  }
-  result.host = nearest->record.owner;
-  result.hashed_address = addr;
-  result.stored_address = nearest->address;
-  result.hash_count = max_hashes_;
-  result.used_nearest = true;
-  Account({&result, 1}, worker);
-  return result;
-}
-
 std::vector<HostResolution> HoleResolver::ResolveAll(const Guid& guid,
                                                      unsigned worker) const {
   std::vector<HostResolution> out;

@@ -39,18 +39,14 @@ class HoleResolver {
   int k() const { return hashes_->k(); }
   int max_hashes() const { return max_hashes_; }
 
-  // Resolves replica i of `guid`. Deterministic: every border gateway with
-  // the same prefix table computes the same answer. `worker` selects the
-  // metrics slab when instrumentation is on — parallel callers must pass
-  // their worker id; it never affects the resolution itself.
-  [[nodiscard]] HostResolution Resolve(const Guid& guid, int replica,
-                                       unsigned worker = 0) const
-      DMAP_HOT_PATH;
-
-  // All K replica resolutions. Identical results and metric totals to K
-  // Resolve calls, but the K hash chains are evaluated as a wavefront with
-  // the batched SipHash kernels (GuidHashFamily::HashAllInto /
-  // RehashManyInto), so the per-replica hash latency overlaps.
+  // The K replica resolutions of `guid`: element i is where replica i is
+  // hosted. Deterministic: every border gateway with the same prefix table
+  // computes the same answer. `worker` selects the metrics slab when
+  // instrumentation is on — parallel callers must pass their worker id; it
+  // never affects the resolutions themselves. The K hash chains are
+  // evaluated as a wavefront with the batched SipHash kernels
+  // (GuidHashFamily::HashAllInto / RehashManyInto), so the per-replica hash
+  // latency overlaps.
   [[nodiscard]] std::vector<HostResolution> ResolveAll(
       const Guid& guid, unsigned worker = 0) const;
 
@@ -59,7 +55,7 @@ class HoleResolver {
   // guids[g]; `out` must hold guids.size() * k() elements). The whole
   // batch shares hash kernels and LPM probe passes — the highest-
   // throughput path — while every element stays bit-identical to
-  // Resolve(guids[g], i).
+  // ResolveAll(guids[g])[i].
   void ResolveBatch(std::span<const Guid> guids, HostResolution* out,
                     unsigned worker = 0) const DMAP_HOT_PATH;
 

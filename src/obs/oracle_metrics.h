@@ -44,12 +44,8 @@ inline void ContributeOracleMetrics(const PathOracle& oracle,
     const HubLabels::BuildStats& stats = labels->stats();
     registry.Add(registry.Counter("oracle.label_entries_latency", kExec),
                  stats.latency_entries, 0);
-    registry.Add(registry.Counter("oracle.label_entries_hop", kExec),
-                 stats.hop_entries, 0);
     registry.Add(registry.Counter("oracle.label_max_latency_label", kExec),
                  stats.max_latency_label, 0);
-    registry.Add(registry.Counter("oracle.label_max_hop_label", kExec),
-                 stats.max_hop_label, 0);
     registry.Observe(
         registry.Histogram("oracle.label_build_ms",
                            MetricsRegistry::LatencyBoundariesMs(), kExec),

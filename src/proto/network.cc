@@ -337,10 +337,7 @@ ProtocolNetwork::ClientStamp ProtocolNetwork::ClientWrite(const Guid& guid,
   stamp.entry.nas = NaSet(na);
   stamp.entry.version = ++versions_[guid];
   stamp.entry.writer = na.as;
-  stamp.hosts.reserve(std::size_t(options_.k));
-  for (int replica = 0; replica < options_.k; ++replica) {
-    stamp.hosts.push_back(resolver_.Resolve(guid, replica));
-  }
+  stamp.hosts = resolver_.ResolveAll(guid);
   stamp.local_applied = options_.local_replica &&
                         nodes_[na.as]->store().Upsert(guid, stamp.entry);
   const auto [owner, fresh] = ae_owner_.try_emplace(guid, na.as);
@@ -633,13 +630,14 @@ void ProtocolNetwork::WithdrawPrefixAsync(
   std::vector<Message> handoffs;
   for (const Affected& a : affected) {
     nodes_[owner]->store().Erase(a.guid);
-    for (int replica = 0; replica < options_.k; ++replica) {
-      const HostResolution r = resolver_.Resolve(a.guid, replica);
+    const std::vector<HostResolution> after = resolver_.ResolveAll(a.guid);
+    for (std::size_t replica = 0; replica < after.size(); ++replica) {
+      const HostResolution& r = after[replica];
       if (r.host == owner) {
         nodes_[owner]->store().Upsert(a.guid, a.entry, r.stored_address);
         continue;
       }
-      if (r.host == a.before[std::size_t(replica)].host) continue;  // unmoved
+      if (r.host == a.before[replica].host) continue;  // unmoved
       handoffs.push_back(
           InsertRequest{MessageHeader{op->request_id, owner, r.host}, a.guid,
                         a.entry, r.stored_address});
@@ -801,8 +799,7 @@ int ProtocolNetwork::RunAntiEntropyRound(int budget) {
     states.reserve(std::size_t(options_.k));
     const MappingEntry* freshest = nullptr;
     AsId freshest_host = kInvalidAs;
-    for (int replica = 0; replica < options_.k; ++replica) {
-      const HostResolution resolution = resolver_.Resolve(guid, replica);
+    for (const HostResolution& resolution : resolver_.ResolveAll(guid)) {
       ReplicaState state;
       state.target = {resolution.host, resolution.stored_address};
       state.entry = nodes_[resolution.host]->store().Lookup(guid);

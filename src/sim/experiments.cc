@@ -202,22 +202,20 @@ std::vector<std::pair<int, SampleSet>> RunResponseTimeSweep(
   std::vector<std::vector<SampleSet>> partial(
       parts.size(), std::vector<SampleSet>(ks.size()));
   pool.RunChunks(parts.size(), [&](std::size_t p, unsigned worker) {
+    std::vector<AsId> hosts(std::size_t(k_max), kInvalidAs);
     std::vector<double> rtts(std::size_t(k_max), 0.0);
     for (std::size_t op_index = parts[p].begin; op_index < parts[p].end;
          ++op_index) {
       const LookupOp& op = lookups[op_index];
       // RTTs to all k_max replicas, in hash-function order (NOT sorted: the
       // K-replica system only knows h_1..h_K).
-      const auto latencies = service.oracle().LatenciesFrom(op.source, worker);
-      for (int i = 0; i < k_max; ++i) {
-        const AsId host = service.resolver().Resolve(op.guid, i, worker).host;
-        rtts[std::size_t(i)] =
-            host == op.source
-                ? 2.0 * env.graph.IntraLatencyMs(op.source)
-                : 2.0 * (env.graph.IntraLatencyMs(op.source) +
-                         double(latencies[host]) +
-                         env.graph.IntraLatencyMs(host));
+      const std::vector<HostResolution> resolutions =
+          service.ReplicaResolutions(op.guid, worker);
+      for (std::size_t i = 0; i < hosts.size(); ++i) {
+        hosts[i] = resolutions[i].host;
       }
+      service.oracle().RttsMs(op.source, hosts.data(), hosts.size(),
+                              rtts.data(), worker);
       const bool local_hit =
           config.local_replica && attachment.at(op.guid) == op.source;
       const double local_rtt = 2.0 * env.graph.IntraLatencyMs(op.source);
@@ -260,74 +258,6 @@ std::vector<std::pair<int, SampleSet>> RunResponseTimeSweep(
   return results;
 }
 
-SampleSet RunChurnExperiment(SimEnvironment& env,
-                             const ChurnExperimentConfig& config) {
-  DMapService service(env.graph, env.table, MakeOptions(config.base));
-  WireObservability(service, config.base);
-  service.oracle().SetHubLabels(EnsureHubLabels(env, config.base.threads));
-  WorkloadGenerator workload(env.graph, config.base.workload);
-  LoadMappings(service, workload);
-
-  // The network's BGP state moves on after the mappings were placed: a
-  // fraction of prefixes is withdrawn and an equal number newly announced.
-  // Queriers resolve replica locations against this *new* table while the
-  // mappings still sit where the old table put them — exactly the
-  // inconsistency window of Section III-D-1 before the repair protocol has
-  // migrated the orphaned mappings.
-  PrefixTable churned_view = env.table;
-  if (config.churn_fraction > 0) {
-    Rng rng(config.churn_seed);
-    ChurnParams churn;
-    // Space-weighted withdrawals: an x% churn level displaces ~x% of first
-    // probes, matching the paper's "x% lookup failures" (Figure 5).
-    churn.withdraw_space_fraction = config.churn_fraction;
-    churn.announce_fraction = config.churn_fraction / 2;
-    churn.num_ases = env.graph.num_nodes();
-    ApplyChurn(churned_view, SampleChurn(env.table, churn, rng));
-  }
-
-  const std::vector<LookupOp> lookups =
-      workload.Lookups(config.base.workload.num_lookups);
-  const std::vector<Partition> parts = PartitionBySource(lookups);
-
-  ThreadPool pool(config.base.threads);
-  service.oracle().SetNumShards(pool.size());
-  EnsureObsWorkers(config.base, pool.size());
-  std::vector<SampleSet> partial(parts.size());
-  std::vector<std::uint64_t> unresolved_by_part(parts.size(), 0);
-  pool.RunChunks(parts.size(), [&](std::size_t p, unsigned worker) {
-    partial[p].Reserve(parts[p].end - parts[p].begin);
-    for (std::size_t i = parts[p].begin; i < parts[p].end; ++i) {
-      const LookupResult r = service.LookupWithView(
-          lookups[i].guid, lookups[i].source, churned_view, worker);
-      if (!r.found) {
-        // All replicas displaced by churn: the query fails outright. Rare
-        // (needs every one of K replicas hit); excluded from the latency
-        // CDF like in the paper, but reported.
-        ++unresolved_by_part[p];
-        continue;
-      }
-      partial[p].Add(r.latency_ms);
-    }
-  });
-
-  SampleSet samples;
-  samples.Reserve(lookups.size());
-  std::uint64_t unresolved = 0;
-  for (std::size_t p = 0; p < parts.size(); ++p) {
-    samples.Append(partial[p]);
-    unresolved += unresolved_by_part[p];
-  }
-  if (unresolved > 0) {
-    DMAP_LOG(kInfo) << unresolved << " lookups unresolved under churn";
-  }
-  if (config.base.metrics != nullptr) {
-    ContributeOracleMetrics(service.oracle(), *config.base.metrics);
-    ContributeStoreMetrics(service.store(), *config.base.metrics);
-  }
-  return samples;
-}
-
 std::vector<std::pair<double, SampleSet>> RunChurnSweep(
     SimEnvironment& env, const std::vector<double>& churn_fractions,
     const ChurnExperimentConfig& config) {
@@ -337,7 +267,13 @@ std::vector<std::pair<double, SampleSet>> RunChurnSweep(
   WorkloadGenerator workload(env.graph, config.base.workload);
   LoadMappings(service, workload);
 
-  // One stale view per fraction; the same placement serves all of them.
+  // The network's BGP state moves on after the mappings were placed: per
+  // fraction, that share of prefixes is withdrawn and half as many newly
+  // announced. Queriers resolve replica locations against this *new* table
+  // while the mappings still sit where the old table put them — exactly the
+  // inconsistency window of Section III-D-1 before the repair protocol has
+  // migrated the orphaned mappings. One stale view per fraction; the same
+  // placement serves all of them.
   std::vector<PrefixTable> views;
   views.reserve(churn_fractions.size());
   for (const double fraction : churn_fractions) {
@@ -345,6 +281,8 @@ std::vector<std::pair<double, SampleSet>> RunChurnSweep(
     if (fraction > 0) {
       Rng rng(config.churn_seed);
       ChurnParams churn;
+      // Space-weighted withdrawals: an x% churn level displaces ~x% of
+      // first probes, matching the paper's "x% lookup failures" (Figure 5).
       churn.withdraw_space_fraction = fraction;
       churn.announce_fraction = fraction / 2;
       churn.num_ases = env.graph.num_nodes();
@@ -414,13 +352,26 @@ LoadBalanceResult RunLoadBalanceExperiment(const SimEnvironment& env,
   for (WorkerTally& tally : tallies) {
     tally.counts.assign(env.graph.num_nodes(), 0);
   }
+  // Each partition resolves its GUIDs in blocks of kBlock through
+  // ResolveBatch, so the per-worker buffers stay small at 10^7 GUIDs.
+  constexpr std::size_t kBlock = 1024;
   pool.RunChunks(parts.size(), [&](std::size_t p, unsigned worker) {
     WorkerTally& tally = tallies[worker];
-    for (std::uint64_t i = parts[p].begin; i < parts[p].end; ++i) {
-      const Guid guid =
-          Guid::FromSequence(i ^ (config.guid_seed * 0x9e3779b97f4a7c15ULL));
-      for (int replica = 0; replica < config.k; ++replica) {
-        const HostResolution r = resolver.Resolve(guid, replica, worker);
+    std::vector<Guid> guids;
+    guids.reserve(kBlock);
+    std::vector<HostResolution> resolved(kBlock * std::size_t(config.k));
+    for (std::size_t begin = parts[p].begin; begin < parts[p].end;
+         begin += kBlock) {
+      const std::size_t end = std::min(parts[p].end, begin + kBlock);
+      guids.clear();
+      for (std::uint64_t i = begin; i < end; ++i) {
+        guids.push_back(Guid::FromSequence(
+            i ^ (config.guid_seed * 0x9e3779b97f4a7c15ULL)));
+      }
+      resolver.ResolveBatch(guids, resolved.data(), worker);
+      for (std::size_t f = 0; f < guids.size() * std::size_t(config.k);
+           ++f) {
+        const HostResolution& r = resolved[f];
         ++tally.counts[r.host];
         tally.hash_evals += std::uint64_t(r.hash_count);
         if (r.used_nearest) ++tally.deputy_fallbacks;

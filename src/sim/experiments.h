@@ -65,9 +65,10 @@ SampleSet RunResponseTimeExperiment(SimEnvironment& env,
 // One-pass sweep over several K values. Because h_1..h_K is a prefix of
 // h_1..h_{K'} for K < K' (same hash seed), a single placement with
 // K = max(ks) yields every curve: the K-replica lookup latency is the best
-// RTT among the first K replicas (plus the local-replica race). This is
-// ~|ks| times cheaper than independent runs, which matters at full scale
-// where the per-source Dijkstra dominates. Keys of the result are the
+// RTT among the first K replicas (plus the local-replica race), so one
+// run replaces |ks| independent ones. Each lookup takes the GUID's stored
+// resolutions (DMapService::ReplicaResolutions) and prices the k_max round
+// trips with one PathOracle::RttsMs call. Keys of the result are the
 // requested K values.
 std::vector<std::pair<int, SampleSet>> RunResponseTimeSweep(
     SimEnvironment& env, const std::vector<int>& ks,
@@ -77,14 +78,8 @@ std::vector<std::pair<int, SampleSet>> RunResponseTimeSweep(
 
 struct ChurnExperimentConfig {
   ResponseTimeConfig base;
-  // Total fraction of prefixes churned between mapping placement and the
-  // queries: half withdrawn, half newly announced.
-  double churn_fraction = 0.05;
   std::uint64_t churn_seed = 99;
 };
-
-SampleSet RunChurnExperiment(SimEnvironment& env,
-                             const ChurnExperimentConfig& config);
 
 // One-pass sweep over several churn fractions: one service/placement, one
 // stale view per fraction, lookups iterated once so the latency oracle's

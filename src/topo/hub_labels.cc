@@ -13,28 +13,20 @@ namespace dmap {
 namespace {
 
 constexpr float kInf = std::numeric_limits<float>::infinity();
-constexpr std::uint32_t kNoHop = 0xffffffffu;
 
 // Mutable per-worker traversal state, reused across hubs. All arrays are
 // reset via the `touched` lists, so per-hub work is proportional to the
 // traversal size, not to the graph.
 struct Scratch {
-  // Dijkstra / BFS distance arrays.
+  // Dijkstra distance array.
   std::vector<float> dist;
-  std::vector<std::uint32_t> hops;
   std::vector<AsId> touched;
   // The current hub's committed label, spread by rank for O(|L(v)|)
   // pruning queries.
   std::vector<float> hub_lat;
-  std::vector<std::uint32_t> hub_hop;
   std::vector<std::uint32_t> touched_ranks;
-  std::vector<AsId> frontier, next_frontier;
 
-  explicit Scratch(std::uint32_t n)
-      : dist(n, kInf),
-        hops(n, kNoHop),
-        hub_lat(n, kInf),
-        hub_hop(n, kNoHop) {}
+  explicit Scratch(std::uint32_t n) : dist(n, kInf), hub_lat(n, kInf) {}
 };
 
 // Folds every node's adjacency (neighbor ids and link-latency bits, in CSR
@@ -84,7 +76,6 @@ HubLabels::HubLabels(const AsGraph& graph, ThreadPool* pool) {
   // Committed labels, grown batch by batch. Entries per vertex are sorted
   // by rank automatically: batches commit in rank order.
   std::vector<std::vector<std::pair<std::uint32_t, float>>> lat(n);
-  std::vector<std::vector<std::pair<std::uint32_t, std::uint16_t>>> hop(n);
 
   const unsigned workers = pool != nullptr ? pool->size() : 1u;
   std::vector<Scratch> scratch(workers, Scratch(n));
@@ -132,66 +123,17 @@ HubLabels::HubLabels(const AsGraph& graph, ThreadPool* pool) {
     s.touched_ranks.clear();
   };
 
-  // Same scheme on the hop metric: a pruned BFS.
-  const auto pruned_bfs =
-      [&](AsId hub, Scratch& s,
-          std::vector<std::pair<AsId, std::uint16_t>>& out) {
-        out.clear();
-        for (const auto& [r, d] : hop[hub]) {
-          s.hub_hop[r] = d;
-          s.touched_ranks.push_back(r);
-        }
-        s.frontier.clear();
-        s.next_frontier.clear();
-        s.hops[hub] = 0;
-        s.touched.push_back(hub);
-        s.frontier.push_back(hub);
-        std::uint32_t depth = 0;
-        while (!s.frontier.empty()) {
-          for (const AsId v : s.frontier) {
-            std::uint32_t covered = kNoHop;
-            for (const auto& [r, dv] : hop[v]) {
-              // Unlike the float metric (inf + d == inf), kNoHop + dv wraps —
-              // ranks absent from the hub's label must be skipped explicitly.
-              if (s.hub_hop[r] == kNoHop) continue;
-              const std::uint32_t via = s.hub_hop[r] + dv;
-              if (via < covered) covered = via;
-            }
-            if (covered <= depth) continue;  // pruned: no label, no expand
-            out.emplace_back(v, std::uint16_t(depth));
-            for (const auto& [next, latency] : graph.Neighbors(v)) {
-              (void)latency;
-              if (s.hops[next] == kNoHop) {
-                s.hops[next] = depth + 1;
-                s.touched.push_back(next);
-                s.next_frontier.push_back(next);
-              }
-            }
-          }
-          s.frontier.swap(s.next_frontier);
-          s.next_frontier.clear();
-          ++depth;
-        }
-        for (const AsId v : s.touched) s.hops[v] = kNoHop;
-        s.touched.clear();
-        for (const std::uint32_t r : s.touched_ranks) s.hub_hop[r] = kNoHop;
-        s.touched_ranks.clear();
-      };
-
   // Fixed batches over the canonical order. The per-hub traversals of one
   // batch read only labels committed by earlier batches, so their results
   // do not depend on scheduling; the serial commit below applies them in
   // rank order.
   std::vector<std::vector<std::pair<AsId, float>>> lat_results(kBatchSize);
-  std::vector<std::vector<std::pair<AsId, std::uint16_t>>> hop_results(
-      kBatchSize);
   for (std::uint32_t begin = 0; begin < n; begin += kBatchSize) {
     const std::uint32_t count =
         std::min<std::uint32_t>(kBatchSize, n - begin);
     const auto run_hub = [&](std::size_t slot, unsigned worker) {
       const AsId hub = order_[begin + slot];
       pruned_dijkstra(hub, scratch[worker], lat_results[slot]);
-      pruned_bfs(hub, scratch[worker], hop_results[slot]);
     };
     if (pool != nullptr) {
       pool->RunChunks(count, run_hub);
@@ -201,42 +143,28 @@ HubLabels::HubLabels(const AsGraph& graph, ThreadPool* pool) {
     for (std::uint32_t slot = 0; slot < count; ++slot) {
       const std::uint32_t r = begin + slot;
       for (const auto& [v, d] : lat_results[slot]) lat[v].emplace_back(r, d);
-      for (const auto& [v, d] : hop_results[slot]) hop[v].emplace_back(r, d);
     }
   }
 
   // Flatten into CSR form.
   latency_offsets_.resize(std::size_t(n) + 1, 0);
-  hop_offsets_.resize(std::size_t(n) + 1, 0);
-  std::uint64_t lat_total = 0, hop_total = 0;
+  std::uint64_t lat_total = 0;
   for (AsId v = 0; v < n; ++v) {
     latency_offsets_[v] = std::uint32_t(lat_total);
-    hop_offsets_[v] = std::uint32_t(hop_total);
     lat_total += lat[v].size();
-    hop_total += hop[v].size();
     stats_.max_latency_label =
         std::max<std::uint64_t>(stats_.max_latency_label, lat[v].size());
-    stats_.max_hop_label =
-        std::max<std::uint64_t>(stats_.max_hop_label, hop[v].size());
   }
   latency_offsets_[n] = std::uint32_t(lat_total);
-  hop_offsets_[n] = std::uint32_t(hop_total);
   latency_hubs_.reserve(lat_total);
   latency_dists_.reserve(lat_total);
-  hop_hubs_.reserve(hop_total);
-  hop_dists_.reserve(hop_total);
   for (AsId v = 0; v < n; ++v) {
     for (const auto& [r, d] : lat[v]) {
       latency_hubs_.push_back(r);
       latency_dists_.push_back(d);
     }
-    for (const auto& [r, d] : hop[v]) {
-      hop_hubs_.push_back(r);
-      hop_dists_.push_back(d);
-    }
   }
   stats_.latency_entries = lat_total;
-  stats_.hop_entries = hop_total;
   stats_.build_ms =
       std::chrono::duration<double, std::milli>(
           std::chrono::steady_clock::now() - start)

@@ -1,13 +1,15 @@
 // Exact 2-hop hub labeling (pruned-landmark style, Akiba/Iwata/Yoshida) over
-// the AS graph, for both the latency and hop metrics. Built once per
-// topology; a point distance query is then a merge of two short sorted label
-// arrays — no SSSP, no lock, no cache — which replaces the per-source
-// Dijkstra/BFS that dominates every response-time, churn and chaos sweep
-// (see PathOracle in topo/shortest_path.h for the consumer).
+// the AS graph, for the latency metric. Built once per topology; a point
+// latency query is then a merge of two short sorted label arrays — no SSSP,
+// no lock, no cache — which replaces the per-source Dijkstra that dominates
+// every response-time, churn and chaos sweep (see PathOracle in
+// topo/shortest_path.h for the consumer). Hop counts are not labelled: only
+// the fewest-hops replica ranking reads them, and PathOracle::Hops answers
+// it from BFS vectors behind its per-shard LRU.
 //
 // Construction is deterministic and parallel: vertices are ranked by
 // (degree descending, id ascending) and processed in FIXED batches of
-// kBatchSize hubs. Within a batch every hub runs its pruned Dijkstra/BFS
+// kBatchSize hubs. Within a batch every hub runs its pruned Dijkstra
 // against the labels committed by *previous* batches only, so the result of
 // each hub's traversal is independent of the worker that ran it and of the
 // worker count — labels are byte-identical for any `--threads` value.
@@ -34,7 +36,6 @@
 
 #include "common/thread_annotations.h"
 #include "topo/graph.h"
-#include "topo/shortest_path.h"
 
 namespace dmap {
 
@@ -49,15 +50,13 @@ class HubLabels {
   static constexpr std::size_t kBatchSize = 16;
 
   struct BuildStats {
-    std::uint64_t latency_entries = 0;  // total label entries, latency metric
-    std::uint64_t hop_entries = 0;      // total label entries, hop metric
+    std::uint64_t latency_entries = 0;    // total label entries
     std::uint64_t max_latency_label = 0;  // largest single-vertex label
-    std::uint64_t max_hop_label = 0;
     double build_ms = 0.0;  // wall time; observability only, never exported
                             // as a stable metric (kExecution)
   };
 
-  // Builds both labelings. `pool` parallelizes construction (nullptr = the
+  // Builds the labeling. `pool` parallelizes construction (nullptr = the
   // calling thread only); the labels are byte-identical either way.
   explicit HubLabels(const AsGraph& graph, ThreadPool* pool = nullptr);
 
@@ -87,30 +86,6 @@ class HubLabels {
       }
     }
     return best;
-  }
-
-  // Hop count from u to v; kUnreachableHops when unreachable; 0 when
-  // u == v. Identical to BfsHops(graph, u)[v].
-  std::uint16_t Hops(AsId u, AsId v) const DMAP_HOT_PATH {
-    if (u == v) return 0;
-    std::uint32_t best = kUnreachableHops;
-    std::uint32_t i = hop_offsets_[u], j = hop_offsets_[v];
-    const std::uint32_t iend = hop_offsets_[u + 1];
-    const std::uint32_t jend = hop_offsets_[v + 1];
-    while (i < iend && j < jend) {
-      const std::uint32_t ri = hop_hubs_[i], rj = hop_hubs_[j];
-      if (ri == rj) {
-        const std::uint32_t d = std::uint32_t(hop_dists_[i]) + hop_dists_[j];
-        if (d < best) best = d;
-        ++i;
-        ++j;
-      } else if (ri < rj) {
-        ++i;
-      } else {
-        ++j;
-      }
-    }
-    return std::uint16_t(best);
   }
 
   // One-to-K form of LatencyMs: out[t] = LatencyMs(u, targets[t]) for every
@@ -165,11 +140,6 @@ class HubLabels {
     return latency_hubs_;
   }
   const std::vector<float>& latency_dists() const { return latency_dists_; }
-  const std::vector<std::uint32_t>& hop_offsets() const {
-    return hop_offsets_;
-  }
-  const std::vector<std::uint32_t>& hop_hubs() const { return hop_hubs_; }
-  const std::vector<std::uint16_t>& hop_dists() const { return hop_dists_; }
 
   // The canonical (degree-descending, id-ascending) hub order; order_[r] is
   // the AS with rank r.
@@ -188,9 +158,6 @@ class HubLabels {
   std::vector<std::uint32_t> latency_offsets_;
   std::vector<std::uint32_t> latency_hubs_;
   std::vector<float> latency_dists_;
-  std::vector<std::uint32_t> hop_offsets_;
-  std::vector<std::uint32_t> hop_hubs_;
-  std::vector<std::uint16_t> hop_dists_;
 
   BuildStats stats_;
 };

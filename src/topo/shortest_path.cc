@@ -160,17 +160,6 @@ const std::vector<float>& PathOracle::LatencyVector(AsId src, unsigned shard) {
   return *s.latencies.Insert(src, DijkstraLatency(*graph_, src));
 }
 
-const std::vector<std::uint16_t>& PathOracle::HopsVector(AsId src,
-                                                         unsigned shard) {
-  Shard& s = *shards_.at(shard);
-  if (const auto* hit = s.hops.Find(src)) {
-    ++s.hops_hits;
-    return *hit;
-  }
-  ++s.bfs_runs;
-  return *s.hops.Insert(src, BfsHops(*graph_, src));
-}
-
 PinnedVector<float> PathOracle::LatenciesFrom(AsId src, unsigned shard) {
   Shard& s = *shards_.at(shard);
   if (auto hit = s.latencies.FindShared(src)) {
@@ -182,17 +171,6 @@ PinnedVector<float> PathOracle::LatenciesFrom(AsId src, unsigned shard) {
       s.latencies.Insert(src, DijkstraLatency(*graph_, src)));
 }
 
-PinnedVector<std::uint16_t> PathOracle::HopsFrom(AsId src, unsigned shard) {
-  Shard& s = *shards_.at(shard);
-  if (auto hit = s.hops.FindShared(src)) {
-    ++s.hops_hits;
-    return PinnedVector<std::uint16_t>(std::move(hit));
-  }
-  ++s.bfs_runs;
-  return PinnedVector<std::uint16_t>(
-      s.hops.Insert(src, BfsHops(*graph_, src)));
-}
-
 double PathOracle::LinkLatencyMs(AsId src, AsId dst, unsigned shard) {
   if (labels_ != nullptr) {
     ++shards_.at(shard)->label_queries;
@@ -202,11 +180,13 @@ double PathOracle::LinkLatencyMs(AsId src, AsId dst, unsigned shard) {
 }
 
 std::uint32_t PathOracle::Hops(AsId src, AsId dst, unsigned shard) {
-  if (labels_ != nullptr) {
-    ++shards_.at(shard)->label_queries;
-    return labels_->Hops(src, dst);
+  Shard& s = *shards_.at(shard);
+  if (const auto* hit = s.hops.Find(src)) {
+    ++s.hops_hits;
+    return (*hit)[dst];
   }
-  return HopsVector(src, shard)[dst];
+  ++s.bfs_runs;
+  return (*s.hops.Insert(src, BfsHops(*graph_, src)))[dst];
 }
 
 float* PathOracle::LabelScratch(Shard& s) DMAP_HOT_PATH_ALLOW(

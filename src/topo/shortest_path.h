@@ -72,16 +72,17 @@ class PathOracle {
   // preserved). Must not race with oracle queries.
   void SetNumShards(unsigned num_shards) REQUIRES_ALL_SHARDS();
 
-  // Attaches a hub labeling: point queries (LinkLatencyMs/Hops/OneWayMs/
-  // RttMs/RttsMs) switch to O(|label|) label scans; full-vector requests
-  // keep the Dijkstra+LRU path. `labels` must outlive the oracle (or be
-  // cleared with nullptr) and must be built over this graph — a labeling
-  // of any other graph (HubLabels::BuiltOver) throws. The answers are
-  // bit-identical to the LRU backend on grid-quantized topologies, so
-  // attaching a labeling never changes experiment output, only its speed.
+  // Attaches a hub labeling: latency point queries (LinkLatencyMs/OneWayMs/
+  // RttMs/RttsMs) switch to O(|label|) label scans; Hops and full-vector
+  // requests keep the BFS/Dijkstra+LRU path. `labels` must outlive the
+  // oracle (or be cleared with nullptr) and must be built over this graph
+  // — a labeling of any other graph (HubLabels::BuiltOver) throws. The
+  // answers are bit-identical to the LRU backend on grid-quantized
+  // topologies, so attaching a labeling never changes experiment output,
+  // only its speed.
   // Every experiment harness attaches one (EnsureHubLabels); without it
-  // point queries take the Dijkstra+LRU path, which the tests keep as the
-  // reference.
+  // latency point queries take the Dijkstra+LRU path, which the tests keep
+  // as the reference.
   // Must not race with oracle queries.
   void SetHubLabels(const HubLabels* labels) REQUIRES_ALL_SHARDS();
   const HubLabels* hub_labels() const { return labels_; }
@@ -90,15 +91,14 @@ class PathOracle {
   double LinkLatencyMs(AsId src, AsId dst, unsigned shard = 0)
       REQUIRES_SHARD(shard);
 
-  // Hop count from src to dst.
+  // Hop count from src to dst, from src's BFS vector behind the shard's
+  // LRU (hop counts are not labelled).
   std::uint32_t Hops(AsId src, AsId dst, unsigned shard = 0)
       REQUIRES_SHARD(shard);
 
-  // Full vectors, pinned: valid for as long as the handle lives, even if
-  // later calls evict the entry from the shard's LRU.
+  // Full latency vector, pinned: valid for as long as the handle lives,
+  // even if later calls evict the entry from the shard's LRU.
   PinnedVector<float> LatenciesFrom(AsId src, unsigned shard = 0)
-      REQUIRES_SHARD(shard);
-  PinnedVector<std::uint16_t> HopsFrom(AsId src, unsigned shard = 0)
       REQUIRES_SHARD(shard);
 
   // End-to-end one-way latency including both intra-AS components:
@@ -135,7 +135,8 @@ class PathOracle {
   std::uint64_t hops_cache_misses() const REQUIRES_ALL_SHARDS() {
     return bfs_runs();
   }
-  // Point queries answered by the hub labels (0 while none are set).
+  // Latency point queries answered by the hub labels (0 while none are
+  // set).
   std::uint64_t label_queries() const REQUIRES_ALL_SHARDS();
 
  private:
@@ -169,12 +170,10 @@ class PathOracle {
   // The shard's label scratch, sized on first use.
   float* LabelScratch(Shard& s);
 
-  // Cached vector for `src`, computing it on miss. The reference is only
-  // valid until the next insert into the same shard — internal use on the
-  // point-query paths, which index it immediately.
+  // Cached latency vector for `src`, computing it on miss. The reference is
+  // only valid until the next insert into the same shard — internal use on
+  // the point-query path, which indexes it immediately.
   const std::vector<float>& LatencyVector(AsId src, unsigned shard)
-      REQUIRES_SHARD(shard);
-  const std::vector<std::uint16_t>& HopsVector(AsId src, unsigned shard)
       REQUIRES_SHARD(shard);
 
   const AsGraph* graph_;

@@ -92,13 +92,5 @@ TEST(AsHashResolverTest, ValidationErrors) {
                std::invalid_argument);
 }
 
-TEST(AsHashResolverTest, ResolveAllReturnsK) {
-  const GuidHashFamily hashes(4, 7);
-  const AsHashResolver resolver(hashes, 100);
-  EXPECT_EQ(resolver.ResolveAll(Guid::FromSequence(1)).size(), 4u);
-  EXPECT_EQ(resolver.k(), 4);
-  EXPECT_EQ(resolver.num_ases(), 100u);
-}
-
 }  // namespace
 }  // namespace dmap

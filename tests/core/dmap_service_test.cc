@@ -1135,7 +1135,7 @@ TEST_P(ResolutionMemoSweepTest, MatchesFreshResolution) {
       // next write rebuild the resolver's 64 MB snapshot, hence the rarity.
       const Ipv4Address stored =
           service.resolver()
-              .Resolve(g, int(rng.NextBounded(std::uint64_t(options.k))))
+              .ResolveAll(g)[rng.NextBounded(std::uint64_t(options.k))]
               .stored_address;
       const std::uint64_t kind = rng.NextBounded(3);
       if (kind == 0 && !withdrawn.empty()) {

@@ -31,7 +31,7 @@ TEST_P(HoleResolverDensityTest, GeometricHashCountAndProportionalLoad) {
   std::vector<std::uint64_t> load(params.num_ases, 0);
   for (int i = 0; i < kGuids; ++i) {
     const HostResolution r =
-        resolver.Resolve(Guid::FromSequence(std::uint64_t(i)), 0);
+        resolver.ResolveAll(Guid::FromSequence(std::uint64_t(i)))[0];
     ASSERT_LT(r.host, params.num_ases);
     // The stored address must be announced and owned by the chosen host.
     const auto hit = table.Lookup(r.stored_address);

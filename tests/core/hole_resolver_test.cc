@@ -14,6 +14,53 @@ Cidr C(const std::string& text) {
   return c;
 }
 
+// Algorithm 1 for one replica as Section III-B states it, one hash at a
+// time over the trie: hash, rehash past holes up to M evaluations, then the
+// deputy rule. The resolver's wavefront (ResolveAll / ResolveBatch) is
+// checked against it.
+HostResolution ReferenceResolve(const GuidHashFamily& hashes,
+                                const PrefixTable& table, int max_hashes,
+                                const Guid& guid, int replica) {
+  HostResolution result;
+  Ipv4Address addr = hashes.Hash(guid, replica);
+  for (int tries = 1;; ++tries) {
+    if (const auto record = table.Lookup(addr)) {
+      result.host = record->owner;
+      result.hashed_address = addr;
+      result.stored_address = addr;
+      result.hash_count = tries;
+      return result;
+    }
+    if (tries == max_hashes) break;
+    addr = hashes.Rehash(addr, replica);
+  }
+  const auto nearest = table.NearestAnnounced(addr);
+  EXPECT_TRUE(nearest.has_value());
+  result.host = nearest->record.owner;
+  result.hashed_address = addr;
+  result.stored_address = nearest->address;
+  result.hash_count = max_hashes;
+  result.used_nearest = true;
+  return result;
+}
+
+void ExpectSameResolution(const HostResolution& got,
+                          const HostResolution& want) {
+  ASSERT_EQ(got.host, want.host);
+  ASSERT_EQ(got.stored_address, want.stored_address);
+  ASSERT_EQ(got.hashed_address, want.hashed_address);
+  ASSERT_EQ(got.hash_count, want.hash_count);
+  ASSERT_EQ(got.used_nearest, want.used_nearest);
+}
+
+std::uint64_t CounterIn(const MetricsSnapshot& snapshot,
+                        const std::string& name) {
+  for (const CounterSnapshot& c : snapshot.counters) {
+    if (c.name == name) return c.value;
+  }
+  return 0;
+}
+
 TEST(HoleResolverTest, FirstHashHitWhenFullyAnnounced) {
   PrefixTable table;
   table.Announce(C("0.0.0.0/1"), 1);
@@ -21,8 +68,9 @@ TEST(HoleResolverTest, FirstHashHitWhenFullyAnnounced) {
   const GuidHashFamily hashes(3, 1);
   const HoleResolver resolver(hashes, table);
   const Guid g = Guid::FromSequence(7);
+  const std::vector<HostResolution> all = resolver.ResolveAll(g);
   for (int i = 0; i < 3; ++i) {
-    const HostResolution r = resolver.Resolve(g, i);
+    const HostResolution& r = all[std::size_t(i)];
     EXPECT_EQ(r.hash_count, 1);
     EXPECT_FALSE(r.used_nearest);
     EXPECT_EQ(r.stored_address, r.hashed_address);
@@ -41,7 +89,7 @@ TEST(HoleResolverTest, RehashesPastHoles) {
   constexpr int kGuids = 2000;
   for (int i = 0; i < kGuids; ++i) {
     const HostResolution r =
-        resolver.Resolve(Guid::FromSequence(std::uint64_t(i)), 0);
+        resolver.ResolveAll(Guid::FromSequence(std::uint64_t(i)))[0];
     EXPECT_EQ(r.host, 1u);
     EXPECT_FALSE(r.used_nearest);  // M=40 makes fall-through ~2^-40
     EXPECT_GE(r.stored_address.value(), 0x80000000u);
@@ -59,7 +107,8 @@ TEST(HoleResolverTest, RehashCountIsGeometric) {
   constexpr int kGuids = 5000;
   for (int i = 0; i < kGuids; ++i) {
     total_hashes +=
-        resolver.Resolve(Guid::FromSequence(std::uint64_t(i)), 0).hash_count;
+        resolver.ResolveAll(Guid::FromSequence(std::uint64_t(i)))[0]
+            .hash_count;
   }
   // Geometric with p = 1/2: mean 2 tries.
   EXPECT_NEAR(total_hashes / kGuids, 2.0, 0.1);
@@ -73,7 +122,7 @@ TEST(HoleResolverTest, DeputyFallbackAfterMTries) {
   const GuidHashFamily hashes(1, 4);
   const HoleResolver resolver(hashes, table, 3);
   const Guid g = Guid::FromSequence(1);
-  const HostResolution r = resolver.Resolve(g, 0);
+  const HostResolution r = resolver.ResolveAll(g)[0];
   EXPECT_TRUE(r.used_nearest);
   EXPECT_EQ(r.hash_count, 3);
   EXPECT_EQ(r.host, 7u);
@@ -99,7 +148,7 @@ TEST(HoleResolverTest, FallThroughProbabilityMatchesPaper) {
   int fallbacks = 0;
   constexpr int kGuids = 100000;
   for (int i = 0; i < kGuids; ++i) {
-    if (resolver.Resolve(Guid::FromSequence(std::uint64_t(i)), 0)
+    if (resolver.ResolveAll(Guid::FromSequence(std::uint64_t(i)))[0]
             .used_nearest) {
       ++fallbacks;
     }
@@ -120,8 +169,10 @@ TEST(HoleResolverTest, DeterministicAcrossInstances) {
   const HoleResolver r1(h1, table, 10), r2(h2, table, 10);
   for (int i = 0; i < 200; ++i) {
     const Guid g = Guid::FromSequence(std::uint64_t(i));
+    const std::vector<HostResolution> a = r1.ResolveAll(g);
+    const std::vector<HostResolution> b = r2.ResolveAll(g);
     for (int k = 0; k < 5; ++k) {
-      EXPECT_EQ(r1.Resolve(g, k).host, r2.Resolve(g, k).host);
+      EXPECT_EQ(a[std::size_t(k)].host, b[std::size_t(k)].host);
     }
   }
 }
@@ -139,7 +190,8 @@ TEST(HoleResolverTest, EmptyTableThrows) {
   PrefixTable table;
   const GuidHashFamily hashes(1, 7);
   const HoleResolver resolver(hashes, table, 2);
-  EXPECT_THROW((void)resolver.Resolve(Guid::FromSequence(1), 0), std::logic_error);
+  EXPECT_THROW((void)resolver.ResolveAll(Guid::FromSequence(1)),
+               std::logic_error);
 }
 
 TEST(HoleResolverTest, FastPathAgreesWithTrie) {
@@ -160,14 +212,11 @@ TEST(HoleResolverTest, FastPathAgreesWithTrie) {
   int deputies = 0;
   for (int i = 0; i < 5000; ++i) {
     const Guid g = Guid::FromSequence(std::uint64_t(i));
-    for (int replica = 0; replica < 3; ++replica) {
-      const HostResolution a = slow_resolver.Resolve(g, replica);
-      const HostResolution b = fast_resolver.Resolve(g, replica);
-      ASSERT_EQ(a.host, b.host);
-      ASSERT_EQ(a.stored_address, b.stored_address);
-      ASSERT_EQ(a.hash_count, b.hash_count);
-      ASSERT_EQ(a.used_nearest, b.used_nearest);
-      deputies += a.used_nearest ? 1 : 0;
+    const std::vector<HostResolution> slow = slow_resolver.ResolveAll(g);
+    const std::vector<HostResolution> fast = fast_resolver.ResolveAll(g);
+    for (std::size_t replica = 0; replica < 3; ++replica) {
+      ExpectSameResolution(fast[replica], slow[replica]);
+      deputies += slow[replica].used_nearest ? 1 : 0;
     }
   }
   EXPECT_GT(deputies, 0);
@@ -185,13 +234,10 @@ TEST(HoleResolverTest, OwnedSnapshotAgreesWithTrie) {
   ASSERT_TRUE(snap_resolver.snapshot_fresh());
   for (int i = 0; i < 5000; ++i) {
     const Guid g = Guid::FromSequence(std::uint64_t(i));
-    for (int replica = 0; replica < 3; ++replica) {
-      const HostResolution a = trie_resolver.Resolve(g, replica);
-      const HostResolution b = snap_resolver.Resolve(g, replica);
-      ASSERT_EQ(a.host, b.host);
-      ASSERT_EQ(a.stored_address, b.stored_address);
-      ASSERT_EQ(a.hash_count, b.hash_count);
-      ASSERT_EQ(a.used_nearest, b.used_nearest);
+    const std::vector<HostResolution> trie = trie_resolver.ResolveAll(g);
+    const std::vector<HostResolution> snap = snap_resolver.ResolveAll(g);
+    for (std::size_t replica = 0; replica < 3; ++replica) {
+      ExpectSameResolution(snap[replica], trie[replica]);
     }
   }
 }
@@ -213,8 +259,8 @@ TEST(HoleResolverTest, StaleSnapshotFallsBackToTrie) {
   const HoleResolver reference(hashes, table, 40);
   for (int i = 0; i < 500; ++i) {
     const Guid g = Guid::FromSequence(std::uint64_t(i));
-    const HostResolution a = reference.Resolve(g, 0);
-    const HostResolution b = resolver.Resolve(g, 0);
+    const HostResolution a = reference.ResolveAll(g)[0];
+    const HostResolution b = resolver.ResolveAll(g)[0];
     ASSERT_EQ(a.host, b.host);
     ASSERT_EQ(a.hash_count, b.hash_count);
   }
@@ -223,64 +269,89 @@ TEST(HoleResolverTest, StaleSnapshotFallsBackToTrie) {
   EXPECT_TRUE(resolver.snapshot_fresh());
   for (int i = 0; i < 500; ++i) {
     const Guid g = Guid::FromSequence(std::uint64_t(i));
-    ASSERT_EQ(resolver.Resolve(g, 0).host, reference.Resolve(g, 0).host);
+    ASSERT_EQ(resolver.ResolveAll(g)[0].host, reference.ResolveAll(g)[0].host);
   }
 }
 
 TEST(HoleResolverTest, ResolveAllMatchesPerReplicaResolve) {
-  // The batched wavefront must return exactly what K independent Resolve
-  // calls return, in replica order — with and without the snapshot.
+  // The batched wavefront must return exactly what K independent scalar
+  // chains return, in replica order — with and without the snapshot, and
+  // at an M small enough that deputy fall-throughs are common.
   PrefixGenParams params;
   params.num_ases = 150;
   params.announced_fraction = 0.55;
   params.seed = 15;
   const PrefixTable table = GeneratePrefixTable(params);
   const GuidHashFamily hashes(5, 25);
-  for (const bool snapshot : {false, true}) {
-    HoleResolver resolver(hashes, table, 10);
-    if (snapshot) resolver.RefreshSnapshot();
-    for (int i = 0; i < 2000; ++i) {
-      const Guid g = Guid::FromSequence(std::uint64_t(i));
-      const std::vector<HostResolution> batch = resolver.ResolveAll(g);
-      ASSERT_EQ(batch.size(), 5u);
-      for (int replica = 0; replica < 5; ++replica) {
-        const HostResolution one = resolver.Resolve(g, replica);
-        ASSERT_EQ(batch[std::size_t(replica)].host, one.host);
-        ASSERT_EQ(batch[std::size_t(replica)].stored_address,
-                  one.stored_address);
-        ASSERT_EQ(batch[std::size_t(replica)].hashed_address,
-                  one.hashed_address);
-        ASSERT_EQ(batch[std::size_t(replica)].hash_count, one.hash_count);
-        ASSERT_EQ(batch[std::size_t(replica)].used_nearest, one.used_nearest);
+  int deputies = 0;
+  for (const int max_hashes : {3, 10}) {
+    for (const bool snapshot : {false, true}) {
+      HoleResolver resolver(hashes, table, max_hashes);
+      if (snapshot) resolver.RefreshSnapshot();
+      for (int i = 0; i < 2000; ++i) {
+        const Guid g = Guid::FromSequence(std::uint64_t(i));
+        const std::vector<HostResolution> batch = resolver.ResolveAll(g);
+        ASSERT_EQ(batch.size(), 5u);
+        for (int replica = 0; replica < 5; ++replica) {
+          const HostResolution one =
+              ReferenceResolve(hashes, table, max_hashes, g, replica);
+          ExpectSameResolution(batch[std::size_t(replica)], one);
+          deputies += one.used_nearest ? 1 : 0;
+        }
       }
     }
   }
+  EXPECT_GT(deputies, 0);
 }
 
 TEST(HoleResolverTest, ResolveAllAccountsMetricsLikeResolve) {
-  // Same totals in the metrics registry whether resolutions happen one at a
-  // time or as one batch.
+  // ResolveAll and ResolveBatch record one hash-evaluation count, one
+  // rehash-depth sample and (on a fall-through) one deputy count per
+  // resolution: the totals of resolving each replica by the scalar chain.
+  // M = 3 over a half-announced space makes fall-throughs common.
   PrefixTable table;
   table.Announce(C("128.0.0.0/1"), 1);
   const GuidHashFamily hashes(4, 26);
+  constexpr int kMaxHashes = 3;
 
-  MetricsRegistry per_call, batched;
-  HoleResolver a(hashes, table, 12), b(hashes, table, 12);
-  a.SetMetrics(&per_call);
+  MetricsRegistry per_guid, batched;
+  HoleResolver a(hashes, table, kMaxHashes), b(hashes, table, kMaxHashes);
+  a.SetMetrics(&per_guid);
   b.SetMetrics(&batched);
+  std::uint64_t hash_evaluations = 0, deputies = 0;
+  std::vector<Guid> guids;
   for (int i = 0; i < 300; ++i) {
     const Guid g = Guid::FromSequence(std::uint64_t(i));
-    for (int replica = 0; replica < 4; ++replica) (void)a.Resolve(g, replica);
-    (void)b.ResolveAll(g);
+    guids.push_back(g);
+    for (int replica = 0; replica < 4; ++replica) {
+      const HostResolution one =
+          ReferenceResolve(hashes, table, kMaxHashes, g, replica);
+      hash_evaluations += std::uint64_t(one.hash_count);
+      deputies += one.used_nearest ? 1 : 0;
+    }
+    (void)a.ResolveAll(g);
   }
-  const auto sa = per_call.Snapshot();
+  std::vector<HostResolution> rows(guids.size() * 4);
+  b.ResolveBatch(guids, rows.data());
+
+  ASSERT_GT(deputies, 0u);
+  const auto sa = per_guid.Snapshot();
   const auto sb = batched.Snapshot();
+  EXPECT_EQ(CounterIn(sa, "algo1.hash_evaluations"), hash_evaluations);
+  EXPECT_EQ(CounterIn(sa, "algo1.deputy_fallbacks"), deputies);
+  ASSERT_EQ(sa.histograms.size(), 1u);
+  EXPECT_EQ(sa.histograms[0].name, "algo1.rehash_depth");
+  EXPECT_EQ(sa.histograms[0].count, guids.size() * 4);
+  EXPECT_EQ(sa.histograms[0].sum, double(hash_evaluations));
+
   ASSERT_EQ(sa.counters.size(), sb.counters.size());
   for (std::size_t i = 0; i < sa.counters.size(); ++i) {
     EXPECT_EQ(sa.counters[i].name, sb.counters[i].name);
     EXPECT_EQ(sa.counters[i].value, sb.counters[i].value)
         << sa.counters[i].name;
   }
+  ASSERT_EQ(sb.histograms.size(), 1u);
+  EXPECT_EQ(sa.histograms[0].buckets, sb.histograms[0].buckets);
 }
 
 TEST(HoleResolverTest, InvalidMaxHashesThrows) {
@@ -292,15 +363,15 @@ TEST(HoleResolverTest, InvalidMaxHashesThrows) {
 
 TEST(HoleResolverTest, ResolveBatchMatchesPerGuidResolve) {
   // The multi-GUID batch shares hash kernels and probe passes across the
-  // whole batch; every row must still equal the per-replica scalar result.
+  // whole batch; every row must still equal the per-replica scalar chain,
+  // deputy fall-throughs (common at M = 4) included. The same buffer is
+  // reused across both M values, as a serving loop reuses it.
   PrefixGenParams params;
   params.num_ases = 120;
   params.announced_fraction = 0.5;
   params.seed = 77;
   const PrefixTable table = GeneratePrefixTable(params);
   const GuidHashFamily hashes(5, 33);
-  HoleResolver resolver(hashes, table, 10);
-  resolver.RefreshSnapshot();
 
   std::vector<Guid> guids;
   for (int i = 0; i < 777; ++i) {
@@ -308,17 +379,22 @@ TEST(HoleResolverTest, ResolveBatchMatchesPerGuidResolve) {
   }
   std::vector<HostResolution> batch;
   batch.resize(guids.size() * 5);
-  resolver.ResolveBatch(guids, batch.data());
-  for (std::size_t g = 0; g < guids.size(); ++g) {
-    for (int replica = 0; replica < 5; ++replica) {
-      const HostResolution one = resolver.Resolve(guids[g], replica);
-      const HostResolution& row = batch[g * 5 + std::size_t(replica)];
-      ASSERT_EQ(row.host, one.host) << g << "/" << replica;
-      ASSERT_EQ(row.stored_address, one.stored_address);
-      ASSERT_EQ(row.hash_count, one.hash_count);
-      ASSERT_EQ(row.used_nearest, one.used_nearest);
+  int deputies = 0;
+  for (const int max_hashes : {4, 10}) {
+    HoleResolver resolver(hashes, table, max_hashes);
+    resolver.RefreshSnapshot();
+    resolver.ResolveBatch(guids, batch.data());
+    for (std::size_t g = 0; g < guids.size(); ++g) {
+      for (int replica = 0; replica < 5; ++replica) {
+        const HostResolution one =
+            ReferenceResolve(hashes, table, max_hashes, guids[g], replica);
+        SCOPED_TRACE(testing::Message() << g << "/" << replica);
+        ExpectSameResolution(batch[g * 5 + std::size_t(replica)], one);
+        deputies += one.used_nearest ? 1 : 0;
+      }
     }
   }
+  EXPECT_GT(deputies, 0);
 }
 
 TEST(HoleResolverTest, RefreshSnapshotSkipsRebuildWhenEpochUnchanged) {

@@ -206,8 +206,8 @@ TEST_F(ProtocolNetworkTest, MovedHostLeavesNoStaleLocalCopy) {
   const Guid batched = Guid::FromSequence(6);
   const auto hosts_replica = [&](AsId as) {
     for (const Guid& g : {moved, batched}) {
-      for (int i = 0; i < options.k; ++i) {
-        if (resolver.Resolve(g, i).host == as) return true;
+      for (const HostResolution& r : resolver.ResolveAll(g)) {
+        if (r.host == as) return true;
       }
     }
     return false;
@@ -370,8 +370,8 @@ TEST_F(ProtocolNetworkTest, WithdrawalWithNothingToSendStillCompletes) {
   const GuidHashFamily hashes(options.k, options.hash_seed);
   const HoleResolver resolver(hashes, env_.table, options.max_hashes);
   const auto chain_avoids_owner = [&](const Guid& guid) {
-    for (int replica = 0; replica < options.k; ++replica) {
-      if (resolver.Resolve(guid, replica).host == record.owner) return false;
+    for (const HostResolution& r : resolver.ResolveAll(guid)) {
+      if (r.host == record.owner) return false;
     }
     return true;
   };
@@ -448,8 +448,7 @@ TEST_F(ProtocolNetworkTest, WithdrawalLeavesEveryNewChainHostHoldingTheEntry) {
       const Guid guid = workload.GuidAt(i);
       if (net.node(victim.owner).store().Lookup(guid) == nullptr) continue;
       bool orphaned = stored_in.contains(guid);
-      for (int replica = 0; replica < options.k; ++replica) {
-        const HostResolution r = resolver.Resolve(guid, replica);
+      for (const HostResolution& r : resolver.ResolveAll(guid)) {
         orphaned |= r.host == victim.owner &&
                     victim.prefix.Contains(r.stored_address);
       }
@@ -462,16 +461,15 @@ TEST_F(ProtocolNetworkTest, WithdrawalLeavesEveryNewChainHostHoldingTheEntry) {
     EXPECT_EQ(migrated, int(orphans.size()));
 
     for (const Guid& guid : orphans) {
-      for (int replica = 0; replica < options.k; ++replica) {
-        if (resolver.Resolve(guid, replica).host == victim.owner) {
-          ++landed_on_owner;
-        }
+      for (const HostResolution& r : resolver.ResolveAll(guid)) {
+        if (r.host == victim.owner) ++landed_on_owner;
       }
     }
     for (std::uint64_t i = 0; i < params.num_guids; ++i) {
       const Guid guid = workload.GuidAt(i);
-      for (int replica = 0; replica < options.k; ++replica) {
-        const AsId host = resolver.Resolve(guid, replica).host;
+      const std::vector<HostResolution> hosts = resolver.ResolveAll(guid);
+      for (std::size_t replica = 0; replica < hosts.size(); ++replica) {
+        const AsId host = hosts[replica].host;
         ASSERT_NE(net.node(host).store().Lookup(guid), nullptr)
             << "withdrawal by " << victim.owner << ": guid " << i
             << " replica " << replica << " at " << host;

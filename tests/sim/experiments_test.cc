@@ -49,8 +49,7 @@ TEST_F(ExperimentsTest, MoreReplicasReduceTailLatency) {
 TEST_F(ExperimentsTest, ChurnZeroMatchesBaseline) {
   ChurnExperimentConfig config;
   config.base = SmallConfig(5);
-  config.churn_fraction = 0.0;
-  const SampleSet churned = RunChurnExperiment(env_, config);
+  const SampleSet churned = RunChurnSweep(env_, {0.0}, config)[0].second;
   const SampleSet baseline = RunResponseTimeExperiment(env_, config.base);
   ASSERT_EQ(churned.count(), baseline.count());
   EXPECT_NEAR(churned.mean(), baseline.mean(), 1e-9);
@@ -61,8 +60,7 @@ TEST_F(ExperimentsTest, ChurnInflatesTail) {
   // nearly unchanged.
   ChurnExperimentConfig config;
   config.base = SmallConfig(5);
-  config.churn_fraction = 0.10;
-  const SampleSet churned = RunChurnExperiment(env_, config);
+  const SampleSet churned = RunChurnSweep(env_, {0.10}, config)[0].second;
   const SampleSet baseline = RunResponseTimeExperiment(env_, config.base);
   EXPECT_GT(churned.Quantile(0.95), baseline.Quantile(0.95));
   EXPECT_NEAR(churned.Quantile(0.5), baseline.Quantile(0.5),
@@ -100,8 +98,7 @@ TEST_F(ExperimentsTest, LoadBalanceFastPathChangesNothing) {
   for (std::uint64_t i = 0; i < config.num_guids; ++i) {
     const Guid guid =
         Guid::FromSequence(i ^ (config.guid_seed * 0x9e3779b97f4a7c15ULL));
-    for (int replica = 0; replica < config.k; ++replica) {
-      const HostResolution r = trie.Resolve(guid, replica);
+    for (const HostResolution& r : trie.ResolveAll(guid)) {
       ++counts[r.host];
       slow.total_hash_evals += std::uint64_t(r.hash_count);
       if (r.used_nearest) ++slow.deputy_fallbacks;
@@ -145,16 +142,17 @@ TEST_F(ExperimentsTest, SweepAgreesWithIndependentRuns) {
 }
 
 TEST_F(ExperimentsTest, ChurnSweepAgreesWithIndependentRuns) {
+  // Sharing one placement and one pass over the lookups across fractions
+  // changes no sample: each fraction's curve is the single-fraction sweep's.
   ChurnExperimentConfig config;
   config.base = SmallConfig(5);
   const auto sweep = RunChurnSweep(env_, {0.0, 0.10}, config);
   ASSERT_EQ(sweep.size(), 2u);
   for (const auto& [fraction, samples] : sweep) {
-    ChurnExperimentConfig single = config;
-    single.churn_fraction = fraction;
-    const SampleSet independent = RunChurnExperiment(env_, single);
-    ASSERT_EQ(samples.count(), independent.count()) << fraction;
-    EXPECT_NEAR(samples.mean(), independent.mean(), 1e-9) << fraction;
+    const auto single = RunChurnSweep(env_, {fraction}, config);
+    ASSERT_EQ(single.size(), 1u);
+    EXPECT_EQ(single[0].first, fraction);
+    EXPECT_EQ(samples.samples(), single[0].second.samples()) << fraction;
   }
 }
 
@@ -255,8 +253,7 @@ TEST_F(ExperimentsTest, MetricsExportIsByteIdenticalAcrossThreadCounts) {
     RunResponseTimeSweep(env_, {1, 3}, config);
     ChurnExperimentConfig churn;
     churn.base = config;
-    churn.churn_fraction = 0.05;
-    RunChurnExperiment(env_, churn);
+    RunChurnSweep(env_, {0.05}, churn);
     return std::make_pair(MetricsSummaryJson(registry.Snapshot()),
                           OpTraceCsv(tracer.Drain()));
   };
@@ -321,7 +318,7 @@ TEST_F(ExperimentsTest, MetricsSnapshotCountsWorkload) {
   MetricsRegistry registry;
   ResponseTimeConfig config = SmallConfig(3);
   config.metrics = &registry;
-  RunChurnExperiment(env_, {config, 0.0, 99});
+  RunChurnSweep(env_, {0.0}, {config, 99});
   std::uint64_t inserts = 0, lookups = 0;
   for (const CounterSnapshot& c : registry.Snapshot().counters) {
     if (c.name == "dmap.inserts") inserts = c.value;

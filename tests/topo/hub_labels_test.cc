@@ -44,7 +44,12 @@ AsGraph MakeRandomGraph(std::uint32_t n, std::uint64_t seed) {
                  std::vector<double>(n, 1.0));
 }
 
+// Labels answer every latency pair as Dijkstra does, and an oracle with
+// the labels attached answers every hop pair as BFS does (hop counts are
+// not labelled; the oracle runs the BFS).
 void ExpectAllPairsMatch(const AsGraph& g, const HubLabels& labels) {
+  PathOracle oracle(g);
+  oracle.SetHubLabels(&labels);
   for (AsId u = 0; u < g.num_nodes(); ++u) {
     const auto dist = DijkstraLatency(g, u);
     const auto hops = BfsHops(g, u);
@@ -54,7 +59,7 @@ void ExpectAllPairsMatch(const AsGraph& g, const HubLabels& labels) {
       } else {
         EXPECT_EQ(labels.LatencyMs(u, v), dist[v]) << u << "->" << v;
       }
-      EXPECT_EQ(labels.Hops(u, v), hops[v]) << u << "->" << v;
+      EXPECT_EQ(oracle.Hops(u, v), hops[v]) << u << "->" << v;
     }
   }
 }
@@ -138,9 +143,7 @@ TEST(HubLabelsTest, DiamondAllPairsExact) {
   const HubLabels labels(g);
   ExpectAllPairsMatch(g, labels);
   EXPECT_FLOAT_EQ(labels.LatencyMs(0, 2), 2.0f);  // via node 1
-  EXPECT_EQ(labels.Hops(0, 2), 1u);               // direct link wins on hops
   EXPECT_EQ(labels.LatencyMs(1, 1), 0.0f);
-  EXPECT_EQ(labels.Hops(3, 3), 0u);
 }
 
 TEST(HubLabelsTest, RandomGraphsMatchDijkstraAndBfs) {
@@ -159,7 +162,6 @@ TEST(HubLabelsTest, DisconnectedComponentsAreUnreachable) {
   const HubLabels labels(g);
   EXPECT_TRUE(std::isinf(labels.LatencyMs(0, 2)));
   EXPECT_TRUE(std::isinf(labels.LatencyMs(3, 1)));
-  EXPECT_EQ(labels.Hops(0, 3), kUnreachableHops);
   EXPECT_FLOAT_EQ(labels.LatencyMs(2, 3), 1.0f);
   ExpectAllPairsMatch(g, labels);
 }
@@ -172,14 +174,12 @@ TEST(HubLabelsTest, FixtureTopologySampledSources) {
   const HubLabels labels(g, &pool);
   for (const AsId u : {0u, 17u, 251u, 599u}) {
     const auto dist = DijkstraLatency(g, u);
-    const auto hops = BfsHops(g, u);
     for (AsId v = 0; v < g.num_nodes(); ++v) {
       if (std::isinf(dist[v])) {
         EXPECT_TRUE(std::isinf(labels.LatencyMs(u, v)));
       } else {
         EXPECT_EQ(labels.LatencyMs(u, v), dist[v]) << u << "->" << v;
       }
-      EXPECT_EQ(labels.Hops(u, v), hops[v]) << u << "->" << v;
     }
   }
 }
@@ -198,12 +198,8 @@ TEST(HubLabelsTest, ByteIdenticalAcrossThreadCounts) {
     EXPECT_EQ(serial.latency_offsets(), other->latency_offsets());
     EXPECT_EQ(serial.latency_hubs(), other->latency_hubs());
     EXPECT_EQ(serial.latency_dists(), other->latency_dists());
-    EXPECT_EQ(serial.hop_offsets(), other->hop_offsets());
-    EXPECT_EQ(serial.hop_hubs(), other->hop_hubs());
-    EXPECT_EQ(serial.hop_dists(), other->hop_dists());
   }
   EXPECT_EQ(serial.stats().latency_entries, seven.stats().latency_entries);
-  EXPECT_EQ(serial.stats().hop_entries, seven.stats().hop_entries);
 }
 
 TEST(HubLabelsTest, HubOrderIsDegreeThenId) {
@@ -224,13 +220,23 @@ TEST(PathOracleHubBackendTest, RoutesPointQueriesThroughLabels) {
   oracle.SetHubLabels(&labels);
   EXPECT_EQ(oracle.hub_labels(), &labels);
   EXPECT_DOUBLE_EQ(oracle.LinkLatencyMs(0, 2), 2.0);
-  EXPECT_EQ(oracle.Hops(0, 3), 2u);
   EXPECT_DOUBLE_EQ(oracle.OneWayMs(0, 2), 3.0);
   EXPECT_DOUBLE_EQ(oracle.RttMs(0, 2), 6.0);
-  // Point queries never ran an SSSP; the label counter saw all four.
+  // Latency point queries never ran an SSSP; the label counter saw all
+  // three.
   EXPECT_EQ(oracle.dijkstra_runs(), 0u);
-  EXPECT_EQ(oracle.bfs_runs(), 0u);
-  EXPECT_EQ(oracle.label_queries(), 4u);
+  EXPECT_EQ(oracle.label_queries(), 3u);
+  // Hop counts are not labelled: they come from one BFS per source behind
+  // the LRU, and no label query is counted for them.
+  const std::vector<std::uint16_t> hops0 = BfsHops(g, 0);
+  EXPECT_EQ(oracle.Hops(0, 3), hops0[3]);
+  EXPECT_EQ(oracle.Hops(0, 3), 2u);
+  EXPECT_EQ(oracle.Hops(0, 2), hops0[2]);
+  EXPECT_EQ(oracle.bfs_runs(), 1u);
+  EXPECT_EQ(oracle.hops_cache_hits(), 2u);
+  EXPECT_EQ(oracle.Hops(3, 0), BfsHops(g, 3)[0]);
+  EXPECT_EQ(oracle.bfs_runs(), 2u);
+  EXPECT_EQ(oracle.label_queries(), 3u);
   // Full-vector requests still use the Dijkstra+LRU path.
   const auto from0 = oracle.LatenciesFrom(0);
   ASSERT_TRUE(from0.valid());
@@ -247,13 +253,26 @@ TEST(PathOracleHubBackendTest, BackendsAgreeBitForBit) {
   PathOracle hub(g);
   hub.SetHubLabels(&labels);
   Rng rng(42);
+  std::uint64_t latency_queries = 0;
   for (int i = 0; i < 200; ++i) {
     const AsId a = AsId(rng.NextBounded(g.num_nodes()));
     const AsId b = AsId(rng.NextBounded(g.num_nodes()));
     EXPECT_EQ(lru.LinkLatencyMs(a, b), hub.LinkLatencyMs(a, b));
-    EXPECT_EQ(lru.Hops(a, b), hub.Hops(a, b));
+    // Both backends answer hops from BFS.
+    const std::uint16_t hops = BfsHops(g, a)[b];
+    EXPECT_EQ(lru.Hops(a, b), hops);
+    EXPECT_EQ(hub.Hops(a, b), hops);
     EXPECT_EQ(lru.RttMs(a, b), hub.RttMs(a, b));
+    // LinkLatencyMs, and RttMs unless a == b (a local resolution).
+    latency_queries += a == b ? 1 : 2;
   }
+  EXPECT_EQ(hub.label_queries(), latency_queries);
+  EXPECT_EQ(lru.label_queries(), 0u);
+  // Same query stream, same BFS cache: the labels change no hop query.
+  EXPECT_GT(hub.bfs_runs(), 0u);
+  EXPECT_EQ(hub.bfs_runs(), lru.bfs_runs());
+  EXPECT_EQ(hub.hops_cache_hits(), lru.hops_cache_hits());
+  EXPECT_EQ(hub.dijkstra_runs(), 0u);
 }
 
 TEST(PathOracleHubBackendTest, RejectsLabelsForDifferentGraph) {

@@ -12,7 +12,8 @@
 # (default: a fresh mktemp directory, printed at the end) for inspection.
 #
 # The list covers the refactor-sensitive surfaces: the pre-quorum golden
-# commands of tools/determinism_table.sh, fig4 (closed form), fig5
+# commands of tools/determinism_table.sh, fig4 and fig7 (the closed-form
+# multi-K sweep, RunResponseTimeSweep), fig5
 # (LookupWithView under stale BGP views, which never reuses a GUID's
 # stored resolutions), fig6 (Algorithm 1 through the resolver's DIR-24-8
 # snapshot), ablation_convergence (Rehome after churn of the service's own
@@ -21,8 +22,9 @@
 # executor with a serving tier), fig10 (mobility and cache, at one worker
 # and at four, so the cache's serial and shard-parallel fill merges are
 # both covered), ablation_staleness (the mobility-staleness harness,
-# sim/staleness.cc) and ablation_dmap, whose table (f) drives a
-# single-owner cache through Get/Put.
+# sim/staleness.cc) and ablation_dmap, whose row (c) ranks replicas by
+# hop count, table (e) places GUIDs directly on AS numbers and table (f)
+# drives a single-owner cache through Get/Put.
 set -euo pipefail
 
 if [[ $# -ne 2 ]]; then
@@ -49,6 +51,7 @@ commands=(
   "golden-chaos|chaos_sweep --scale 0.05 --threads 1 --write-quorum=1 --metrics-out metrics.json|metrics.json"
   "golden-fig4|fig4_response_time --scale 0.05 --threads 1 --write-quorum=1 --metrics-out metrics.json|metrics.json"
   "fig4|fig4_response_time --scale 0.02 --threads 4 --metrics-out metrics.json --trace-out trace.csv|metrics.json trace.csv"
+  "fig7|fig7_analytical --scale 0.05 --threads 4 --metrics-out metrics.json|metrics.json stdout"
   "fig5|fig5_churn --scale 0.05 --threads 4 --metrics-out metrics.json|metrics.json stdout"
   "fig6|fig6_load_balance --scale 0.05 --threads 4 --metrics-out metrics.json|metrics.json stdout"
   "chaos|chaos_sweep --scale 0.02 --threads 4 --fault-plan $root/configs/chaos_smoke.plan --fault-seed 7 --metrics-out metrics.json --trace-out trace.csv|metrics.json trace.csv"
@@ -57,7 +60,7 @@ commands=(
   "fig10|fig10_mobility --scale 0.05 --threads 4 --metrics-out metrics.json|metrics.json stdout"
   "fig10-t1|fig10_mobility --scale 0.05 --threads 1 --metrics-out metrics.json|metrics.json stdout"
   "staleness|ablation_staleness --scale 0.05 --threads 4 --metrics-out metrics.json --trace-out trace.csv|metrics.json trace.csv stdout"
-  "ablation|ablation_dmap --scale 0.05 --threads 4|stdout"
+  "ablation|ablation_dmap --scale 0.05 --threads 4 --metrics-out metrics.json|metrics.json stdout"
   "convergence|ablation_convergence --scale 0.05 --threads 4 --metrics-out metrics.json|metrics.json stdout"
 )
 
