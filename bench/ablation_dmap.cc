@@ -185,9 +185,9 @@ int main(int argc, char** argv) {
                      "stale hits"});
     for (const double ttl_s : {0.0, 30.0, 300.0}) {
       DMapService service(env.graph, env.table, service_options);
-      // Replica 0's host for staleness scoring. Its resolutions are
-      // unmetered; each scored hit accounts the one resolution it reads
-      // (Account below), so algo1.* counts one resolution per hit, not K.
+      // Replica 0's host for staleness scoring. Scoring is bookkeeping that
+      // no lookup does, so its resolutions stay out of algo1.*, which
+      // counts only the service's own.
       const HoleResolver scorer(service.hash_family(), env.table,
                                 service.resolver().max_hashes());
       if (obs.registry() != nullptr) service.SetMetrics(obs.registry());
@@ -253,7 +253,6 @@ int main(int argc, char** argv) {
             latencies.Add(2.0 * env.graph.IntraLatencyMs(querier));
             ++hits;
             const HostResolution replica0 = scorer.ResolveAll(guid)[0];
-            service.resolver().Account({&replica0, 1});
             const MappingEntry* authoritative =
                 service.StoreLookup(replica0.host, guid);
             if (authoritative != nullptr &&

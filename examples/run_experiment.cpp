@@ -41,7 +41,8 @@ int Run(const Config& config, bool print_defaults) {
 
   // Counts are bounded where they are read: a negative or overflowing value
   // must not wrap into a huge allocation or loop.
-  const auto ases = config.GetInt<std::uint32_t>("ases", 8000, 2, 1'000'000);
+  const auto ases =
+      config.GetInt<std::uint32_t>("ases", 8000, 2, kMaxTopologyNodes);
   EnvironmentParams env_params =
       EnvironmentParams::Scaled(ases, config.GetInt<std::uint64_t>("seed", 42));
   env_params.topology.geographic = config.GetBool("geographic", false);
@@ -138,7 +139,15 @@ int Run(const Config& config, bool print_defaults) {
     if (topology_file.empty()) return BuildEnvironment(env_params);
     if (std::ifstream probe(topology_file); probe.good()) {
       std::printf("loading topology from %s\n", topology_file.c_str());
-      return SimEnvironment{LoadTopologyFromFile(topology_file),
+      AsGraph graph = LoadTopologyFromFile(topology_file);
+      // The prefix table is generated for `ases` owners, so a graph of any
+      // other size would leave owners outside it.
+      if (graph.num_nodes() != ases) {
+        config.Reject("topology_file", topology_file,
+                      "holds " + std::to_string(graph.num_nodes()) +
+                          " ASs, but ases = " + std::to_string(ases));
+      }
+      return SimEnvironment{std::move(graph),
                             GeneratePrefixTable(env_params.prefixes),
                             nullptr};
     }

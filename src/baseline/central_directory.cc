@@ -12,7 +12,7 @@ UpdateResult CentralDirectory::Insert(const Guid& guid, NetworkAddress na) {
   result.replicas = {server_};
   result.attempts = 1;
   result.latency_ms = oracle_->RttMs(na.as, server_);
-  FinishWrite(WriteOp::kInsert, result, 0);
+  FinishWrite(WriteOp::kInsert, result);
   return result;
 }
 
@@ -27,53 +27,15 @@ UpdateResult CentralDirectory::Update(const Guid& guid, NetworkAddress na) {
   result.replicas = {server_};
   result.attempts = 1;
   result.latency_ms = oracle_->RttMs(na.as, server_);
-  FinishWrite(WriteOp::kUpdate, result, 0);
+  FinishWrite(WriteOp::kUpdate, result);
   return result;
 }
 
-UpdateResult CentralDirectory::AddAttachment(const Guid& guid,
-                                             NetworkAddress na) {
-  const auto it = entries_.find(guid);
-  if (it == entries_.end()) {
-    throw std::invalid_argument(
-        "CentralDirectory::AddAttachment: unknown GUID");
-  }
-  if (!it->second.nas.Add(na)) {
-    throw std::invalid_argument(
-        "CentralDirectory::AddAttachment: NA already present or NA set "
-        "full");
-  }
-  UpdateResult result;
-  result.version = ++it->second.version;
-  result.replicas = {server_};
-  result.attempts = 1;
-  result.latency_ms = oracle_->RttMs(na.as, server_);
-  FinishWrite(WriteOp::kAddAttachment, result, 0);
-  return result;
-}
-
-bool CentralDirectory::Deregister(const Guid& guid) {
-  const bool removed = entries_.erase(guid) > 0;
-  FinishDeregister(removed, 0);
-  return removed;
-}
-
-LookupResult CentralDirectory::Lookup(const Guid& guid, AsId querier,
-                                      unsigned shard) {
+LookupResult CentralDirectory::Lookup(const Guid& guid, AsId querier) {
   LookupResult result;
   ProbeTrace* trace = StartTrace(result, 'L', guid, querier);
   result.attempts = 1;
-  if (IsFailed(server_)) {
-    // The whole directory is down — no fallback exists.
-    result.latency_ms = failure_timeout_ms();
-    if (trace) {
-      trace->probes.push_back(
-          ProbeEvent{server_, failure_timeout_ms(), ProbeOutcome::kFailed});
-    }
-    FinishLookup(result, shard);
-    return result;
-  }
-  result.latency_ms = oracle_->RttMs(querier, server_, shard);
+  result.latency_ms = oracle_->RttMs(querier, server_);
   const auto it = entries_.find(guid);
   if (it != entries_.end()) {
     result.found = true;
@@ -85,16 +47,7 @@ LookupResult CentralDirectory::Lookup(const Guid& guid, AsId querier,
         ProbeEvent{server_, result.latency_ms,
                    result.found ? ProbeOutcome::kHit : ProbeOutcome::kMiss});
   }
-  FinishLookup(result, shard);
-  return result;
-}
-
-LookupResult CentralDirectory::LookupWithView(const Guid& guid, AsId querier,
-                                              const PrefixTable& view,
-                                              unsigned shard) {
-  (void)view;  // one fixed server, no BGP-derived placement — see header
-  LookupResult result = Lookup(guid, querier, shard);
-  result.status = ResolverStatus::kUnsupported;
+  FinishLookup(result);
   return result;
 }
 

@@ -24,21 +24,12 @@ class CentralDirectory final : public NameResolver {
                                     NetworkAddress na) override;
   [[nodiscard]] UpdateResult Update(const Guid& guid,
                                     NetworkAddress na) override;
-  [[nodiscard]] UpdateResult AddAttachment(const Guid& guid,
-                                           NetworkAddress na) override;
-  [[nodiscard]] bool Deregister(const Guid& guid) override;
-  [[nodiscard]] LookupResult Lookup(const Guid& guid, AsId querier,
-                                    unsigned shard = 0) override;
-  // One fixed server regardless of any BGP view. Answers like Lookup,
-  // flagged kUnsupported.
-  [[nodiscard]] LookupResult LookupWithView(const Guid& guid, AsId querier,
-                                            const PrefixTable& view,
-                                            unsigned shard = 0) override;
+  [[nodiscard]] LookupResult Lookup(const Guid& guid, AsId querier) override;
 
  private:
   PathOracle* oracle_;
   AsId server_;
-  // Bulk-loaded before a sweep, only read during parallel lookups.
+  // Bulk-loaded before the lookups that read it.
   std::unordered_map<Guid, MappingEntry, GuidHash> entries_
       WRITE_SERIAL_READ_SHARED();
 };

@@ -67,13 +67,12 @@ std::vector<AsId> ChordDht::Route(AsId from, std::uint64_t key) const {
   return hops;
 }
 
-double ChordDht::RouteCostMs(AsId from, std::uint64_t key, unsigned shard,
+double ChordDht::RouteCostMs(AsId from, std::uint64_t key,
                              int* attempts) const {
   double cost = 0.0;
   for (const AsId hop : Route(from, key)) {
     if (attempts != nullptr) ++*attempts;
-    cost += IsFailed(hop) ? failure_timeout_ms()
-                          : oracle_->RttMs(from, hop, shard);
+    cost += oracle_->RttMs(from, hop);
   }
   return cost;
 }
@@ -83,9 +82,9 @@ UpdateResult ChordDht::Write(const Guid& guid, NetworkAddress na,
   UpdateResult result;
   result.version = ++versions_[guid];
   entries_[guid] = MappingEntry{NaSet(na), result.version};
-  result.latency_ms = RouteCostMs(na.as, KeyOf(guid), 0, &result.attempts);
+  result.latency_ms = RouteCostMs(na.as, KeyOf(guid), &result.attempts);
   result.replicas = {OwnerOf(guid)};
-  FinishWrite(op, result, 0);
+  FinishWrite(op, result);
   return result;
 }
 
@@ -100,54 +99,14 @@ UpdateResult ChordDht::Update(const Guid& guid, NetworkAddress na) {
   return Write(guid, na, WriteOp::kUpdate);
 }
 
-UpdateResult ChordDht::AddAttachment(const Guid& guid, NetworkAddress na) {
-  const auto it = entries_.find(guid);
-  if (it == entries_.end()) {
-    throw std::invalid_argument("ChordDht::AddAttachment: unknown GUID");
-  }
-  if (!it->second.nas.Add(na)) {
-    throw std::invalid_argument(
-        "ChordDht::AddAttachment: NA already present or NA set full");
-  }
-  UpdateResult result;
-  result.version = ++versions_[guid];
-  it->second.version = result.version;
-  result.latency_ms = RouteCostMs(na.as, KeyOf(guid), 0, &result.attempts);
-  result.replicas = {OwnerOf(guid)};
-  FinishWrite(WriteOp::kAddAttachment, result, 0);
-  return result;
-}
-
-bool ChordDht::Deregister(const Guid& guid) {
-  const bool removed = entries_.erase(guid) > 0;
-  versions_.erase(guid);
-  FinishDeregister(removed, 0);
-  return removed;
-}
-
-LookupResult ChordDht::Lookup(const Guid& guid, AsId querier,
-                              unsigned shard) {
+LookupResult ChordDht::Lookup(const Guid& guid, AsId querier) {
   LookupResult result;
   ProbeTrace* trace = StartTrace(result, 'L', guid, querier);
   double cost = 0.0;
   const std::vector<AsId> route = Route(querier, KeyOf(guid));
-  bool owner_reachable = true;
   for (const AsId hop : route) {
     ++result.attempts;
-    const bool last = hop == route.back();
-    if (IsFailed(hop)) {
-      // Iterative routing: the querier times out on the dead node. A dead
-      // owner loses the mapping; a dead intermediate hop just costs the
-      // retry timeout before the querier asks its next-best finger.
-      cost += failure_timeout_ms();
-      if (last) owner_reachable = false;
-      if (trace) {
-        trace->probes.push_back(
-            ProbeEvent{hop, failure_timeout_ms(), ProbeOutcome::kFailed});
-      }
-      continue;
-    }
-    const double rtt = oracle_->RttMs(querier, hop, shard);
+    const double rtt = oracle_->RttMs(querier, hop);
     cost += rtt;
     if (trace) {
       // Intermediate hops only redirect — recorded as misses; the final
@@ -157,25 +116,15 @@ LookupResult ChordDht::Lookup(const Guid& guid, AsId querier,
   }
   result.latency_ms = cost;
   const auto it = entries_.find(guid);
-  if (it != entries_.end() && owner_reachable) {
+  if (it != entries_.end()) {
     result.found = true;
     result.nas = it->second.nas;
     result.serving_as = route.empty() ? querier : route.back();
-    if (trace && !trace->probes.empty() &&
-        trace->probes.back().outcome == ProbeOutcome::kMiss) {
+    if (trace && !trace->probes.empty()) {
       trace->probes.back().outcome = ProbeOutcome::kHit;
     }
   }
-  FinishLookup(result, shard);
-  return result;
-}
-
-LookupResult ChordDht::LookupWithView(const Guid& guid, AsId querier,
-                                      const PrefixTable& view,
-                                      unsigned shard) {
-  (void)view;  // placement never consults BGP — see header
-  LookupResult result = Lookup(guid, querier, shard);
-  result.status = ResolverStatus::kUnsupported;
+  FinishLookup(result);
   return result;
 }
 

@@ -29,17 +29,7 @@ class ChordDht final : public NameResolver {
                                     NetworkAddress na) override;
   [[nodiscard]] UpdateResult Update(const Guid& guid,
                                     NetworkAddress na) override;
-  [[nodiscard]] UpdateResult AddAttachment(const Guid& guid,
-                                           NetworkAddress na) override;
-  [[nodiscard]] bool Deregister(const Guid& guid) override;
-  [[nodiscard]] LookupResult Lookup(const Guid& guid, AsId querier,
-                                    unsigned shard = 0) override;
-  // Chord's placement hashes straight onto the overlay ring — BGP prefix
-  // ownership never enters, so a stale view is indistinguishable from the
-  // live one. Answers like Lookup, flagged kUnsupported.
-  [[nodiscard]] LookupResult LookupWithView(const Guid& guid, AsId querier,
-                                            const PrefixTable& view,
-                                            unsigned shard = 0) override;
+  [[nodiscard]] LookupResult Lookup(const Guid& guid, AsId querier) override;
 
   // The AS responsible for `guid` (successor of its key on the ring).
   AsId OwnerOf(const Guid& guid) const;
@@ -56,9 +46,7 @@ class ChordDht final : public NameResolver {
 
   // Iterative-routing cost of reaching the owner of `key` from `from`:
   // every overlay hop is a full underlay round trip from the source.
-  // Failed hops cost failure_timeout_ms() instead of their RTT.
-  double RouteCostMs(AsId from, std::uint64_t key, unsigned shard,
-                     int* attempts) const;
+  double RouteCostMs(AsId from, std::uint64_t key, int* attempts) const;
   UpdateResult Write(const Guid& guid, NetworkAddress na, WriteOp op);
 
   const AsGraph* graph_;
@@ -67,7 +55,7 @@ class ChordDht final : public NameResolver {
   // Ring positions sorted by id; fixed at construction.
   std::vector<std::pair<std::uint64_t, AsId>> ring_;
   std::unordered_map<AsId, std::size_t> ring_index_of_as_;
-  // Bulk-loaded before a sweep, only read during parallel lookups.
+  // Bulk-loaded before the lookups that read it.
   std::unordered_map<Guid, MappingEntry, GuidHash> entries_
       WRITE_SERIAL_READ_SHARED();
   std::unordered_map<Guid, std::uint64_t, GuidHash> versions_

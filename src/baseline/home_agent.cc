@@ -11,7 +11,7 @@ UpdateResult HomeAgent::Insert(const Guid& guid, NetworkAddress na) {
   result.replicas = {reg.home};
   result.attempts = 1;
   result.latency_ms = oracle_->RttMs(na.as, reg.home);
-  FinishWrite(WriteOp::kInsert, result, 0);
+  FinishWrite(WriteOp::kInsert, result);
   return result;
 }
 
@@ -27,36 +27,11 @@ UpdateResult HomeAgent::Update(const Guid& guid, NetworkAddress na) {
   result.attempts = 1;
   // Binding update travels from the new attachment to the home agent.
   result.latency_ms = oracle_->RttMs(na.as, it->second.home);
-  FinishWrite(WriteOp::kUpdate, result, 0);
+  FinishWrite(WriteOp::kUpdate, result);
   return result;
 }
 
-UpdateResult HomeAgent::AddAttachment(const Guid& guid, NetworkAddress na) {
-  const auto it = registrations_.find(guid);
-  if (it == registrations_.end()) {
-    throw std::invalid_argument("HomeAgent::AddAttachment: unknown GUID");
-  }
-  if (!it->second.entry.nas.Add(na)) {
-    throw std::invalid_argument(
-        "HomeAgent::AddAttachment: NA already present or NA set full");
-  }
-  UpdateResult result;
-  result.version = ++it->second.entry.version;
-  result.replicas = {it->second.home};
-  result.attempts = 1;
-  result.latency_ms = oracle_->RttMs(na.as, it->second.home);
-  FinishWrite(WriteOp::kAddAttachment, result, 0);
-  return result;
-}
-
-bool HomeAgent::Deregister(const Guid& guid) {
-  const bool removed = registrations_.erase(guid) > 0;
-  FinishDeregister(removed, 0);
-  return removed;
-}
-
-LookupResult HomeAgent::Lookup(const Guid& guid, AsId querier,
-                               unsigned shard) {
+LookupResult HomeAgent::Lookup(const Guid& guid, AsId querier) {
   LookupResult result;
   ProbeTrace* trace = StartTrace(result, 'L', guid, querier);
   result.attempts = 1;
@@ -68,39 +43,19 @@ LookupResult HomeAgent::Lookup(const Guid& guid, AsId querier,
       trace->probes.push_back(
           ProbeEvent{kInvalidAs, 0.0, ProbeOutcome::kMiss});
     }
-    FinishLookup(result, shard);
+    FinishLookup(result);
     return result;
   }
   const AsId home = it->second.home;
-  if (IsFailed(home)) {
-    // The single point of indirection is down: the query times out and
-    // there is no fallback — the weakness Section II-B calls out.
-    result.latency_ms = failure_timeout_ms();
-    if (trace) {
-      trace->probes.push_back(
-          ProbeEvent{home, failure_timeout_ms(), ProbeOutcome::kFailed});
-    }
-    FinishLookup(result, shard);
-    return result;
-  }
   result.found = true;
   result.nas = it->second.entry.nas;
   result.serving_as = home;
-  result.latency_ms = oracle_->RttMs(querier, home, shard);
+  result.latency_ms = oracle_->RttMs(querier, home);
   if (trace) {
     trace->probes.push_back(
         ProbeEvent{home, result.latency_ms, ProbeOutcome::kHit});
   }
-  FinishLookup(result, shard);
-  return result;
-}
-
-LookupResult HomeAgent::LookupWithView(const Guid& guid, AsId querier,
-                                       const PrefixTable& view,
-                                       unsigned shard) {
-  (void)view;  // home derives from registration order, not BGP — see header
-  LookupResult result = Lookup(guid, querier, shard);
-  result.status = ResolverStatus::kUnsupported;
+  FinishLookup(result);
   return result;
 }
 

@@ -23,17 +23,7 @@ class HomeAgent final : public NameResolver {
                                     NetworkAddress na) override;
   [[nodiscard]] UpdateResult Update(const Guid& guid,
                                     NetworkAddress na) override;
-  [[nodiscard]] UpdateResult AddAttachment(const Guid& guid,
-                                           NetworkAddress na) override;
-  [[nodiscard]] bool Deregister(const Guid& guid) override;
-  [[nodiscard]] LookupResult Lookup(const Guid& guid, AsId querier,
-                                    unsigned shard = 0) override;
-  // The home is pinned at first registration, never derived from BGP; a
-  // stale view cannot change the answer. Answers like Lookup, flagged
-  // kUnsupported.
-  [[nodiscard]] LookupResult LookupWithView(const Guid& guid, AsId querier,
-                                            const PrefixTable& view,
-                                            unsigned shard = 0) override;
+  [[nodiscard]] LookupResult Lookup(const Guid& guid, AsId querier) override;
 
   // The home AS of a registered GUID, or kInvalidAs.
   AsId HomeOf(const Guid& guid) const;
@@ -45,7 +35,7 @@ class HomeAgent final : public NameResolver {
   };
 
   PathOracle* oracle_;
-  // Bulk-loaded before a sweep, only read during parallel lookups.
+  // Bulk-loaded before the lookups that read it.
   std::unordered_map<Guid, Registration, GuidHash> registrations_
       WRITE_SERIAL_READ_SHARED();
 };

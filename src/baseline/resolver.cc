@@ -2,22 +2,12 @@
 
 namespace dmap {
 
-void NameResolver::SetFailedAses(const std::vector<AsId>& failed) {
-  failures_.SetFailed(failed);
-}
-
-void NameResolver::SetFailureView(const FailureView& view) {
-  failures_ = view;
-}
-
 void NameResolver::EnableMetrics(MetricsRegistry* registry) {
   metrics_ = registry;
   if (registry == nullptr) return;
   const std::string p = name() + ".";
   ins_.inserts = registry->Counter(p + "inserts");
   ins_.updates = registry->Counter(p + "updates");
-  ins_.add_attachments = registry->Counter(p + "add_attachments");
-  ins_.deregisters = registry->Counter(p + "deregisters");
   ins_.lookups = registry->Counter(p + "lookups");
   ins_.lookup_hits = registry->Counter(p + "lookup_hits");
   ins_.lookup_misses = registry->Counter(p + "lookup_misses");
@@ -41,13 +31,13 @@ ProbeTrace* NameResolver::StartTrace(LookupResult& result, char op,
   return &trace;
 }
 
-void NameResolver::FinishLookup(LookupResult& result, unsigned shard) {
+void NameResolver::FinishLookup(LookupResult& result) {
   if (metrics_ != nullptr) {
-    metrics_->Add(ins_.lookups, 1, shard);
+    metrics_->Add(ins_.lookups, 1, 0);
     metrics_->Add(result.found ? ins_.lookup_hits : ins_.lookup_misses, 1,
-                  shard);
-    metrics_->Observe(ins_.lookup_latency_ms, result.latency_ms, shard);
-    metrics_->Observe(ins_.lookup_attempts, double(result.attempts), shard);
+                  0);
+    metrics_->Observe(ins_.lookup_latency_ms, result.latency_ms, 0);
+    metrics_->Observe(ins_.lookup_attempts, double(result.attempts), 0);
   }
   if (result.trace.has_value()) {
     ProbeTrace& trace = *result.trace;
@@ -55,32 +45,15 @@ void NameResolver::FinishLookup(LookupResult& result, unsigned shard) {
     trace.local_won = result.served_locally;
     trace.latency_ms = result.latency_ms;
     trace.attempts = result.attempts;
-    tracer_->Record(shard, trace);
+    tracer_->Record(0, trace);
   }
 }
 
-void NameResolver::FinishWrite(WriteOp op, const UpdateResult& result,
-                               unsigned shard) {
+void NameResolver::FinishWrite(WriteOp op, const UpdateResult& result) {
   if (metrics_ == nullptr) return;
-  switch (op) {
-    case WriteOp::kInsert:
-      metrics_->Add(ins_.inserts, 1, shard);
-      break;
-    case WriteOp::kUpdate:
-      metrics_->Add(ins_.updates, 1, shard);
-      break;
-    case WriteOp::kAddAttachment:
-      metrics_->Add(ins_.add_attachments, 1, shard);
-      break;
-  }
+  metrics_->Add(op == WriteOp::kInsert ? ins_.inserts : ins_.updates, 1, 0);
   if (result.latency_ms >= 0) {
-    metrics_->Observe(ins_.update_latency_ms, result.latency_ms, shard);
-  }
-}
-
-void NameResolver::FinishDeregister(bool removed, unsigned shard) {
-  if (metrics_ != nullptr && removed) {
-    metrics_->Add(ins_.deregisters, 1, shard);
+    metrics_->Observe(ins_.update_latency_ms, result.latency_ms, 0);
   }
 }
 

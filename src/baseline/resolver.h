@@ -1,43 +1,29 @@
-// Common interface over name-resolution schemes, so the comparison benches
-// and the cross-backend contract tests can drive DMap and the related-work
-// baselines (Section VI) through one code path: a Chord-style DHT
-// (modelling DHT-MAP [38] / LISP-DHT [10]), a MobileIP-style home agent,
-// and a single central directory.
+// Common interface over name-resolution schemes, so the baseline comparison
+// (RunBaselineComparison) and the cross-backend contract tests can drive
+// DMap and the related-work baselines (Section VI) through one code path: a
+// Chord-style DHT (modelling DHT-MAP [38] / LISP-DHT [10]), a MobileIP-style
+// home agent, and a single central directory.
 //
-// The interface mirrors DMapService verb-for-verb — Insert / Update /
-// AddAttachment / Deregister / Lookup / LookupWithView / SetFailedAses —
-// with uniform semantics:
-//
-//   * Update / AddAttachment of an unknown GUID throw std::invalid_argument
-//     (insert first), in every backend;
-//   * Deregister returns false for an unknown GUID;
-//   * Lookup takes a `shard` argument selecting the PathOracle cache shard
-//     (and, when metrics are on, the metrics slab) — parallel harnesses
-//     hand worker w shard w, exactly as with DMapService;
-//   * a backend whose scheme has no analogue of an operation reports it
-//     via ResolverStatus::kUnsupported on the result instead of silently
-//     diverging: the baselines' LookupWithView answers like Lookup but is
-//     flagged kUnsupported because those schemes place mappings without
-//     consulting BGP prefix ownership, so a stale view cannot be modelled;
-//   * failed ASs (SetFailedAses) cost failure_timeout_ms() per probe that
-//     hits them, like DMap's router-failure model.
+// The interface carries exactly the verbs the comparison measures — Insert,
+// Update and Lookup — with uniform semantics: Update of an unknown GUID
+// throws std::invalid_argument (insert first) in every backend, and a
+// Lookup of an unknown GUID reports found = false. DMapService's other
+// verbs (multi-homing, deregistration, stale-view lookups, failures) are
+// called on the service directly.
 //
 // Observability rides on the base class: EnableMetrics registers one
 // uniform instrument set per scheme ("<name()>.lookups", ".lookup_hits",
-// ".lookup_misses", ".inserts", ".updates", ".add_attachments",
-// ".deregisters", latency/attempt histograms) and EnableTracing samples
-// per-lookup ProbeTraces, so a new backend gets metered by calling the
-// protected Finish* helpers — no exporter changes needed. DMapResolver
-// overrides both to delegate to DMapService's own richer "dmap.*"
-// instruments instead (never both, which would double-count).
+// ".lookup_misses", ".inserts", ".updates", latency/attempt histograms) and
+// EnableTracing samples per-lookup ProbeTraces, so a new backend gets
+// metered by calling the protected Finish* helpers — no exporter changes
+// needed. DMapResolver overrides both to delegate to DMapService's own
+// richer "dmap.*" instruments instead (never both, which would
+// double-count).
 #pragma once
 
-#include <memory>
 #include <string>
-#include <vector>
 
 #include "core/dmap_service.h"
-#include "fault/failure_view.h"
 
 namespace dmap {
 
@@ -56,47 +42,16 @@ class NameResolver {
   // GUID was never inserted.
   [[nodiscard]] virtual UpdateResult Update(const Guid& guid,
                                             NetworkAddress na) = 0;
-  // Multi-homing: adds an NA without dropping existing ones. Throws
-  // std::invalid_argument on unknown GUID, duplicate NA, or a full NA set.
-  [[nodiscard]] virtual UpdateResult AddAttachment(const Guid& guid,
-                                                   NetworkAddress na) = 0;
-  // Removes the GUID. Returns false if unknown.
-  [[nodiscard]] virtual bool Deregister(const Guid& guid) = 0;
-
-  [[nodiscard]] virtual LookupResult Lookup(const Guid& guid, AsId querier,
-                                            unsigned shard = 0)
-      REQUIRES_SHARD(shard) = 0;
-  // Resolution under the querier's (possibly stale) BGP view. Backends
-  // whose placement ignores BGP answer like Lookup and set
-  // ResolverStatus::kUnsupported.
-  [[nodiscard]] virtual LookupResult LookupWithView(const Guid& guid,
-                                                    AsId querier,
-                                                    const PrefixTable& view,
-                                                    unsigned shard = 0)
-      REQUIRES_SHARD(shard) = 0;
-
-  // Marks ASs whose resolver nodes are down. Probes reaching them cost
-  // failure_timeout_ms() and the mapping they hold is unreachable.
-  virtual void SetFailedAses(const std::vector<AsId>& failed);
-
-  // Installs a shared failure schedule (fault/failure_view.h): configure a
-  // scenario once and hand the same view to every backend — and to the
-  // wire-protocol network — instead of repeating SetFailedAses per scheme.
-  // The closed-form backends consult the static view (IsFailed).
-  virtual void SetFailureView(const FailureView& view);
+  [[nodiscard]] virtual LookupResult Lookup(const Guid& guid,
+                                            AsId querier) = 0;
 
   // Observability. Both default to off; the uninstrumented path costs one
-  // predictable branch per operation. Call before the parallel phase.
+  // predictable branch per operation.
   virtual void EnableMetrics(MetricsRegistry* registry);
   virtual void EnableTracing(ProbeTracer* tracer) { tracer_ = tracer; }
 
-  double failure_timeout_ms() const { return failure_timeout_ms_; }
-  void set_failure_timeout_ms(double ms) { failure_timeout_ms_ = ms; }
-
  protected:
-  enum class WriteOp { kInsert, kUpdate, kAddAttachment };
-
-  bool IsFailed(AsId as) const { return failures_.IsFailed(as); }
+  enum class WriteOp { kInsert, kUpdate };
 
   // Starts a per-lookup trace if tracing is on and `guid` is sampled.
   // Returns the trace living inside `result` (null when not sampled);
@@ -107,21 +62,15 @@ class NameResolver {
   // Accounts the finished operation under this scheme's uniform
   // instruments (no-ops with metrics off) and, for lookups, records the
   // result's trace if one was started.
-  void FinishLookup(LookupResult& result, unsigned shard);
-  void FinishWrite(WriteOp op, const UpdateResult& result, unsigned shard);
-  void FinishDeregister(bool removed, unsigned shard);
+  void FinishLookup(LookupResult& result);
+  void FinishWrite(WriteOp op, const UpdateResult& result);
 
   MetricsRegistry* metrics_ = nullptr;
   ProbeTracer* tracer_ = nullptr;
-  // Written by SetFailedAses/SetFailureView between phases, read during
-  // parallel lookups.
-  FailureView failures_ WRITE_SERIAL_READ_SHARED();
-  double failure_timeout_ms_ = 200.0;
 
  private:
   struct Instruments {
-    CounterId inserts, updates, add_attachments, deregisters, lookups,
-        lookup_hits, lookup_misses;
+    CounterId inserts, updates, lookups, lookup_hits, lookup_misses;
     HistogramId lookup_latency_ms, update_latency_ms, lookup_attempts;
   };
   Instruments ins_{};
@@ -145,27 +94,8 @@ class DMapResolver final : public NameResolver {
                                     NetworkAddress na) override {
     return service_.Update(guid, na);
   }
-  [[nodiscard]] UpdateResult AddAttachment(const Guid& guid,
-                                           NetworkAddress na) override {
-    return service_.AddAttachment(guid, na);
-  }
-  [[nodiscard]] bool Deregister(const Guid& guid) override {
-    return service_.Deregister(guid);
-  }
-  [[nodiscard]] LookupResult Lookup(const Guid& guid, AsId querier,
-                                    unsigned shard = 0) override {
-    return service_.Lookup(guid, querier, shard);
-  }
-  [[nodiscard]] LookupResult LookupWithView(const Guid& guid, AsId querier,
-                                            const PrefixTable& view,
-                                            unsigned shard = 0) override {
-    return service_.LookupWithView(guid, querier, view, shard);
-  }
-  void SetFailedAses(const std::vector<AsId>& failed) override {
-    service_.SetFailedAses(failed);
-  }
-  void SetFailureView(const FailureView& view) override {
-    service_.SetFailureView(view);
+  [[nodiscard]] LookupResult Lookup(const Guid& guid, AsId querier) override {
+    return service_.Lookup(guid, querier);
   }
 
   // The service accounts its own richer "dmap.*" instrument set; the

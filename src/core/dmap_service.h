@@ -113,13 +113,10 @@ struct DMapOptions : ProtocolOptions {
   void Validate() const;
 };
 
-// Whether a backend actually implements the operation's semantics.
-// Baselines return kUnsupported where their scheme has no analogue instead
-// of silently diverging from the DMap behaviour. kQuorumFailed marks a
-// write that could not gather its configured quorum of applied replica
-// acknowledgements — the terminal outcome of the quorum discipline, never
-// reported as success.
-enum class ResolverStatus : std::uint8_t { kOk, kUnsupported, kQuorumFailed };
+// How an operation ended. kQuorumFailed marks a write that could not gather
+// its configured quorum of applied replica acknowledgements — the terminal
+// outcome of the quorum discipline, never reported as success.
+enum class ResolverStatus : std::uint8_t { kOk, kQuorumFailed };
 
 // Fields every resolver operation reports, DMap and baselines alike: the
 // time the operation cost, how many probes it took, and — when tracing is

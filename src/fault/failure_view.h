@@ -1,8 +1,8 @@
 // FailureView: the single source of truth for "which ASs are down, when".
 //
 // Before this layer existed the reproduction carried two disjoint failure
-// notions — DMapService/NameResolver kept a static failed-AS set consulted
-// by the closed-form lookup math, while ProtocolNetwork kept its own set
+// notions — DMapService kept a static failed-AS set consulted by the
+// closed-form lookup math, while ProtocolNetwork kept its own set
 // consulted when a message was *sent*. A scenario had to be configured
 // twice and the two paths could silently disagree. FailureView unifies
 // them: it stores, per AS, a set of half-open outage windows

@@ -56,11 +56,19 @@ AsGraph LoadTopology(std::istream& in) {
     std::istringstream s(next_line());
     std::string tag;
     if (!(s >> tag >> n) || tag != "nodes") ParseError(line_no, "bad 'nodes'");
+    if (n > kMaxTopologyNodes) {
+      ParseError(line_no, "'nodes' " + std::to_string(n) + " exceeds " +
+                              std::to_string(kMaxTopologyNodes));
+    }
   }
   {
     std::istringstream s(next_line());
     std::string tag;
     if (!(s >> tag >> m) || tag != "links") ParseError(line_no, "bad 'links'");
+    if (m > kMaxTopologyLinks) {
+      ParseError(line_no, "'links' " + std::to_string(m) + " exceeds " +
+                              std::to_string(kMaxTopologyLinks));
+    }
   }
 
   std::vector<double> intra(n), weights(n);

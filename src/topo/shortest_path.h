@@ -80,9 +80,12 @@ class PathOracle {
   // answers are bit-identical to the LRU backend on grid-quantized
   // topologies, so attaching a labeling never changes experiment output,
   // only its speed.
-  // Every experiment harness attaches one (EnsureHubLabels); without it
-  // latency point queries take the Dijkstra+LRU path, which the tests keep
-  // as the reference.
+  // RunResponseTimeExperiment/Sweep, RunChurnSweep, RunBaselineComparison,
+  // RunOfferedLoadSweep and the chaos/fig9 benches attach one
+  // (EnsureHubLabels). Oracles built elsewhere — RunMobilitySweep,
+  // RunStalenessExperiment and the services the ablation benches build
+  // themselves — answer latency point queries on the Dijkstra+LRU path,
+  // which the tests keep as the reference.
   // Must not race with oracle queries.
   void SetHubLabels(const HubLabels* labels) REQUIRES_ALL_SHARDS();
   const HubLabels* hub_labels() const { return labels_; }

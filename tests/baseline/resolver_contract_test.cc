@@ -1,15 +1,14 @@
 // Cross-backend contract suite: every NameResolver backend — DMap and the
-// three related-work baselines — must present the same verb semantics
-// (DESIGN.md §3 and §6), so the comparison harnesses can swap schemes
-// without scheme-specific glue. Parametrized over backend factories; any
-// new backend joins by adding a factory line.
+// three related-work baselines — must present the same Insert / Update /
+// Lookup semantics (DESIGN.md §3 and §6), so the baseline comparison can
+// swap schemes without scheme-specific glue. Parametrized over backend
+// factories; any new backend joins by adding a factory line.
 #include <gtest/gtest.h>
 
 #include <functional>
 #include <memory>
 #include <stdexcept>
 #include <string>
-#include <vector>
 
 #include "baseline/central_directory.h"
 #include "baseline/chord_dht.h"
@@ -70,10 +69,7 @@ TEST_P(ResolverContractTest, InsertLookupUpdateLookupDeregisterMiss) {
   EXPECT_TRUE(found.nas.AttachedTo(20));
   EXPECT_FALSE(found.nas.AttachedTo(10));
 
-  EXPECT_TRUE(r.Deregister(g));
-  const LookupResult miss = r.Lookup(g, querier);
-  EXPECT_FALSE(miss.found);
-  EXPECT_FALSE(r.Deregister(g));  // already gone
+  EXPECT_FALSE(r.Lookup(Guid::FromSequence(43), querier).found);
 }
 
 TEST_P(ResolverContractTest, LookupOutcomeInvariants) {
@@ -113,58 +109,6 @@ TEST_P(ResolverContractTest, UpdateOfUnknownGuidThrows) {
   EXPECT_THROW(resolver_->Update(Guid::FromSequence(999),
                                  NetworkAddress{1, 1}),
                std::invalid_argument);
-}
-
-TEST_P(ResolverContractTest, AddAttachmentRequiresInsertAndExtendsNaSet) {
-  NameResolver& r = *resolver_;
-  const Guid g = Guid::FromSequence(11);
-  EXPECT_THROW(r.AddAttachment(g, NetworkAddress{1, 1}),
-               std::invalid_argument);
-  r.Insert(g, NetworkAddress{40, 1});
-  r.AddAttachment(g, NetworkAddress{50, 1});
-  const LookupResult result = r.Lookup(g, 99);
-  ASSERT_TRUE(result.found);
-  EXPECT_TRUE(result.nas.AttachedTo(40));
-  EXPECT_TRUE(result.nas.AttachedTo(50));
-  // Duplicate attachment is rejected, not silently absorbed.
-  EXPECT_THROW(r.AddAttachment(g, NetworkAddress{50, 1}),
-               std::invalid_argument);
-}
-
-TEST_P(ResolverContractTest, LookupWithViewAnswersOrDeclaresUnsupported) {
-  NameResolver& r = *resolver_;
-  const Guid g = Guid::FromSequence(13);
-  r.Insert(g, NetworkAddress{60, 1});
-  // Under the *current* view every backend must still resolve; backends
-  // whose placement ignores BGP flag the answer instead of diverging.
-  const LookupResult result =
-      r.LookupWithView(g, 77, SharedEnv().env.table);
-  EXPECT_TRUE(result.found);
-  if (result.status == ResolverStatus::kUnsupported) {
-    const LookupResult plain = r.Lookup(g, 77);
-    EXPECT_EQ(result.found, plain.found);
-    EXPECT_DOUBLE_EQ(result.latency_ms, plain.latency_ms);
-  }
-}
-
-TEST_P(ResolverContractTest, FailedAsesCostTimeoutAndRecover) {
-  NameResolver& r = *resolver_;
-  const Guid g = Guid::FromSequence(17);
-  r.Insert(g, NetworkAddress{70, 1});
-
-  // Every AS down: no backend can answer, and at least one probe pays the
-  // failure timeout.
-  std::vector<AsId> all;
-  for (AsId as = 0; as < SharedEnv().env.graph.num_nodes(); ++as) {
-    all.push_back(as);
-  }
-  r.SetFailedAses(all);
-  const LookupResult down = r.Lookup(g, 88);
-  EXPECT_FALSE(down.found);
-  EXPECT_GE(down.latency_ms, r.failure_timeout_ms());
-
-  r.SetFailedAses({});
-  EXPECT_TRUE(r.Lookup(g, 88).found);
 }
 
 TEST_P(ResolverContractTest, MetricsCountLookupsAndSplitHitMiss) {

@@ -201,6 +201,9 @@ TEST_F(DMapServiceTest, UpdateOfUnknownGuidThrows) {
 TEST_F(DMapServiceTest, MultiHomingAddsNa) {
   DMapService service(env_.graph, env_.table, Options());
   const Guid g = Guid::FromSequence(9);
+  // Attaching needs a registered GUID.
+  EXPECT_THROW(service.AddAttachment(g, NetworkAddress{20, 2}),
+               std::invalid_argument);
   (void)service.Insert(g, NetworkAddress{10, 1});
   (void)service.AddAttachment(g, NetworkAddress{20, 2});
   const LookupResult r = service.Lookup(g, 100);
@@ -303,6 +306,7 @@ TEST_F(DMapServiceTest, LookupWithStaleViewRecoversViaOtherReplicas) {
   // A fully consistent view behaves identically to Lookup().
   const LookupResult consistent = service.LookupWithView(g, 200, env_.table);
   const LookupResult direct = service.Lookup(g, 200);
+  EXPECT_TRUE(consistent.found);
   EXPECT_EQ(consistent.found, direct.found);
   EXPECT_DOUBLE_EQ(consistent.latency_ms, direct.latency_ms);
 }

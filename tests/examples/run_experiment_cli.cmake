@@ -4,6 +4,8 @@
 #     (the configs select the instant analytical experiment, so a value
 #     that slipped through would exit 0);
 #   * an unknown key or experiment exits 2 naming it;
+#   * a topology_file saved for one `ases` is rejected by name when read
+#     back under another, instead of running on a mismatched graph;
 #   * the --print-defaults listing, switched to the analytical experiment,
 #     runs clean.
 #
@@ -47,6 +49,19 @@ endif()
 run_config(typo "experiment = analytical\nasses = 10\n")
 if(NOT rc EQUAL 2 OR NOT err MATCHES "'asses'")
   message(FATAL_ERROR "unknown key not rejected:\n${log}")
+endif()
+
+set(topology "${WORK_DIR}/small.topology")
+file(REMOVE "${topology}")
+set(cached "experiment = load_balance\nguids = 100\nthreads = 1\n")
+string(APPEND cached "topology_file = ${topology}\n")
+run_config(save_topology "${cached}ases = 200\n")
+if(NOT rc EQUAL 0 OR NOT EXISTS "${topology}")
+  message(FATAL_ERROR "topology_file not saved:\n${log}")
+endif()
+run_config(mismatched_topology "${cached}ases = 2000\n")
+if(rc EQUAL 0 OR NOT err MATCHES "'topology_file'.*200 ASs")
+  message(FATAL_ERROR "mismatched topology_file not rejected:\n${log}")
 endif()
 
 execute_process(COMMAND "${RUNNER}" --print-defaults RESULT_VARIABLE rc

@@ -61,6 +61,29 @@ TEST(TopologyIoTest, RejectsBadLinkRecord) {
   EXPECT_THROW(LoadTopology(buffer), std::runtime_error);
 }
 
+// Header counts past their bounds are rejected at the header line, before
+// any vector is sized or reserved from them.
+TEST(TopologyIoTest, RejectsOversizedHeaderCounts) {
+  const auto expect_header_error = [](const std::string& text,
+                                      const std::string& where) {
+    std::stringstream buffer(text);
+    try {
+      (void)LoadTopology(buffer);
+      ADD_FAILURE() << "accepted: " << text;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(where), std::string::npos)
+          << e.what();
+    }
+  };
+  expect_header_error("dmap-topology v1\nnodes 1000001\nlinks 0\n",
+                      "line 2: 'nodes' 1000001 exceeds 1000000");
+  expect_header_error("dmap-topology v1\nnodes 2\nlinks 8000001\n",
+                      "line 3: 'links' 8000001 exceeds 8000000");
+  expect_header_error(
+      "dmap-topology v1\nnodes 2\nlinks 18446744073709551615\n",
+      "line 3: 'links'");
+}
+
 TEST(TopologyIoTest, FileRoundTrip) {
   const AsGraph original =
       GenerateInternetTopology(ScaledTopologyParams(100, 3));

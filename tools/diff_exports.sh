@@ -24,7 +24,9 @@
 # both covered), ablation_staleness (the mobility-staleness harness,
 # sim/staleness.cc) and ablation_dmap, whose row (c) ranks replicas by
 # hop count, table (e) places GUIDs directly on AS numbers and table (f)
-# drives a single-owner cache through Get/Put.
+# drives a single-owner cache through Get/Put, and ablation_baselines
+# (RunBaselineComparison: DMap, the Chord DHT, the home agent and the
+# central directory through one NameResolver loop).
 set -euo pipefail
 
 if [[ $# -ne 2 ]]; then
@@ -62,6 +64,7 @@ commands=(
   "staleness|ablation_staleness --scale 0.05 --threads 4 --metrics-out metrics.json --trace-out trace.csv|metrics.json trace.csv stdout"
   "ablation|ablation_dmap --scale 0.05 --threads 4 --metrics-out metrics.json|metrics.json stdout"
   "convergence|ablation_convergence --scale 0.05 --threads 4 --metrics-out metrics.json|metrics.json stdout"
+  "baselines|ablation_baselines --scale 0.05 --threads 4 --metrics-out metrics.json|metrics.json stdout"
 )
 
 differs=0
