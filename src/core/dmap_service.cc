@@ -50,7 +50,6 @@ void DMapOptions::Validate() const {
 DMapService::DMapService(const AsGraph& graph, const PrefixTable& table,
                          const DMapOptions& options)
     : graph_(&graph),
-      table_(&table),
       options_((options.Validate(), options)),
       hashes_(options.k, options.hash_seed),
       resolver_(hashes_, table, options.max_hashes),
@@ -145,14 +144,13 @@ UpdateResult DMapService::StoreReplicas(const Guid& guid, OwnerState& state,
   // difference; K is tiny so quadratic is fine). Only the first write and
   // Rehome/Update after churn get here; a reused set has no stale replica.
   if (!fresh.empty()) {
-    for (const HostResolution& old : state.resolutions) {
+    for (const HostResolution& old : state.replicas.resolutions) {
       if (std::find(new_replicas.begin(), new_replicas.end(), old.host) ==
           new_replicas.end()) {
         store_.Erase(old.host, guid);
       }
     }
-    state.resolutions = std::move(fresh);
-    state.resolved_epoch = table_->epoch();
+    resolver_.Keep(state.replicas, std::move(fresh));
   }
 
   // Local replica at the attachment AS (Section III-C).
@@ -360,7 +358,7 @@ bool DMapService::Deregister(const Guid& guid) {
   const auto it = owners_.find(guid);
   if (it == owners_.end()) return false;
   OwnerState& state = it->second;
-  for (const HostResolution& r : state.resolutions) {
+  for (const HostResolution& r : state.replicas.resolutions) {
     store_.Erase(r.host, guid);
   }
   if (state.local_as != kInvalidAs) store_.Erase(state.local_as, guid);
@@ -490,14 +488,13 @@ const DMapService::OwnerState* DMapService::FindOwner(
 std::span<const HostResolution> DMapService::Resolutions(
     const Guid& guid, const OwnerState* state,
     std::vector<HostResolution>& fresh, unsigned shard) const {
-  if (state != nullptr && !state->resolutions.empty() &&
-      state->resolved_epoch == table_->epoch()) {
-    resolver_.Account(state->resolutions, shard);
-    if (metrics_) metrics_->Add(ins_.resolutions_reused, 1, shard);
-    return state->resolutions;
+  const std::span<const HostResolution> resolutions =
+      resolver_.ResolveOrReuse(
+          guid, state != nullptr ? &state->replicas : nullptr, fresh, shard);
+  if (fresh.empty() && metrics_) {
+    metrics_->Add(ins_.resolutions_reused, 1, shard);
   }
-  fresh = resolver_.ResolveAll(guid, shard);
-  return fresh;
+  return resolutions;
 }
 
 std::vector<HostResolution> DMapService::ReplicaResolutions(
@@ -609,7 +606,7 @@ int DMapService::Rehome(const Guid& guid) {
   const auto it = owners_.find(guid);
   if (it == owners_.end()) return 0;
   OwnerState& state = it->second;
-  const std::vector<HostResolution> before = state.resolutions;
+  const std::vector<HostResolution> before = state.replicas.resolutions;
   const UpdateResult result =
       WriteReplicas(guid, state, state.nas.empty() ? 0 : state.nas[0].as);
   int moved = 0;

@@ -401,22 +401,17 @@ class DMapService {
     AsId writer = 0;
     AsId local_as = kInvalidAs;  // where the local copy lives
     // The K resolutions the global copies were last written under (empty
-    // before the first write), and the prefix-table epoch they were
-    // resolved at. Equal epochs imply an identical announced set, so while
-    // the table's epoch is still `resolved_epoch` they are exactly what
-    // Algorithm 1 would compute.
-    std::vector<HostResolution> resolutions;
-    std::uint64_t resolved_epoch = 0;
+    // before the first write), stamped with their prefix-table epoch.
+    ResolutionMemo replicas;
   };
 
   // The owner state of `guid`, or nullptr when it is not registered.
   const OwnerState* FindOwner(const Guid& guid) const;
   // Every closed-form resolution of `guid` against the authoritative table
-  // goes through here. When `state` (the GUID's owner state, or nullptr)
-  // holds resolutions stamped with the table's current epoch, they are
-  // returned and replayed into the algo1.* metrics; otherwise `guid` is
-  // resolved afresh into `fresh`. Read-shared: only StoreReplicas, at a
-  // serial write point, refreshes the stored resolutions.
+  // goes through here: HoleResolver::ResolveOrReuse over the memo in
+  // `state` (the GUID's owner state, or nullptr), counting
+  // dmap.resolutions_reused. Read-shared: only StoreReplicas, at a serial
+  // write point, keeps fresh resolutions in the memo.
   std::span<const HostResolution> Resolutions(
       const Guid& guid, const OwnerState* state,
       std::vector<HostResolution>& fresh, unsigned shard) const
@@ -463,7 +458,6 @@ class DMapService {
   };
 
   const AsGraph* graph_;
-  const PrefixTable* table_;
   DMapOptions options_;
   GuidHashFamily hashes_;
   HoleResolver resolver_;

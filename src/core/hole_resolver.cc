@@ -47,6 +47,18 @@ void HoleResolver::Account(std::span<const HostResolution> resolutions,
   }
 }
 
+std::span<const HostResolution> HoleResolver::ResolveOrReuse(
+    const Guid& guid, const ResolutionMemo* memo,
+    std::vector<HostResolution>& fresh, unsigned worker) const {
+  if (memo != nullptr && !memo->resolutions.empty() &&
+      memo->epoch == table_->epoch()) {
+    Account(memo->resolutions, worker);
+    return memo->resolutions;
+  }
+  fresh = ResolveAll(guid, worker);
+  return fresh;
+}
+
 std::vector<HostResolution> HoleResolver::ResolveAll(const Guid& guid,
                                                      unsigned worker) const {
   std::vector<HostResolution> out;

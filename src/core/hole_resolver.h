@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "bgp/dir24_8.h"
@@ -26,6 +27,15 @@ struct HostResolution {
   Ipv4Address stored_address;   // the announced address actually used
   int hash_count = 1;           // total hash evaluations (1 = first try hit)
   bool used_nearest = false;    // fell through all M tries to the deputy rule
+};
+
+// A GUID's K resolutions, kept with the prefix-table epoch they were
+// resolved at. Equal epochs imply an identical announced set, so while the
+// table is still at `epoch` they are exactly what Algorithm 1 computes.
+// HoleResolver::ResolveOrReuse is the one rule that reads it.
+struct ResolutionMemo {
+  std::vector<HostResolution> resolutions;  // empty until first kept
+  std::uint64_t epoch = 0;
 };
 
 class HoleResolver {
@@ -70,6 +80,20 @@ class HoleResolver {
   // through it, so the exports do not depend on what was reused.
   void Account(std::span<const HostResolution> resolutions,
                unsigned worker = 0) const;
+
+  // Resolve once per epoch (DESIGN.md section 10). When `memo` (nullable)
+  // holds resolutions kept at the table's current epoch they are returned
+  // and replayed through Account; otherwise `guid` is resolved afresh into
+  // `fresh`, which is left empty exactly when the memo answered. Reads
+  // `memo` only, so parallel readers may share it.
+  std::span<const HostResolution> ResolveOrReuse(
+      const Guid& guid, const ResolutionMemo* memo,
+      std::vector<HostResolution>& fresh, unsigned worker = 0) const;
+  // Keeps `fresh`, resolved against the table as it is now, in `memo`.
+  void Keep(ResolutionMemo& memo, std::vector<HostResolution> fresh) const {
+    memo.resolutions = std::move(fresh);
+    memo.epoch = table_->epoch();
+  }
 
   // Owned, epoch-versioned DIR-24-8 snapshot of the prefix table: LPM
   // probes read one or two array entries instead of walking the trie (~7x

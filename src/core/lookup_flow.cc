@@ -26,6 +26,14 @@ std::vector<PlannedProbe> PlanProbes(std::span<const HostResolution> replicas,
                                      AsId querier, ReplicaSelection selection,
                                      PathOracle& oracle, unsigned shard) {
   std::vector<PlannedProbe> plan;
+  PlanProbesInto(replicas, querier, selection, oracle, plan, shard);
+  return plan;
+}
+
+void PlanProbesInto(std::span<const HostResolution> replicas, AsId querier,
+                    ReplicaSelection selection, PathOracle& oracle,
+                    std::vector<PlannedProbe>& plan, unsigned shard) {
+  plan.clear();
   plan.reserve(replicas.size());
   for (const HostResolution& r : replicas) {
     plan.push_back(PlannedProbe{r.host, 0.0, r.stored_address});
@@ -37,7 +45,7 @@ std::vector<PlannedProbe> PlanProbes(std::span<const HostResolution> replicas,
   if (selection == ReplicaSelection::kLowestRtt) {
     FillRtts(plan, querier, oracle, shard);
     std::sort(plan.begin(), plan.end(), by_rtt_then_host);
-    return plan;
+    return;
   }
   // The rtt field holds the (exact) hop count while sorting, then the RTT
   // the probe costs.
@@ -46,7 +54,6 @@ std::vector<PlannedProbe> PlanProbes(std::span<const HostResolution> replicas,
   }
   std::sort(plan.begin(), plan.end(), by_rtt_then_host);
   FillRtts(plan, querier, oracle, shard);
-  return plan;
 }
 
 bool LookupFlow::Advance(std::size_t s) {

@@ -42,6 +42,11 @@ std::vector<PlannedProbe> PlanProbes(std::span<const HostResolution> replicas,
                                      AsId querier, ReplicaSelection selection,
                                      PathOracle& oracle, unsigned shard = 0)
     REQUIRES_SHARD(shard);
+// The same plan, written over `plan` so a reused buffer keeps its capacity.
+void PlanProbesInto(std::span<const HostResolution> replicas, AsId querier,
+                    ReplicaSelection selection, PathOracle& oracle,
+                    std::vector<PlannedProbe>& plan, unsigned shard = 0)
+    REQUIRES_SHARD(shard);
 
 // Probe state of one lookup: the claim cursor, and per stream the index it
 // awaits, its retransmissions and the timeouts it has waited out there.
@@ -63,10 +68,17 @@ class LookupFlow {
 
   LookupFlow() = default;
   // No stream awaits anything until its first Advance.
-  LookupFlow(std::size_t plan_size, std::size_t streams, int probe_retries)
-      : plan_size_(plan_size),
-        probe_retries_(probe_retries),
-        streams_(streams) {}
+  LookupFlow(std::size_t plan_size, std::size_t streams, int probe_retries) {
+    Reset(plan_size, streams, probe_retries);
+  }
+  // Starts the flow over for a new lookup, keeping the stream storage.
+  void Reset(std::size_t plan_size, std::size_t streams, int probe_retries) {
+    plan_size_ = plan_size;
+    cursor_ = 0;
+    probe_retries_ = probe_retries;
+    completed_ = false;
+    streams_.assign(streams, Stream{});
+  }
 
   // Seals the lookup; true only on the first call, so the losing racer
   // (local reply, global reply, exhaustion) is dropped.

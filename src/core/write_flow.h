@@ -64,8 +64,15 @@ class WriteFlow {
 
   WriteFlow() = default;
   // `quorum` is the resolved W; `local_applied` counts the local copy.
-  WriteFlow(int quorum, bool local_applied)
-      : quorum_(quorum), applied_(local_applied ? 1 : 0) {}
+  WriteFlow(int quorum, bool local_applied) { Reset(quorum, local_applied); }
+  // Starts the flow over for a new write, keeping the slot storage.
+  void Reset(int quorum, bool local_applied) {
+    quorum_ = quorum;
+    applied_ = local_applied ? 1 : 0;
+    outstanding_ = 0;
+    reported_ = false;
+    slots_.clear();
+  }
 
   // Opens a slot for the write to `host`; returns its index.
   std::size_t AddSlot(AsId host);

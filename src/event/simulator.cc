@@ -95,7 +95,14 @@ std::uint64_t Simulator::RunUntil(SimTime deadline) {
 
 void Simulator::Stop() {
   stop_requested_ = true;
-  while (!queue_.empty()) queue_.pop();
+  // A discarded event is retired like a cancelled one, so a handle to it
+  // reads !pending() and its Cancel() is a no-op.
+  while (!queue_.empty()) {
+    EventHandle::Record& record = *queue_.top().record;
+    record.done = true;
+    record.action = nullptr;
+    queue_.pop();
+  }
   *cancelled_count_ = 0;
 }
 

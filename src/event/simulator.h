@@ -87,7 +87,8 @@ class Simulator {
   bool Step();
 
   // Drops all pending events and requests Run()/RunUntil() to return after
-  // the current event finishes.
+  // the current event finishes. Handles to dropped events read as
+  // cancelled: not pending, and Cancel() returns false.
   void Stop();
 
   bool Empty() const { return PendingEvents() == 0; }

@@ -24,8 +24,10 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <span>
 #include <unordered_map>
 #include <utility>
@@ -117,7 +119,7 @@ class ProtocolNetwork {
   // singleton writes, so store contents are bit-identical to issuing the
   // updates one by one. Each message runs on a write slot with W = 1: the
   // slowest response (or its stand-in timeout) finishes the batch. A batch
-  // wave does not advance the committed_ quorum frontier — the quorum
+  // wave does not advance a GUID's committed quorum frontier — the quorum
   // discipline is per-GUID and a batch response acks an AS, not a quorum.
   void BatchUpdateAsync(
       const std::vector<std::pair<Guid, NetworkAddress>>& moves,
@@ -136,7 +138,7 @@ class ProtocolNetwork {
 
   // Resolves `guid` from `querier` with the full probe/fall-through logic.
   // A reply that arrives after its probe timed out still resolves the
-  // lookup: request ids stay registered until the operation completes.
+  // lookup: request ids stay routed until the operation completes.
   void LookupAsync(const Guid& guid, AsId querier,
                    std::function<void(const LookupResult&)> done);
 
@@ -184,20 +186,121 @@ class ProtocolNetwork {
   }
 
  private:
-  struct LookupOp;
-  struct WriteOp;
+  // What the simulator keeps per client-written GUID. None of it is
+  // protocol state: it changes no message, virtual time or store.
+  struct GuidRecord {
+    std::uint64_t version = 0;  // the last version a client write stamped
+    // Highest stamp whose write reached its quorum: the frontier a
+    // non-stale read must reach. Only advanced when QuorumActive(); a
+    // failed write never advances it (its survivors still serve the newer
+    // stamp, which is allowed: stale means *older* than committed).
+    LogicalStamp committed;
+    AsId owner = kInvalidAs;  // attachment AS of the latest client write
+    ResolutionMemo replicas;  // resolved once per prefix-table epoch
+  };
+  using RecordMap = std::unordered_map<Guid, GuidRecord, GuidHash>;
+
   // Where a write goes: the replica host and the address Algorithm 1
   // hashed it to there.
   struct WriteTarget {
     AsId host = kInvalidAs;
     Ipv4Address stored_address;
   };
-  // Routes an in-flight reply back to its lookup: the op plus which probe
-  // (plan index) the request id belongs to.
-  struct PendingProbe {
-    std::shared_ptr<LookupOp> op;
-    std::size_t index = 0;
+
+  // One client lookup. Ops live in an OpSlab and are reused, so the
+  // vectors keep their capacity from op to op.
+  struct LookupOp {
+    std::uint32_t slot = 0;
+    std::uint32_t generation = 0;
+    Guid guid;
+    AsId querier = kInvalidAs;
+    GuidRecord* record = nullptr;  // nullptr: not client-written at start
+    std::vector<PlannedProbe> plan;  // ordered by (rtt, host)
+    std::vector<std::uint64_t> request_ids;  // probe i's id is entry i
+    LookupFlow flow;                    // one stream per read-quorum member
+    std::vector<EventHandle> timeouts;  // per stream, the armed probe timer
+    SimTime started;
+    std::optional<LocalReply> local;  // the querier store's answer, if any
+    EventHandle local_reply;
+    std::vector<std::size_t> miss_indices;  // live replicas with no entry
+    std::function<void(const LookupResult&)> done;
+    std::optional<ProbeTrace> trace;
+    // Found answers as (plan index, entry); the winner is the max stamp,
+    // ties broken toward the lowest plan index.
+    std::vector<std::pair<std::size_t, MappingEntry>> answers;
+    // --- read quorum (R > 1 only) ---
+    int responses = 0;  // distinct replicas that answered (found or miss)
+    std::vector<char> index_responded;  // one flag per plan index
+
+    void Clear();
   };
+
+  // One client write: an insert, a batched handoff, a repair, an
+  // anti-entropy push or a withdrawal handoff.
+  struct WriteOp {
+    std::uint32_t slot = 0;
+    std::uint32_t generation = 0;
+    std::uint64_t request_id = 0;
+    SimTime started;
+    WriteFlow flow;                     // one slot per request
+    std::vector<EventHandle> timeouts;  // per slot, its stand-in timer
+    // A client insert commits `stamp` to `committer` when its quorum is
+    // reached.
+    GuidRecord* committer = nullptr;
+    LogicalStamp stamp;
+    // The report. Client inserts and withdrawal handoffs report an
+    // UpdateResult over `replicas` and `version` through `done`; a batched
+    // handoff reports `batch` (entries_applied counted as responses land)
+    // through `batch_done`; repairs report nothing.
+    std::vector<AsId> replicas;
+    std::uint64_t version = 0;
+    std::function<void(const UpdateResult&)> done;
+    std::optional<BatchUpdateResult> batch;
+    std::function<void(const BatchUpdateResult&)> batch_done;
+
+    void Clear();
+  };
+
+  // Reusable ops at stable addresses. Releasing a slot bumps its
+  // generation, so a route or event naming an older generation finds the
+  // op gone and never touches the op that reused the slot.
+  template <typename Op>
+  class OpSlab {
+   public:
+    Op& Acquire() {
+      if (free_.empty()) {
+        Op& op = ops_.emplace_back();
+        op.slot = std::uint32_t(ops_.size() - 1);
+        return op;
+      }
+      Op& op = ops_[free_.back()];
+      free_.pop_back();
+      return op;
+    }
+    void Release(Op& op) {
+      op.Clear();
+      ++op.generation;
+      free_.push_back(op.slot);
+    }
+    Op* Find(std::uint32_t slot, std::uint32_t generation) {
+      Op& op = ops_[slot];
+      return op.generation == generation ? &op : nullptr;
+    }
+
+   private:
+    std::deque<Op> ops_;
+    std::vector<std::uint32_t> free_;
+  };
+
+  // Where a client request id leads: its op, and for a lookup probe the
+  // plan index it asks about.
+  struct Route {
+    std::uint32_t slot = 0;
+    std::uint32_t generation = 0;
+    std::uint32_t index = 0;
+    bool write = false;
+  };
+
   struct FaultInstruments {
     CounterId injected_drops = 0, injected_duplicates = 0,
               delivery_drops = 0, retransmissions = 0, late_replies = 0,
@@ -216,39 +319,62 @@ class ProtocolNetwork {
   void Send(const Message& message);
   void Deliver(const Message& message);
 
+  // The record of a client-written GUID, or nullptr.
+  GuidRecord* FindRecord(const Guid& guid);
+  // The K replica resolutions of `guid`: through `record`'s memo (kept
+  // afresh after BGP churn) when it has one, else resolved into `fresh`.
+  // Valid until the GUID is next resolved.
+  std::span<const HostResolution> Replicas(const Guid& guid,
+                                           GuidRecord* record,
+                                           std::vector<HostResolution>& fresh);
+
+  // Client request ids carry this bit; node-issued ids never do.
+  static constexpr std::uint64_t kClientRequestBit = 0x8000000000000000ULL;
+  // Client request ids, in increasing order. Each id's route sits in a
+  // ring indexed by its offset from the oldest id still routed; routes
+  // whose op was released are dropped from the front as ids are issued.
+  std::uint64_t IssueRequestId(const Route& route);
+  // The route of `id` while its op is live; nullopt once it was released
+  // (the message then falls through to the node, which ignores it).
+  std::optional<Route> FindRoute(std::uint64_t id);
+  bool Live(const Route& route);
+
   // Lookup client machine: R probe streams (LookupFlow) over the plan,
   // R = 1 being the paper's sequential walk. R = 1 completes at the first
   // found answer, R > 1 at R distinct responses with the max-stamp
   // answer; either completes as a miss once every stream has stopped.
   // SendProbe claims the stream's next replica (or stops the stream);
-  // TransmitProbe sends it and arms the timeout.
-  void SendProbe(const std::shared_ptr<LookupOp>& op, std::size_t stream);
-  void TransmitProbe(const std::shared_ptr<LookupOp>& op, std::size_t stream);
-  void ProbeTimedOut(const std::shared_ptr<LookupOp>& op, std::size_t stream,
-                     std::size_t index, double timeout_ms);
+  // TransmitProbe sends it and arms the timeout, whose event carries the
+  // probe's request id.
+  void SendProbe(LookupOp& op, std::size_t stream);
+  void TransmitProbe(LookupOp& op, std::size_t stream);
+  double ProbeTimeoutMs(const LookupOp& op, std::size_t stream) const;
+  void ProbeTimedOut(std::uint64_t request_id);
+  void LocalReplyArrived(std::uint32_t slot, std::uint32_t generation);
   // True if the response was consumed by a client lookup op.
   bool HandleLookupResponse(const LookupResponse& response);
-  void MaybeCompleteLookup(const std::shared_ptr<LookupOp>& op);
+  void MaybeCompleteLookup(LookupOp& op);
   // Picks the max-stamp answer, read-repairs stale answerers (R > 1) and
   // seals the op through CompleteLookup.
-  void CompleteWithAnswers(const std::shared_ptr<LookupOp>& op);
-  // Seals the op: cancels timers, unregisters its request ids, records the
-  // trace, fires the repair of miss-replying replicas (when `found_entry`
-  // is set), and invokes the callback.
-  void CompleteLookup(const std::shared_ptr<LookupOp>& op,
-                      LookupResult result, const MappingEntry* found_entry);
+  void CompleteWithAnswers(LookupOp& op);
+  // Seals the op: cancels timers, records the trace, fires the repair of
+  // miss-replying replicas (when `found_entry` is set), releases the op
+  // and invokes the callback.
+  void CompleteLookup(LookupOp& op, LookupResult result,
+                      const MappingEntry* found_entry);
 
   // Write client machine, on the sans-IO core (core/write_flow.h): client
   // inserts, batched handoffs, lookup repairs, anti-entropy pushes and
   // withdrawal handoffs all run here. StartWrite opens one slot per
   // request, arms its stand-in timeout and sends it; an ack or the timeout
   // resolves the slot, and AdvanceWrite reports the op's verdict (at most
-  // once) and unregisters the op once every slot has resolved, so late
-  // acks keep their accounting until then.
-  std::shared_ptr<WriteOp> NewWriteOp();
-  void StartWrite(const std::shared_ptr<WriteOp>& op,
-                  std::vector<Message> requests);
-  void AdvanceWrite(const std::shared_ptr<WriteOp>& op);
+  // once) and releases the op once every slot has resolved, so late acks
+  // keep their accounting until then.
+  WriteOp& NewWriteOp();
+  void StartWrite(WriteOp& op, std::vector<Message> requests);
+  void WriteTimedOut(std::uint32_t slot, std::uint32_t generation,
+                     std::size_t flow_slot);
+  void AdvanceWrite(WriteOp& op);
   // True if the ack (an InsertAck, or a BatchUpdateResponse with `applied`
   // entries applied) was consumed by a client write op.
   bool HandleWriteAck(const MessageHeader& header, std::uint64_t applied);
@@ -260,19 +386,16 @@ class ProtocolNetwork {
   struct ClientStamp {
     MappingEntry entry;
     bool local_applied = false;  // the write's instant local ack
-    std::vector<HostResolution> hosts;  // the K replica hosts, in order
+    GuidRecord* record = nullptr;
+    std::span<const HostResolution> hosts;  // the K replica hosts, in order
   };
   // Stamps the next entry of `guid` written from `na`, resolves its K
   // replica hosts, writes the local replica in place (Section III-C),
-  // deletes the superseded local copy a moved host left behind and notes
-  // the GUID for anti-entropy.
+  // deletes the superseded local copy a moved host left behind and
+  // registers the GUID for anti-entropy.
   ClientStamp ClientWrite(const Guid& guid, NetworkAddress na);
 
   void Bump(std::uint64_t& plain, CounterId id, std::uint64_t delta = 1);
-
-  std::uint64_t NextClientRequestId() {
-    return 0x8000000000000000ULL | next_client_request_++;
-  }
 
   const AsGraph* graph_;
   ProtocolNetworkOptions options_;
@@ -284,27 +407,22 @@ class ProtocolNetwork {
   FailureView failures_;
   std::unique_ptr<FaultInjector> injector_;
   std::uint64_t message_seq_ = 0;  // feeds FaultInjector::FateOf
-  std::unordered_map<Guid, std::uint64_t, GuidHash> versions_;
   // Quorum parameters resolved once against the replica-set size.
   int write_quorum_effective_ = 1;
   int read_quorum_effective_ = 1;
-  // Highest stamp whose write reached its quorum, per GUID — the frontier
-  // a non-stale read must reach. Only advanced when QuorumActive(); a
-  // failed write never advances it (its survivors still serve the newer
-  // stamp, which is allowed: stale means *older* than committed).
-  std::unordered_map<Guid, LogicalStamp, GuidHash> committed_;
-  // Anti-entropy registry: every GUID ever client-inserted, in first
-  // insertion order, plus the attachment AS of its latest write; the
-  // round cursor walks this deterministically.
-  std::vector<Guid> ae_guids_;
-  std::unordered_map<Guid, AsId, GuidHash> ae_owner_;
-  std::size_t ae_cursor_ = 0;
+  RecordMap records_;
+  // Anti-entropy registry: every client-written GUID in first-write order;
+  // the round cursor walks this deterministically.
+  std::vector<RecordMap::value_type*> registry_;
+  std::size_t registry_cursor_ = 0;
 
-  // In-flight client operations keyed by request id. Lookup entries stay
-  // registered until the op completes, so late replies resolve the lookup
-  // instead of leaking to the node layer.
-  std::unordered_map<std::uint64_t, PendingProbe> lookups_;
-  std::unordered_map<std::uint64_t, std::shared_ptr<WriteOp>> writes_;
+  OpSlab<LookupOp> lookup_ops_;
+  OpSlab<WriteOp> write_ops_;
+  // Routes of the ids [route_base_, next_client_request_), the one of
+  // route_base_ at routes_[route_head_]; the capacity is a power of two.
+  std::vector<Route> routes_ = std::vector<Route>(64);
+  std::size_t route_head_ = 0;
+  std::uint64_t route_base_ = 1;
   std::uint64_t next_client_request_ = 1;
 
   std::uint64_t messages_sent_ = 0;

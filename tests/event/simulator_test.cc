@@ -140,6 +140,24 @@ TEST(SimulatorTest, StopDiscardsFutureEvents) {
   EXPECT_TRUE(sim.Empty());
 }
 
+TEST(SimulatorTest, StopRetiresDiscardedHandles) {
+  Simulator sim;
+  EventHandle discarded = sim.Schedule(SimTime::Millis(5), [] {});
+  EventHandle cancelled = sim.Schedule(SimTime::Millis(6), [] {});
+  EXPECT_TRUE(cancelled.Cancel());
+  sim.Stop();
+  EXPECT_FALSE(discarded.pending());
+  EXPECT_FALSE(discarded.Cancel());
+  EXPECT_FALSE(cancelled.Cancel());
+  EXPECT_EQ(sim.PendingEvents(), 0u);
+  EXPECT_TRUE(sim.Empty());
+  // The simulator stays usable, and its count stays exact.
+  EventHandle next = sim.Schedule(SimTime::Millis(1), [] {});
+  EXPECT_EQ(sim.PendingEvents(), 1u);
+  EXPECT_TRUE(next.Cancel());
+  EXPECT_TRUE(sim.Empty());
+}
+
 TEST(SimulatorTest, StepExecutesExactlyOne) {
   Simulator sim;
   int executed = 0;

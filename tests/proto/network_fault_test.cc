@@ -854,5 +854,75 @@ TEST_F(NetworkFaultTest, DeputyMigrationUnderConcurrentFailure) {
   EXPECT_GT(TotalMigrationHunts(net), hunts_before);
 }
 
+// Client ops live in reused slots and replies are routed by request id.
+// Under drops, duplicates and jitter, late copies of replies keep arriving
+// after their op completed, while a newer op may already hold its slot:
+// they must fall through to the node and never complete or alter that op.
+// Every callback fires exactly once, every insert reports its own version
+// and every found lookup answers with an NA of its own GUID.
+class WireOpSlotTest : public NetworkFaultTest,
+                       public testing::WithParamInterface<int> {};
+
+TEST_P(WireOpSlotTest, LateRepliesNeverReachTheOpReusingTheirSlot) {
+  ProtocolNetworkOptions options = Options(3);
+  options.read_quorum = GetParam();
+  options.probe_retries = 1;
+  ProtocolNetwork net(env_.graph, env_.table, options);
+  FaultPlan plan;
+  plan.drop_probability = 0.15;
+  plan.duplicate_probability = 0.4;
+  plan.jitter_ms = 150.0;
+  net.ApplyFaultPlan(plan, /*seed=*/11);
+
+  constexpr std::uint32_t kGuids = 32;
+  const auto n = std::uint64_t(env_.graph.num_nodes());
+  Rng rng(19);
+  std::vector<std::uint32_t> writes(kGuids, 0);
+  std::vector<int> calls;  // callbacks seen, per op
+  const auto insert = [&](std::uint32_t g) {
+    const std::size_t id = calls.size();
+    calls.push_back(0);
+    const std::uint32_t version = ++writes[g];
+    // The locator names its GUID: g * 1000 + version.
+    const NetworkAddress na{AsId(rng.NextBounded(n)), g * 1000 + version};
+    net.InsertAsync(Guid::FromSequence(g), na,
+                    [&calls, id, version](const UpdateResult& r) {
+                      ++calls[id];
+                      EXPECT_EQ(r.version, version) << "op " << id;
+                    });
+  };
+  const auto lookup = [&](std::uint32_t g) {
+    const std::size_t id = calls.size();
+    calls.push_back(0);
+    net.LookupAsync(Guid::FromSequence(g), AsId(rng.NextBounded(n)),
+                    [&calls, id, g](const LookupResult& r) {
+                      ++calls[id];
+                      if (!r.found) return;
+                      ASSERT_FALSE(r.nas.empty()) << "op " << id;
+                      EXPECT_EQ(r.nas[0].locator / 1000, g) << "op " << id;
+                    });
+  };
+
+  for (std::uint32_t g = 0; g < kGuids; ++g) insert(g);
+  net.simulator().Run();
+  for (int wave = 0; wave < 40; ++wave) {
+    for (int i = 0; i < 6; ++i) {
+      const auto g = std::uint32_t(rng.NextBounded(kGuids));
+      rng.NextBounded(5) == 0 ? insert(g) : lookup(g);
+    }
+    // Late copies of this wave's traffic are still in flight when the next
+    // wave takes over the slots its finished ops released.
+    net.simulator().RunUntil(net.simulator().Now() + SimTime::Millis(120));
+  }
+  net.simulator().Run();
+  for (std::size_t id = 0; id < calls.size(); ++id) {
+    EXPECT_EQ(calls[id], 1) << "op " << id;
+  }
+  EXPECT_GT(net.duplicates_delivered(), 0u);
+  EXPECT_GT(net.late_replies(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(ReadQuorum, WireOpSlotTest, testing::Values(1, 2));
+
 }  // namespace
 }  // namespace dmap

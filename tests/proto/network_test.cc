@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <unordered_map>
@@ -11,7 +12,9 @@
 
 #include "bgp/churn.h"
 #include "common/hash.h"
+#include "common/rng.h"
 #include "core/hole_resolver.h"
+#include "core/lookup_flow.h"
 #include "fault/fault_plan.h"
 #include "obs/probe_trace.h"
 #include "sim/environment.h"
@@ -615,6 +618,164 @@ TEST_F(ProtocolNetworkTest, InvalidArgumentsThrow) {
                std::invalid_argument);
   EXPECT_TRUE(env_.table.Lookup(record.prefix.First()).has_value());
 }
+
+// Seeded sweep over the wire's resolve-once rule. Each seed draws K, M,
+// the local replica and R in {1, K} on a small topology, then interleaves
+// inserts, batched handoffs, in-place BGP churn on the shared table,
+// WithdrawPrefixAsync and lookups, running each to completion. The network
+// reuses a client-written GUID's resolutions while the table's epoch is
+// unchanged; a reference resolver over the same table never does, so every
+// write must land on its fresh resolutions and every lookup must probe its
+// fresh plan: in plan order for R = 1, all K replicas for R = K.
+class WireResolutionMemoSweepTest : public testing::TestWithParam<int> {};
+
+TEST_P(WireResolutionMemoSweepTest, MatchesFreshResolution) {
+  const int seed = GetParam();
+  Rng rng(0x3e3e0000ULL + std::uint64_t(seed));
+  SimEnvironment env =
+      BuildEnvironment(EnvironmentParams::Scaled(120, 3000 + seed));
+  const AsId n = AsId(env.graph.num_nodes());
+  ProtocolNetworkOptions options;
+  options.k = int(rng.NextInRange(1, 5));
+  options.max_hashes = int(rng.NextInRange(1, 10));
+  options.local_replica = rng.NextBounded(2) == 0;
+  options.read_quorum = rng.NextBounded(2) == 0 ? 1 : options.k;
+  ProtocolNetwork net(env.graph, env.table, options);
+  ProbeTracer tracer(1, 1);  // traces every lookup
+  net.SetTracer(&tracer);
+  const GuidHashFamily hashes(options.k, options.hash_seed);
+  const HoleResolver reference(hashes, env.table, options.max_hashes);
+
+  constexpr std::uint64_t kGuids = 24;
+  std::vector<std::uint64_t> versions(kGuids, 0);  // 0 = never written
+  std::uint32_t locator = 1;
+  std::vector<PrefixRecord> withdrawn;
+  const auto pick_as = [&] { return AsId(rng.NextBounded(n)); };
+  // Every fresh replica host holds `g` at `version`.
+  const auto expect_stored = [&](const Guid& g, std::uint64_t version,
+                                 int step) {
+    for (const HostResolution& r : reference.ResolveAll(g)) {
+      const MappingEntry* entry = net.node(r.host).store().Lookup(g);
+      ASSERT_NE(entry, nullptr) << "step " << step;
+      EXPECT_EQ(entry->version, version) << "step " << step;
+    }
+  };
+
+  int lookups = 0;
+  for (int step = 0; step < 160; ++step) {
+    const std::uint64_t op = rng.NextBounded(100);
+    const std::uint64_t index = rng.NextBounded(kGuids);
+    const Guid g = Guid::FromSequence(index);
+    if (op < 15) {
+      std::optional<UpdateResult> result;
+      net.InsertAsync(g, NetworkAddress{pick_as(), locator++},
+                      [&](const UpdateResult& r) { result = r; });
+      net.simulator().Run();
+      ASSERT_TRUE(result.has_value()) << "step " << step;
+      ++versions[index];
+      const std::vector<HostResolution> fresh = reference.ResolveAll(g);
+      ASSERT_EQ(result->replicas.size(), fresh.size()) << "step " << step;
+      for (std::size_t i = 0; i < fresh.size(); ++i) {
+        EXPECT_EQ(result->replicas[i], fresh[i].host) << "step " << step;
+      }
+      expect_stored(g, versions[index], step);
+    } else if (op < 25) {
+      const AsId to = pick_as();
+      std::vector<std::pair<Guid, NetworkAddress>> moves;
+      std::vector<std::uint64_t> moved;
+      for (std::uint64_t j = 0; j < kGuids && moves.size() < 4; ++j) {
+        const std::uint64_t m = (index + j) % kGuids;
+        if (versions[m] == 0 || rng.NextBounded(2) == 0) continue;
+        moves.emplace_back(Guid::FromSequence(m),
+                           NetworkAddress{to, locator++});
+        moved.push_back(m);
+      }
+      bool done = false;
+      net.BatchUpdateAsync(moves, [&](const BatchUpdateResult&) {
+        done = true;
+      });
+      net.simulator().Run();
+      ASSERT_TRUE(done) << "step " << step;
+      for (const std::uint64_t m : moved) {
+        expect_stored(Guid::FromSequence(m), ++versions[m], step);
+      }
+    } else if (op < 32) {
+      // In-place BGP churn on the shared table, aimed at the prefix holding
+      // one of g's replicas so that it moves.
+      const Ipv4Address stored =
+          reference.ResolveAll(g)[rng.NextBounded(std::uint64_t(options.k))]
+              .stored_address;
+      const std::uint64_t kind = rng.NextBounded(3);
+      if (kind == 0 && !withdrawn.empty()) {
+        (void)env.table.Announce(withdrawn.back().prefix, pick_as());
+        withdrawn.pop_back();
+      } else if (kind == 1 && env.table.num_prefixes() > 8) {
+        const std::optional<PrefixRecord> victim = env.table.Lookup(stored);
+        ASSERT_TRUE(victim.has_value());
+        ASSERT_TRUE(env.table.Withdraw(victim->prefix));
+        withdrawn.push_back(*victim);
+      } else {
+        (void)env.table.Announce(Cidr(stored, int(rng.NextInRange(16, 28))),
+                                 pick_as());
+      }
+    } else if (op < 37) {
+      // The Section III-D-1 withdrawal, end to end, of the prefix holding
+      // one of g's replicas.
+      if (env.table.num_prefixes() <= 8) continue;
+      const Ipv4Address stored =
+          reference.ResolveAll(g)[rng.NextBounded(std::uint64_t(options.k))]
+              .stored_address;
+      const std::optional<PrefixRecord> victim = env.table.Lookup(stored);
+      ASSERT_TRUE(victim.has_value());
+      bool done = false;
+      net.WithdrawPrefixAsync(victim->prefix, victim->owner, env.table,
+                              [&](int) { done = true; });
+      net.simulator().Run();
+      ASSERT_TRUE(done) << "step " << step;
+      withdrawn.push_back(*victim);
+    } else {
+      const AsId querier = pick_as();
+      bool done = false;
+      net.LookupAsync(g, querier, [&](const LookupResult&) { done = true; });
+      net.simulator().Run();
+      ASSERT_TRUE(done) << "step " << step;
+      ++lookups;
+      const std::vector<PlannedProbe> want =
+          PlanProbes(reference.ResolveAll(g), querier,
+                     ReplicaSelection::kLowestRtt, net.oracle());
+      const std::vector<ProbeTrace> traces = tracer.Drain();
+      ASSERT_EQ(traces.size(), 1u) << "step " << step;
+      const std::vector<ProbeEvent>& probes = traces.front().probes;
+      if (options.read_quorum == 1) {
+        // The sequential walk: a prefix of the plan, in order. A timeout
+        // is charged its wait, an answer its round trip.
+        ASSERT_LE(probes.size(), want.size()) << "step " << step;
+        for (std::size_t i = 0; i < probes.size(); ++i) {
+          EXPECT_EQ(probes[i].replica, want[i].host) << "step " << step;
+          if (probes[i].outcome != ProbeOutcome::kTimeout) {
+            EXPECT_EQ(probes[i].rtt_ms, want[i].rtt) << "step " << step;
+          }
+        }
+      } else {
+        // K concurrent streams: every replica answers or times out (a late
+        // answer after a timeout is traced too).
+        std::vector<AsId> got_hosts, want_hosts;
+        for (const ProbeEvent& p : probes) got_hosts.push_back(p.replica);
+        for (const PlannedProbe& p : want) want_hosts.push_back(p.host);
+        for (std::vector<AsId>* hosts : {&got_hosts, &want_hosts}) {
+          std::sort(hosts->begin(), hosts->end());
+          hosts->erase(std::unique(hosts->begin(), hosts->end()),
+                       hosts->end());
+        }
+        EXPECT_EQ(got_hosts, want_hosts) << "step " << step;
+      }
+    }
+  }
+  EXPECT_GT(lookups, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, WireResolutionMemoSweepTest,
+                         testing::Range(0, 64));
 
 }  // namespace
 }  // namespace dmap

@@ -18,7 +18,9 @@
 # stored resolutions), fig6 (Algorithm 1 through the resolver's DIR-24-8
 # snapshot), ablation_convergence (Rehome after churn of the service's own
 # table, where stored resolutions go stale), chaos_sweep
-# and fig9 (wire protocol under faults and quorums), fig8 (event-driven
+# and fig9 (wire protocol under faults and quorums; their stdout tables
+# carry the wire's own counts: availability, retransmits and repairs,
+# stale reads, quorum failures and anti-entropy repairs), fig8 (event-driven
 # executor with a serving tier), fig10 (mobility and cache, at one worker
 # and at four, so the cache's serial and shard-parallel fill merges are
 # both covered), ablation_staleness (the mobility-staleness harness,
@@ -56,9 +58,9 @@ commands=(
   "fig7|fig7_analytical --scale 0.05 --threads 4 --metrics-out metrics.json|metrics.json stdout"
   "fig5|fig5_churn --scale 0.05 --threads 4 --metrics-out metrics.json|metrics.json stdout"
   "fig6|fig6_load_balance --scale 0.05 --threads 4 --metrics-out metrics.json|metrics.json stdout"
-  "chaos|chaos_sweep --scale 0.02 --threads 4 --fault-plan $root/configs/chaos_smoke.plan --fault-seed 7 --metrics-out metrics.json --trace-out trace.csv|metrics.json trace.csv"
+  "chaos|chaos_sweep --scale 0.02 --threads 4 --fault-plan $root/configs/chaos_smoke.plan --fault-seed 7 --metrics-out metrics.json --trace-out trace.csv|metrics.json trace.csv stdout"
   "fig8|fig8_offered_load --scale 0.1 --threads 4 --metrics-out metrics.json --trace-out trace.csv|metrics.json trace.csv"
-  "fig9|fig9_consistency --scale 0.05 --threads 4 --fault-plan $root/configs/fig9_consistency.plan --metrics-out metrics.json --trace-out trace.csv|metrics.json trace.csv"
+  "fig9|fig9_consistency --scale 0.05 --threads 4 --fault-plan $root/configs/fig9_consistency.plan --metrics-out metrics.json --trace-out trace.csv|metrics.json trace.csv stdout"
   "fig10|fig10_mobility --scale 0.05 --threads 4 --metrics-out metrics.json|metrics.json stdout"
   "fig10-t1|fig10_mobility --scale 0.05 --threads 1 --metrics-out metrics.json|metrics.json stdout"
   "staleness|ablation_staleness --scale 0.05 --threads 4 --metrics-out metrics.json --trace-out trace.csv|metrics.json trace.csv stdout"
