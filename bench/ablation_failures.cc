@@ -10,6 +10,7 @@
 // full availability at 10% failures while K = 1 loses 10% of lookups.
 #include <algorithm>
 #include <cstdio>
+#include <stdexcept>
 
 #include "bench/bench_util.h"
 #include "runtime/thread_pool.h"
@@ -36,9 +37,15 @@ int main(int argc, char** argv) {
 
   // A --fault-plan contributes its crash/outage ASs (outages expanded to
   // the customer cone) as statically failed in every row — the closed-form
-  // path has no clock, so the plan's window timings collapse to "down".
+  // path has no clock, so the plan's window timings collapse to "down". A
+  // plan naming an AS this topology lacks exits 2, as a bad flag does.
   std::vector<AsId> planned_failures;
   if (!fault_plan.path.empty()) {
+    try {
+      fault_plan.plan.CheckAses(env.graph);
+    } catch (const std::invalid_argument& e) {
+      args.Reject("fault_plan", fault_plan.path, e.what());
+    }
     for (const CrashWindow& window : fault_plan.plan.crashes) {
       planned_failures.push_back(window.as);
     }

@@ -19,7 +19,7 @@ function(dmap_add_bench name unread)
   set_tests_properties(${name}_cli PROPERTIES TIMEOUT 30)
 endfunction()
 
-dmap_add_bench(fig4_response_time --cache=64)
+dmap_add_bench(fig4_response_time --write-quorum=1)
 dmap_add_bench(fig5_churn --write-quorum=1)
 dmap_add_bench(fig6_load_balance --cache=64)
 dmap_add_bench(fig7_analytical --serving=service_rate=500)
@@ -28,6 +28,11 @@ dmap_add_bench(storage_overhead --shards=16)
 dmap_add_bench(ablation_baselines --batch-updates=8)
 dmap_add_bench(ablation_dmap --cache=64)
 dmap_add_bench(ablation_failures --fault-seed=7)
+add_test(NAME ablation_failures_unknown_as
+         COMMAND ${CMAKE_COMMAND} -DBENCH=$<TARGET_FILE:ablation_failures>
+                 -DPLAN=${CMAKE_SOURCE_DIR}/tests/bench/unknown_as.plan
+                 -P ${CMAKE_SOURCE_DIR}/tests/bench/unknown_as_plan.cmake)
+set_tests_properties(ablation_failures_unknown_as PROPERTIES TIMEOUT 30)
 dmap_add_bench(ablation_convergence --anti-entropy=5)
 dmap_add_bench(ablation_staleness --cache=64)
 dmap_add_bench(chaos_sweep --anti-entropy=5)

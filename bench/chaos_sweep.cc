@@ -30,22 +30,6 @@ namespace {
 
 using namespace dmap;
 
-// Shifts every scheduled window by `offset`, so a plan authored relative
-// to "start of chaos" lands after the (fault-free) insert phase.
-FaultPlan ShiftPlan(FaultPlan plan, SimTime offset) {
-  for (std::vector<CrashWindow>* windows : {&plan.crashes, &plan.outages}) {
-    for (CrashWindow& window : *windows) {
-      window.down_at += offset;
-      if (window.up_at < FailureView::kForever) window.up_at += offset;
-    }
-  }
-  for (PartitionWindow& window : plan.partitions) {
-    window.down_at += offset;
-    if (window.up_at < FailureView::kForever) window.up_at += offset;
-  }
-  return plan;
-}
-
 struct TrialResult {
   std::uint64_t found = 0;
   std::uint64_t total = 0;

@@ -19,7 +19,6 @@ int main(int argc, char** argv) {
   const double scale = bench::Scale(args);
   const SimConfig sim = SimConfig::FromConfig(args);
   const int shards = SimConfig::Shards(args);
-  const std::optional<int> write_quorum = bench::WriteQuorum(args);
   bench::CheckArgs(args);
 
   std::printf("=== Figure 4 / Table I: query response time vs K ===\n");
@@ -33,10 +32,6 @@ int main(int argc, char** argv) {
   ResponseTimeConfig config;
   config.threads = sim.threads;
   config.shards = shards;
-  // Lookup-only sweep: inserts are unmeasured, so every quorum setting
-  // produces identical output — CI pins --write-quorum=1 here to assert
-  // exactly that against the pre-quorum golden export.
-  if (write_quorum) config.write_quorum = *write_quorum;
   config.metrics = obs.registry();
   config.tracer = obs.tracer();
   config.workload.num_guids = bench::Scaled(100'000, scale, 1000);

@@ -26,14 +26,14 @@ int main(int argc, char** argv) {
       bench::ScaledU32(26424, scale, 300)));
 
   ObservabilitySinks obs(sim);
-  ChurnExperimentConfig config;
-  config.base.threads = sim.threads;
-  config.base.shards = shards;
-  config.base.metrics = obs.registry();
-  config.base.tracer = obs.tracer();
-  config.base.k = 5;
-  config.base.workload.num_guids = bench::Scaled(100'000, scale, 1000);
-  config.base.workload.num_lookups = bench::Scaled(300'000, scale, 10'000);
+  ResponseTimeConfig config;
+  config.threads = sim.threads;
+  config.shards = shards;
+  config.metrics = obs.registry();
+  config.tracer = obs.tracer();
+  config.k = 5;
+  config.workload.num_guids = bench::Scaled(100'000, scale, 1000);
+  config.workload.num_lookups = bench::Scaled(300'000, scale, 10'000);
 
   const auto sweep = RunChurnSweep(env, {0.0, 0.05, 0.10}, config);
 

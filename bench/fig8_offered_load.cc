@@ -103,7 +103,7 @@ int main(int argc, char** argv) {
       config.base.workload.popularity_q = skew.q;
       config.base.threads = sim.threads;
       config.base.shards = shards;
-      config.base.serving = serving;
+      config.serving = serving;
       config.base.metrics = obs.registry();
       config.base.tracer = obs.tracer();
 

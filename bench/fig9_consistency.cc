@@ -51,22 +51,6 @@ namespace {
 
 using namespace dmap;
 
-// Shifts every scheduled window by `offset`, so a plan authored relative
-// to "start of chaos" lands after the (fault-free) insert phase.
-FaultPlan ShiftPlan(FaultPlan plan, SimTime offset) {
-  for (std::vector<CrashWindow>* windows : {&plan.crashes, &plan.outages}) {
-    for (CrashWindow& window : *windows) {
-      window.down_at += offset;
-      if (window.up_at < FailureView::kForever) window.up_at += offset;
-    }
-  }
-  for (PartitionWindow& window : plan.partitions) {
-    window.down_at += offset;
-    if (window.up_at < FailureView::kForever) window.up_at += offset;
-  }
-  return plan;
-}
-
 struct Leg {
   std::string label;
   int write_quorum;   // ProtocolNetworkOptions::write_quorum
@@ -319,7 +303,7 @@ int main(int argc, char** argv) {
             std::uint64_t(leg.anti_entropy);
         std::uint64_t zero_streak = 0;
         while (true) {
-          const int sent = net.RunAntiEntropyRound(leg.anti_entropy);
+          const int sent = net.RunAntiEntropyRound();
           ++result.ae_rounds;
           if (sent == 0) {
             if (++zero_streak >= wrap_rounds) break;

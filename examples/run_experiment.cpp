@@ -58,7 +58,7 @@ int Run(const Config& config, bool print_defaults) {
       config.GetInt<std::uint64_t>("lookups", 100'000, 1, 1'000'000'000);
   rt.workload.seed = config.GetInt<std::uint64_t>("workload_seed", 1);
   rt.local_replica = config.GetBool("local_replica", true);
-  rt.serving = ServingConfig::FromOption(config);
+  const ServingConfig serving = ServingConfig::FromOption(config);
 
   std::vector<int> ks;
   for (const std::int64_t k : config.GetIntList("ks", {1, 3, 5}, 1, 256)) {
@@ -170,9 +170,8 @@ int Run(const Config& config, bool print_defaults) {
     }
     std::printf("%s", table.Render().c_str());
   } else if (experiment == "churn") {
-    ChurnExperimentConfig churn;
-    churn.base = rt;
-    churn.base.k = ks.empty() ? 5 : ks.back();
+    ResponseTimeConfig churn = rt;
+    churn.k = ks.empty() ? 5 : ks.back();
     const auto sweep = RunChurnSweep(env, churn_fractions, churn);
     TextTable table({"churn", "lookups", "mean (ms)", "median (ms)",
                      "p95 (ms)"});
@@ -225,12 +224,13 @@ int Run(const Config& config, bool print_defaults) {
     OfferedLoadConfig ol;
     ol.base = rt;
     ol.base.k = ks.empty() ? 5 : ks.back();
-    if (!ol.base.serving.enabled) {
+    ol.serving = serving;
+    if (!ol.serving.enabled) {
       // No `serving` key: a sensible finite default, matching the fig8
       // bench — an M/M/1-per-AS with a 64-deep queue.
-      ol.base.serving.enabled = true;
-      ol.base.serving.model = ServiceModel::kExponential;
-      ol.base.serving.service_rate_per_s = 500.0;
+      ol.serving.enabled = true;
+      ol.serving.model = ServiceModel::kExponential;
+      ol.serving.service_rate_per_s = 500.0;
     }
     ol.arrivals.horizon_s = horizon_s;
     ol.offered_rates_per_s = offered_rates;

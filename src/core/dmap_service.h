@@ -268,7 +268,6 @@ class DMapService {
   void AdvanceCacheTime(SimTime now) WRITE_SERIAL_READ_SHARED() {
     if (now > cache_now_) cache_now_ = now;
   }
-  SimTime cache_now() const { return cache_now_; }
 
   // Observability (src/obs/). Both default to off: the uninstrumented hot
   // path pays a single predictable `if (ptr)` branch per operation.
@@ -343,7 +342,6 @@ class DMapService {
   // effect on that path.
   void SetFailureView(const FailureView& view) { failures_ = view; }
   const FailureView& failure_view() const { return failures_; }
-  FailureView& failure_view() { return failures_; }
 
   // Re-derives the replica set of `guid` against the current authoritative
   // table and migrates entries accordingly — the net effect of the
@@ -384,7 +382,6 @@ class DMapService {
   const MappingEntry* StoreLookup(AsId as, const Guid& guid) const {
     return store_.Read(as, guid);
   }
-  std::size_t StoreSizeAt(AsId as) const { return store_.SizeAt(as); }
 
   // Introspection for tests/benches.
   const ShardedMappingStore& store() const { return store_; }

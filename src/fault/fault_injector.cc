@@ -1,8 +1,6 @@
 #include "fault/fault_injector.h"
 
 #include <algorithm>
-#include <stdexcept>
-#include <string>
 
 namespace dmap {
 
@@ -11,31 +9,16 @@ FaultInjector::FaultInjector(const FaultPlan& plan, std::uint64_t seed)
 
 void FaultInjector::InstallSchedule(const AsGraph& graph,
                                     FailureView& view) const {
+  plan_.CheckAses(graph);
   for (const CrashWindow& crash : plan_.crashes) {
-    if (crash.as >= graph.num_nodes()) {
-      throw std::invalid_argument("FaultPlan: crash names unknown AS " +
-                                  std::to_string(crash.as));
-    }
     view.AddWindow(crash.as, crash.down_at, crash.up_at);
   }
   for (const CrashWindow& outage : plan_.outages) {
-    if (outage.as >= graph.num_nodes()) {
-      throw std::invalid_argument("FaultPlan: outage names unknown AS " +
-                                  std::to_string(outage.as));
-    }
     for (const AsId as : CustomerCone(graph, outage.as)) {
       view.AddWindow(as, outage.down_at, outage.up_at);
     }
   }
   for (const PartitionWindow& cut : plan_.partitions) {
-    if (cut.a >= graph.num_nodes()) {
-      throw std::invalid_argument("FaultPlan: partition names unknown AS " +
-                                  std::to_string(cut.a));
-    }
-    if (cut.b >= graph.num_nodes()) {
-      throw std::invalid_argument("FaultPlan: partition names unknown AS " +
-                                  std::to_string(cut.b));
-    }
     view.AddPartition(cut.a, cut.b, cut.down_at, cut.up_at);
   }
 }

@@ -191,6 +191,32 @@ void FaultPlan::Validate() const {
   }
 }
 
+void FaultPlan::CheckAses(const AsGraph& graph) const {
+  const auto check = [&](AsId as, const char* kind) {
+    if (as >= graph.num_nodes()) {
+      throw std::invalid_argument("FaultPlan: " + std::string(kind) +
+                                  " names unknown AS " + std::to_string(as));
+    }
+  };
+  for (const CrashWindow& w : crashes) check(w.as, "crash");
+  for (const CrashWindow& w : outages) check(w.as, "outage");
+  for (const PartitionWindow& w : partitions) {
+    check(w.a, "partition");
+    check(w.b, "partition");
+  }
+}
+
+FaultPlan ShiftPlan(FaultPlan plan, SimTime offset) {
+  const auto shift = [offset](SimTime& down_at, SimTime& up_at) {
+    down_at += offset;
+    if (up_at < FailureView::kForever) up_at += offset;
+  };
+  for (CrashWindow& w : plan.crashes) shift(w.down_at, w.up_at);
+  for (CrashWindow& w : plan.outages) shift(w.down_at, w.up_at);
+  for (PartitionWindow& w : plan.partitions) shift(w.down_at, w.up_at);
+  return plan;
+}
+
 namespace {
 
 // Reads every key of a fault plan; `where` ends the unknown-key error, so

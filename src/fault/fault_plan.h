@@ -84,11 +84,20 @@ struct FaultPlan {
   // with down_at > up_at).
   void Validate() const;
 
+  // Throws std::invalid_argument naming the first crash, outage or
+  // partition AS that `graph` does not have.
+  void CheckAses(const AsGraph& graph) const;
+
   // Parsers; both Validate() before returning, and throw
   // std::invalid_argument naming the first key no field reads.
   static FaultPlan ParseString(const std::string& text);
   static FaultPlan ParseFile(const std::string& path);
 };
+
+// `plan` with every crash, outage and partition window moved `offset`
+// later, so a plan written relative to "start of chaos" lands after a
+// fault-free setup phase. A window that never ends still never ends.
+FaultPlan ShiftPlan(FaultPlan plan, SimTime offset);
 
 // Deterministic approximation of an AS's customer cone on the undirected
 // latency graph (which carries no provider/customer annotations): the AS

@@ -877,10 +877,12 @@ void ProtocolNetwork::SendRepairs(const Guid& guid, AsId src,
 // ---------------------------------------------------------------------------
 // Anti-entropy.
 
-int ProtocolNetwork::RunAntiEntropyRound(int budget) {
-  if (budget <= 0 || registry_.empty()) return 0;
+int ProtocolNetwork::RunAntiEntropyRound() {
+  // The budget is validated non-negative on construction.
+  const std::size_t examine = std::min(
+      std::size_t(options_.anti_entropy_budget), registry_.size());
+  if (examine == 0) return 0;
   int repairs = 0;
-  const std::size_t examine = std::min(std::size_t(budget), registry_.size());
   struct ReplicaState {
     WriteTarget target;
     const MappingEntry* entry = nullptr;

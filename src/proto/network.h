@@ -58,8 +58,8 @@ struct ProtocolNetworkOptions : ProtocolOptions {
   // maximum logical stamp, and read-repairs both empty and stale
   // repliers. Clamped to K.
   int read_quorum = 1;
-  // GUIDs examined per RunAntiEntropyRound call; 0 disables the round
-  // (calls become no-ops) and keeps the consistency.* instruments
+  // GUIDs examined per RunAntiEntropyRound call; 0 makes every call a
+  // no-op that returns 0, and keeps the consistency.* instruments
   // unregistered when W and R are also at their legacy settings.
   int anti_entropy_budget = 0;
 };
@@ -126,15 +126,15 @@ class ProtocolNetwork {
       std::function<void(const BatchUpdateResult&)> done);
 
   // One bounded anti-entropy sweep, run at the serial write point between
-  // event batches: examines up to `budget` registered GUIDs (a
+  // event batches: examines up to options().anti_entropy_budget GUIDs (a
   // deterministic cursor walks the insertion-ordered registry, wrapping)
   // and, for each, pushes the freshest replica's entry to every replica
   // whose stored stamp is behind — as real InsertRequests, subject to the
   // fault plan like any other message. Returns the number of repair
-  // writes sent. No-op (returns 0) when budget <= 0 or nothing was ever
-  // inserted. Must not run concurrently with event execution: it reads
-  // replica stores directly and schedules sends.
-  int RunAntiEntropyRound(int budget) REQUIRES_SERIAL();
+  // writes sent; 0 when the budget is 0 or nothing was ever inserted.
+  // Must not run concurrently with event execution: it reads replica
+  // stores directly and schedules sends.
+  int RunAntiEntropyRound() REQUIRES_SERIAL();
 
   // Resolves `guid` from `querier` with the full probe/fall-through logic.
   // A reply that arrives after its probe timed out still resolves the

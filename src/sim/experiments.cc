@@ -16,19 +16,23 @@
 #include "runtime/thread_pool.h"
 
 namespace dmap {
-namespace {
 
-DMapOptions MakeOptions(const ResponseTimeConfig& config) {
+DMapOptions ResponseTimeConfig::ServiceOptions() const {
   DMapOptions options;
-  options.k = config.k;
-  options.local_replica = config.local_replica;
-  options.selection = config.selection;
-  options.hash_seed = config.hash_seed;
-  options.store_shards = config.shards;
-  options.write_quorum = config.write_quorum;
+  options.k = k;
+  options.local_replica = local_replica;
+  options.selection = selection;
+  options.store_shards = shards;
   options.measure_update_latency = false;  // only lookups are measured
   return options;
 }
+
+namespace {
+
+// Seed of every churn view RunChurnSweep draws.
+constexpr std::uint64_t kChurnSeed = 99;
+// Seed of RunLoadBalanceExperiment's GUID stream.
+constexpr std::uint64_t kLoadBalanceGuidSeed = 11;
 
 void LoadMappings(DMapService& service, WorkloadGenerator& workload) {
   for (const InsertOp& op : workload.Inserts()) {
@@ -105,7 +109,7 @@ std::vector<Partition> PartitionRange(std::size_t n) {
 
 SampleSet RunResponseTimeExperiment(SimEnvironment& env,
                                     const ResponseTimeConfig& config) {
-  DMapService service(env.graph, env.table, MakeOptions(config));
+  DMapService service(env.graph, env.table, config.ServiceOptions());
   WireObservability(service, config);
   service.oracle().SetHubLabels(EnsureHubLabels(env, config.threads));
   WorkloadGenerator workload(env.graph, config.workload);
@@ -158,7 +162,7 @@ std::vector<std::pair<int, SampleSet>> RunResponseTimeSweep(
 
   ResponseTimeConfig max_config = config;
   max_config.k = k_max;
-  DMapService service(env.graph, env.table, MakeOptions(max_config));
+  DMapService service(env.graph, env.table, max_config.ServiceOptions());
   WireObservability(service, config);
   service.oracle().SetHubLabels(EnsureHubLabels(env, config.threads));
   WorkloadGenerator workload(env.graph, config.workload);
@@ -260,11 +264,11 @@ std::vector<std::pair<int, SampleSet>> RunResponseTimeSweep(
 
 std::vector<std::pair<double, SampleSet>> RunChurnSweep(
     SimEnvironment& env, const std::vector<double>& churn_fractions,
-    const ChurnExperimentConfig& config) {
-  DMapService service(env.graph, env.table, MakeOptions(config.base));
-  WireObservability(service, config.base);
-  service.oracle().SetHubLabels(EnsureHubLabels(env, config.base.threads));
-  WorkloadGenerator workload(env.graph, config.base.workload);
+    const ResponseTimeConfig& config) {
+  DMapService service(env.graph, env.table, config.ServiceOptions());
+  WireObservability(service, config);
+  service.oracle().SetHubLabels(EnsureHubLabels(env, config.threads));
+  WorkloadGenerator workload(env.graph, config.workload);
   LoadMappings(service, workload);
 
   // The network's BGP state moves on after the mappings were placed: per
@@ -279,7 +283,7 @@ std::vector<std::pair<double, SampleSet>> RunChurnSweep(
   for (const double fraction : churn_fractions) {
     PrefixTable view = env.table;
     if (fraction > 0) {
-      Rng rng(config.churn_seed);
+      Rng rng(kChurnSeed);
       ChurnParams churn;
       // Space-weighted withdrawals: an x% churn level displaces ~x% of
       // first probes, matching the paper's "x% lookup failures" (Figure 5).
@@ -292,12 +296,12 @@ std::vector<std::pair<double, SampleSet>> RunChurnSweep(
   }
 
   const std::vector<LookupOp> lookups =
-      workload.Lookups(config.base.workload.num_lookups);
+      workload.Lookups(config.workload.num_lookups);
   const std::vector<Partition> parts = PartitionBySource(lookups);
 
-  ThreadPool pool(config.base.threads);
+  ThreadPool pool(config.threads);
   service.oracle().SetNumShards(pool.size());
-  EnsureObsWorkers(config.base, pool.size());
+  EnsureObsWorkers(config, pool.size());
   std::vector<std::vector<SampleSet>> partial(
       parts.size(), std::vector<SampleSet>(views.size()));
   pool.RunChunks(parts.size(), [&](std::size_t p, unsigned worker) {
@@ -314,16 +318,16 @@ std::vector<std::pair<double, SampleSet>> RunChurnSweep(
   results.reserve(churn_fractions.size());
   for (const double fraction : churn_fractions) {
     results.emplace_back(fraction, SampleSet{});
-    results.back().second.Reserve(config.base.workload.num_lookups);
+    results.back().second.Reserve(config.workload.num_lookups);
   }
   for (std::size_t p = 0; p < parts.size(); ++p) {
     for (std::size_t v = 0; v < views.size(); ++v) {
       results[v].second.Append(partial[p][v]);
     }
   }
-  if (config.base.metrics != nullptr) {
-    ContributeOracleMetrics(service.oracle(), *config.base.metrics);
-    ContributeStoreMetrics(service.store(), *config.base.metrics);
+  if (config.metrics != nullptr) {
+    ContributeOracleMetrics(service.oracle(), *config.metrics);
+    ContributeStoreMetrics(service.store(), *config.metrics);
   }
   return results;
 }
@@ -332,7 +336,7 @@ LoadBalanceResult RunLoadBalanceExperiment(const SimEnvironment& env,
                                            const LoadBalanceConfig& config) {
   // Storage-placement only: resolve every GUID's K replica hosts and count.
   // No MappingStore is materialised, which keeps the 10^7-GUID point cheap.
-  const GuidHashFamily hashes(config.k, config.hash_seed);
+  const GuidHashFamily hashes(config.k, ProtocolOptions{}.hash_seed);
   HoleResolver resolver(hashes, env.table, config.max_hashes);
   resolver.RefreshSnapshot();
   if (config.metrics != nullptr) resolver.SetMetrics(config.metrics);
@@ -366,7 +370,7 @@ LoadBalanceResult RunLoadBalanceExperiment(const SimEnvironment& env,
       guids.clear();
       for (std::uint64_t i = begin; i < end; ++i) {
         guids.push_back(Guid::FromSequence(
-            i ^ (config.guid_seed * 0x9e3779b97f4a7c15ULL)));
+            i ^ (kLoadBalanceGuidSeed * 0x9e3779b97f4a7c15ULL)));
       }
       resolver.ResolveBatch(guids, resolved.data(), worker);
       for (std::size_t f = 0; f < guids.size() * std::size_t(config.k);
@@ -401,7 +405,7 @@ std::vector<BaselineComparisonRow> RunBaselineComparison(
   std::vector<std::unique_ptr<NameResolver>> schemes;
   DMapResolver* dmap_scheme = nullptr;
   {
-    DMapOptions options = MakeOptions(config);
+    DMapOptions options = config.ServiceOptions();
     options.measure_update_latency = true;
     auto dmap = std::make_unique<DMapResolver>(env.graph, env.table, options);
     dmap_scheme = dmap.get();

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "core/dmap_service.h"
-#include "serve/serving_config.h"
 #include "sim/environment.h"
 #include "sim/metrics.h"
 #include "workload/workload.h"
@@ -26,13 +25,6 @@ struct ResponseTimeConfig {
   WorkloadParams workload;
   bool local_replica = true;
   ReplicaSelection selection = ReplicaSelection::kLowestRtt;
-  std::uint64_t hash_seed = 0x5eedf00dULL;
-  // DMapOptions::write_quorum for the load/measurement service: 0 =
-  // majority, 1 = the legacy fire-and-wait-all discipline. Lookup-only
-  // sweeps are bit-identical for every value (inserts are unmeasured);
-  // the knob exists so the bench drivers can pin the legacy mode for the
-  // pre-quorum golden byte-diffs.
-  int write_quorum = 0;
   // Worker threads for the measurement loop; 0 = one per hardware thread
   // (or $DMAP_THREADS). Results do not depend on this value.
   unsigned threads = 0;
@@ -40,14 +32,6 @@ struct ResponseTimeConfig {
   // `threads`, a pure execution knob: results are bit-identical for any
   // value — asserted by tests and the CI --shards byte-diff job.
   int shards = 0;
-
-  // Mapping-server capacity model (src/serve/). Consulted only by the
-  // executors that play messages out in time — the event-driven path and
-  // the offered-load harness; the closed-form sweeps ignore it (they have
-  // no arrival process, so a queue is meaningless there). Disabled by
-  // default: every harness is bit-identical to the pre-serving-tier
-  // behaviour when `serving.enabled` is false.
-  ServingConfig serving;
 
   // Optional observability sinks (src/obs/); both must outlive the call.
   // When set, the harness sizes them for its worker count, meters the
@@ -57,6 +41,10 @@ struct ResponseTimeConfig {
   // `threads` value; only kExecution-tagged cache stats vary.
   MetricsRegistry* metrics = nullptr;
   ProbeTracer* tracer = nullptr;
+
+  // The service these settings describe, with update latencies unmeasured
+  // (only lookups are measured).
+  DMapOptions ServiceOptions() const;
 };
 
 SampleSet RunResponseTimeExperiment(SimEnvironment& env,
@@ -76,26 +64,22 @@ std::vector<std::pair<int, SampleSet>> RunResponseTimeSweep(
 
 // ---- Figure 5: response time under BGP churn -----------------------------
 
-struct ChurnExperimentConfig {
-  ResponseTimeConfig base;
-  std::uint64_t churn_seed = 99;
-};
-
 // One-pass sweep over several churn fractions: one service/placement, one
 // stale view per fraction, lookups iterated once so the latency oracle's
-// per-source cache is shared across fractions.
+// per-source cache is shared across fractions. Every fraction draws its
+// churn from the same fixed seed.
 std::vector<std::pair<double, SampleSet>> RunChurnSweep(
     SimEnvironment& env, const std::vector<double>& churn_fractions,
-    const ChurnExperimentConfig& config);
+    const ResponseTimeConfig& config);
 
 // ---- Figure 6: storage load balance (Normalized Load Ratio) --------------
 
+// GUID i of the sweep is Guid::FromSequence(i ^ (11 * 0x9e3779b97f4a7c15)),
+// placed by the network-wide hash family (ProtocolOptions::hash_seed).
 struct LoadBalanceConfig {
   int k = 5;
   int max_hashes = 10;
   std::uint64_t num_guids = 1'000'000;
-  std::uint64_t hash_seed = 0x5eedf00dULL;
-  std::uint64_t guid_seed = 11;
   // Worker threads for the GUID-range-partitioned resolve pass; 0 = one
   // per hardware thread. Results do not depend on this value.
   unsigned threads = 0;

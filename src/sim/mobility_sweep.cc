@@ -16,8 +16,6 @@ namespace {
 DMapOptions MakeOptions(const MobilityConfig& config) {
   DMapOptions options;
   options.k = config.k;
-  options.local_replica = config.local_replica;
-  options.hash_seed = config.hash_seed;
   options.store_shards = config.shards;
   options.measure_update_latency = true;
   return options;

@@ -40,8 +40,6 @@ struct MobilityConfig {
   MobilityParams mobility;
 
   int k = 5;
-  bool local_replica = true;
-  std::uint64_t hash_seed = 0x5eedf00dULL;
   int shards = 0;        // store shards (execution knob; results identical)
   unsigned threads = 0;  // sweep workers; 0 = hardware. Results identical.
 

@@ -10,17 +10,6 @@
 namespace dmap {
 namespace {
 
-DMapOptions MakeOptions(const ResponseTimeConfig& config) {
-  DMapOptions options;
-  options.k = config.k;
-  options.local_replica = config.local_replica;
-  options.selection = config.selection;
-  options.hash_seed = config.hash_seed;
-  options.store_shards = config.shards;
-  options.measure_update_latency = false;
-  return options;
-}
-
 // Shared-registry instruments of the sweep. Registered serially before the
 // parallel phase; workers only Add/Observe (the lock-free hot path). The
 // serve.* counters mirror the per-point tiers' totals — merged serially in
@@ -62,10 +51,10 @@ double EffectiveServiceRatePerS(const ServingConfig& config) {
 
 OfferedLoadResult RunOfferedLoadSweep(SimEnvironment& env,
                                       const OfferedLoadConfig& config) {
-  config.base.serving.Validate();
-  if (!config.base.serving.enabled) {
+  config.serving.Validate();
+  if (!config.serving.enabled) {
     throw std::invalid_argument(
-        "OfferedLoadConfig: base.serving.enabled must be true (an "
+        "OfferedLoadConfig: serving.enabled must be true (an "
         "infinite-capacity sweep has no saturation point)");
   }
   config.arrivals.Validate();
@@ -85,7 +74,7 @@ OfferedLoadResult RunOfferedLoadSweep(SimEnvironment& env,
   // measurement phase only reads (Plan/StoreLookup/oracle), which is
   // the same share-across-workers pattern as RunResponseTimeExperiment:
   // worker w's executor queries oracle shard w.
-  DMapService service(env.graph, env.table, MakeOptions(config.base));
+  DMapService service(env.graph, env.table, config.base.ServiceOptions());
   service.oracle().SetHubLabels(EnsureHubLabels(env, config.base.threads));
   WorkloadGenerator workload(env.graph, config.base.workload);
   for (const InsertOp& op : workload.Inserts()) {
@@ -104,7 +93,7 @@ OfferedLoadResult RunOfferedLoadSweep(SimEnvironment& env,
   }
   if (tracer != nullptr) tracer->EnsureWorkers(pool.size());
 
-  const double mu_eff = EffectiveServiceRatePerS(config.base.serving);
+  const double mu_eff = EffectiveServiceRatePerS(config.serving);
   const std::size_t num_points = config.offered_rates_per_s.size();
   OfferedLoadResult result;
   result.points.resize(num_points);
@@ -119,7 +108,7 @@ OfferedLoadResult RunOfferedLoadSweep(SimEnvironment& env,
     arrival_params.base_rate_per_s = offered;
     arrival_params.seed =
         config.arrivals.seed ^ (0x9e3779b97f4a7c15ULL * (point + 1));
-    ServingConfig serving = config.base.serving;
+    ServingConfig serving = config.serving;
     serving.seed ^= 0xbf58476d1ce4e5b9ULL * (point + 1);
 
     const OpenLoopArrivals generator(env.graph, workload, arrival_params);

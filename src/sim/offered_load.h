@@ -17,16 +17,19 @@
 #include <vector>
 
 #include "analysis/queueing.h"
+#include "serve/serving_config.h"
 #include "sim/experiments.h"
 #include "workload/arrivals.h"
 
 namespace dmap {
 
 struct OfferedLoadConfig {
-  // Service/topology/observability knobs, including `base.serving` (the
-  // capacity model — RunOfferedLoadSweep requires serving.enabled; an
-  // infinite-capacity offered-load sweep has no saturation to find).
+  // Service/topology/observability knobs.
   ResponseTimeConfig base;
+  // Mapping-server capacity model (src/serve/) of every point's tier.
+  // RunOfferedLoadSweep requires serving.enabled: an infinite-capacity
+  // offered-load sweep has no saturation to find.
+  ServingConfig serving;
   // Arrival-process template. `base_rate_per_s` is overridden by each sweep
   // point; diurnal/burst modulation applies on top of it, so "offered load"
   // below always means the pre-modulation base rate.
@@ -92,7 +95,7 @@ double EffectiveServiceRatePerS(const ServingConfig& config);
 
 // Runs the sweep. Placement (service build + mapping load) happens once;
 // each point replays lookups against the same read snapshots. Throws
-// std::invalid_argument if config.base.serving is disabled or invalid.
+// std::invalid_argument if config.serving is disabled or invalid.
 OfferedLoadResult RunOfferedLoadSweep(SimEnvironment& env,
                                       const OfferedLoadConfig& config);
 

@@ -11,6 +11,13 @@
 namespace dmap {
 namespace {
 
+// Mean time between queries per host, aggregated over its correspondents.
+constexpr double kMeanQueryIntervalS = 5.0;
+// The keep-checking retry interval after a stale answer.
+constexpr double kRecheckIntervalMs = 50.0;
+// Seed of the host GUIDs and of the move and query processes.
+constexpr std::uint64_t kSeed = 1;
+
 // Shared mutable state for the event processes.
 struct World {
   Simulator sim;
@@ -32,7 +39,7 @@ struct World {
   AliasSampler* source_sampler = nullptr;
 
   Guid HostGuid(std::uint32_t host) const {
-    return Guid::FromSequence(host ^ (config.seed * 0x9e3779b97f4a7c15ULL));
+    return Guid::FromSequence(host ^ (kSeed * 0x9e3779b97f4a7c15ULL));
   }
 };
 
@@ -114,7 +121,7 @@ void CheckOnce(World& world, std::uint32_t host, AsId querier,
     return;
   }
   world.sim.ScheduleAt(
-      answer_time + SimTime::Millis(world.config.recheck_interval_ms),
+      answer_time + SimTime::Millis(kRecheckIntervalMs),
       [&world, host, querier, first_query_time, rechecks] {
         CheckOnce(world, host, querier, first_query_time, rechecks + 1);
       });
@@ -128,7 +135,7 @@ void DoQuery(World& world, std::uint32_t host) {
 
 void ScheduleQuery(World& world, std::uint32_t host) {
   const double delay_s =
-      world.rng.NextExponential(world.config.mean_query_interval_s);
+      world.rng.NextExponential(kMeanQueryIntervalS);
   if ((world.sim.Now() + SimTime::Seconds(delay_s)).seconds() >
       world.config.duration_s) {
     return;
@@ -151,7 +158,7 @@ StalenessReport RunStalenessExperiment(SimEnvironment& env,
   World world;
   world.service = &service;
   world.graph = &env.graph;
-  world.rng = Rng(config.seed);
+  world.rng = Rng(kSeed);
   world.config = config;
   world.true_as.resize(config.num_hosts);
   world.next_locator.assign(config.num_hosts, 1);

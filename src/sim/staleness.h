@@ -23,14 +23,8 @@ struct StalenessConfig {
   // Mean time between moves per host (exponential). The paper motivates
   // vehicular scenarios where attachment changes many times per call.
   double mean_move_interval_s = 60.0;
-  // Mean time between queries per host (exponential, aggregated over all
-  // its correspondents).
-  double mean_query_interval_s = 5.0;
-  // The keep-checking retry interval after a stale answer.
-  double recheck_interval_ms = 50.0;
   double duration_s = 600.0;
   int k = 5;
-  std::uint64_t seed = 1;
   // Optional observability sinks (src/obs/). The staleness simulation runs
   // on the single-threaded event kernel, so only worker slab 0 is used.
   MetricsRegistry* metrics = nullptr;

@@ -86,10 +86,9 @@ const std::shared_ptr<const std::vector<T>>& PathOracle::LruCache<T>::Insert(
   return entries.front().second;
 }
 
-PathOracle::PathOracle(const AsGraph& graph, std::size_t capacity,
-                       unsigned num_shards)
+PathOracle::PathOracle(const AsGraph& graph, std::size_t capacity)
     : graph_(&graph), capacity_(capacity == 0 ? 1 : capacity) {
-  SetNumShards(num_shards);
+  SetNumShards(1);
 }
 
 void PathOracle::SetNumShards(unsigned num_shards) {

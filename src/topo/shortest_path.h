@@ -60,9 +60,9 @@ class PinnedVector {
 class PathOracle {
  public:
   // `capacity` bounds the number of cached source vectors per metric per
-  // shard; each vector costs ~4 bytes x num_nodes.
-  explicit PathOracle(const AsGraph& graph, std::size_t capacity = 64,
-                      unsigned num_shards = 1);
+  // shard; each vector costs ~4 bytes x num_nodes. One shard until
+  // SetNumShards.
+  explicit PathOracle(const AsGraph& graph, std::size_t capacity = 64);
 
   const AsGraph& graph() const { return *graph_; }
 

@@ -234,6 +234,60 @@ TEST(FaultPlanTest, ValidateChecksPartitionEntries) {
   EXPECT_THROW(plan.Validate(), std::invalid_argument);
 }
 
+TEST(FaultPlanTest, ShiftPlanMovesEveryWindowButForever) {
+  FaultPlan plan = FaultPlan::ParseString(R"(
+    drop_probability = 0.1
+    crash     = 12:100:500, 44:0:inf
+    outage    = 7:200:800
+    partition = 3|9:50:inf
+  )");
+  const SimTime offset = SimTime::Millis(1000.0);
+  const FaultPlan shifted = ShiftPlan(plan, offset);
+
+  EXPECT_DOUBLE_EQ(shifted.drop_probability, 0.1);
+  ASSERT_EQ(shifted.crashes.size(), 2u);
+  EXPECT_EQ(shifted.crashes[0].as, 12u);
+  EXPECT_EQ(shifted.crashes[0].down_at, SimTime::Millis(1100.0));
+  EXPECT_EQ(shifted.crashes[0].up_at, SimTime::Millis(1500.0));
+  EXPECT_EQ(shifted.crashes[1].down_at, SimTime::Millis(1000.0));
+  EXPECT_EQ(shifted.crashes[1].up_at, FailureView::kForever);
+  ASSERT_EQ(shifted.outages.size(), 1u);
+  EXPECT_EQ(shifted.outages[0].down_at, SimTime::Millis(1200.0));
+  EXPECT_EQ(shifted.outages[0].up_at, SimTime::Millis(1800.0));
+  ASSERT_EQ(shifted.partitions.size(), 1u);
+  EXPECT_EQ(shifted.partitions[0].down_at, SimTime::Millis(1050.0));
+  EXPECT_EQ(shifted.partitions[0].up_at, FailureView::kForever);
+  EXPECT_NO_THROW(shifted.Validate());
+
+  // A zero offset is the identity, and the input is left as it was.
+  const FaultPlan same = ShiftPlan(plan, SimTime::Zero());
+  EXPECT_EQ(same.crashes[0].down_at, plan.crashes[0].down_at);
+  EXPECT_EQ(same.partitions[0].up_at, plan.partitions[0].up_at);
+  EXPECT_EQ(plan.crashes[0].down_at, SimTime::Millis(100.0));
+}
+
+TEST(FaultPlanTest, CheckAsesNamesTheUnknownAs) {
+  const SimEnvironment env =
+      BuildEnvironment(EnvironmentParams::Scaled(50, 7));
+  const std::string past_end = std::to_string(env.graph.num_nodes());
+  const auto error_of = [&](const std::string& text) -> std::string {
+    try {
+      FaultPlan::ParseString(text).CheckAses(env.graph);
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "";
+  };
+  EXPECT_EQ(error_of("crash = 3:0:inf\noutage = 4:0:10\npartition = 1|2:0:5"),
+            "");
+  EXPECT_EQ(error_of("crash = 3:0:inf, " + past_end + ":0:inf"),
+            "FaultPlan: crash names unknown AS " + past_end);
+  EXPECT_EQ(error_of("outage = " + past_end + ":0:10"),
+            "FaultPlan: outage names unknown AS " + past_end);
+  EXPECT_EQ(error_of("partition = 1|" + past_end + ":0:5"),
+            "FaultPlan: partition names unknown AS " + past_end);
+}
+
 TEST(FaultPlanTest, CustomerConeTakesLowerDegreeNeighbors) {
   const SimEnvironment env =
       BuildEnvironment(EnvironmentParams::Scaled(200, 7));

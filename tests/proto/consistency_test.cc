@@ -396,7 +396,7 @@ TEST_F(ConsistencyTest, AntiEntropyRefillsWipedReplica) {
   const AsId wiped = replicas[0][0];
   net.node(wiped).store().Clear();
 
-  const int sent = net.RunAntiEntropyRound(options.anti_entropy_budget);
+  const int sent = net.RunAntiEntropyRound();
   EXPECT_GT(sent, 0);
   EXPECT_EQ(net.anti_entropy_repairs(), std::uint64_t(sent));
   net.simulator().Run();  // deliver the repair writes
@@ -408,10 +408,29 @@ TEST_F(ConsistencyTest, AntiEntropyRefillsWipedReplica) {
     }
   }
   // Converged: the next full sweep finds nothing to push.
-  EXPECT_EQ(net.RunAntiEntropyRound(options.anti_entropy_budget), 0);
+  EXPECT_EQ(net.RunAntiEntropyRound(), 0);
+}
 
-  // Budget 0 disables the round outright.
-  EXPECT_EQ(net.RunAntiEntropyRound(0), 0);
+// A network built with anti_entropy_budget = 0 never repairs: the round
+// returns 0 and sends nothing, however stale its replicas are.
+TEST_F(ConsistencyTest, ZeroBudgetRoundSendsNothing) {
+  ProtocolNetworkOptions options = Options();
+  options.anti_entropy_budget = 0;
+  ProtocolNetwork net(env_.graph, env_.table, options);
+
+  const Guid g = Guid::FromSequence(410);
+  const auto result = Insert(net, g, NetworkAddress{10, 1});
+  ASSERT_TRUE(result.has_value());
+  const AsId wiped = result->replicas[0];
+  net.node(wiped).store().Clear();
+
+  const std::uint64_t sent_before = net.messages_sent();
+  EXPECT_EQ(net.RunAntiEntropyRound(), 0);
+  EXPECT_EQ(net.messages_sent(), sent_before);
+  EXPECT_EQ(net.anti_entropy_repairs(), 0u);
+  net.simulator().Run();
+  EXPECT_EQ(net.messages_sent(), sent_before);
+  EXPECT_EQ(net.node(wiped).store().Lookup(g), nullptr);
 }
 
 }  // namespace

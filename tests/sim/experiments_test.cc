@@ -47,10 +47,9 @@ TEST_F(ExperimentsTest, MoreReplicasReduceTailLatency) {
 }
 
 TEST_F(ExperimentsTest, ChurnZeroMatchesBaseline) {
-  ChurnExperimentConfig config;
-  config.base = SmallConfig(5);
+  const ResponseTimeConfig config = SmallConfig(5);
   const SampleSet churned = RunChurnSweep(env_, {0.0}, config)[0].second;
-  const SampleSet baseline = RunResponseTimeExperiment(env_, config.base);
+  const SampleSet baseline = RunResponseTimeExperiment(env_, config);
   ASSERT_EQ(churned.count(), baseline.count());
   EXPECT_NEAR(churned.mean(), baseline.mean(), 1e-9);
 }
@@ -58,10 +57,9 @@ TEST_F(ExperimentsTest, ChurnZeroMatchesBaseline) {
 TEST_F(ExperimentsTest, ChurnInflatesTail) {
   // Figure 5: 5-10% churn grows the 95th percentile while the median stays
   // nearly unchanged.
-  ChurnExperimentConfig config;
-  config.base = SmallConfig(5);
+  const ResponseTimeConfig config = SmallConfig(5);
   const SampleSet churned = RunChurnSweep(env_, {0.10}, config)[0].second;
-  const SampleSet baseline = RunResponseTimeExperiment(env_, config.base);
+  const SampleSet baseline = RunResponseTimeExperiment(env_, config);
   EXPECT_GT(churned.Quantile(0.95), baseline.Quantile(0.95));
   EXPECT_NEAR(churned.Quantile(0.5), baseline.Quantile(0.5),
               baseline.Quantile(0.5) * 0.35);
@@ -91,13 +89,13 @@ TEST_F(ExperimentsTest, LoadBalanceFastPathChangesNothing) {
   config.num_guids = 20'000;
   const LoadBalanceResult fast = RunLoadBalanceExperiment(env_, config);
 
-  const GuidHashFamily hashes(config.k, config.hash_seed);
+  const GuidHashFamily hashes(config.k, ProtocolOptions{}.hash_seed);
   const HoleResolver trie(hashes, env_.table, config.max_hashes);
   std::vector<std::uint64_t> counts(env_.graph.num_nodes(), 0);
   LoadBalanceResult slow;
   for (std::uint64_t i = 0; i < config.num_guids; ++i) {
-    const Guid guid =
-        Guid::FromSequence(i ^ (config.guid_seed * 0x9e3779b97f4a7c15ULL));
+    // The experiment's GUID stream (see LoadBalanceConfig).
+    const Guid guid = Guid::FromSequence(i ^ (11 * 0x9e3779b97f4a7c15ULL));
     for (const HostResolution& r : trie.ResolveAll(guid)) {
       ++counts[r.host];
       slow.total_hash_evals += std::uint64_t(r.hash_count);
@@ -144,8 +142,7 @@ TEST_F(ExperimentsTest, SweepAgreesWithIndependentRuns) {
 TEST_F(ExperimentsTest, ChurnSweepAgreesWithIndependentRuns) {
   // Sharing one placement and one pass over the lookups across fractions
   // changes no sample: each fraction's curve is the single-fraction sweep's.
-  ChurnExperimentConfig config;
-  config.base = SmallConfig(5);
+  const ResponseTimeConfig config = SmallConfig(5);
   const auto sweep = RunChurnSweep(env_, {0.0, 0.10}, config);
   ASSERT_EQ(sweep.size(), 2u);
   for (const auto& [fraction, samples] : sweep) {
@@ -202,14 +199,12 @@ TEST_F(ExperimentsTest, SweepIsBitIdenticalAcrossThreadCounts) {
 }
 
 TEST_F(ExperimentsTest, ChurnSweepIsBitIdenticalAcrossThreadCounts) {
-  ChurnExperimentConfig serial;
-  serial.base = SmallConfig(5);
-  serial.base.threads = 1;
+  ResponseTimeConfig serial = SmallConfig(5);
+  serial.threads = 1;
   const auto reference = RunChurnSweep(env_, {0.0, 0.10}, serial);
   for (const unsigned threads : {2u, 7u}) {
-    ChurnExperimentConfig parallel;
-    parallel.base = SmallConfig(5);
-    parallel.base.threads = threads;
+    ResponseTimeConfig parallel = SmallConfig(5);
+    parallel.threads = threads;
     const auto sweep = RunChurnSweep(env_, {0.0, 0.10}, parallel);
     ASSERT_EQ(sweep.size(), reference.size());
     for (std::size_t v = 0; v < sweep.size(); ++v) {
@@ -251,9 +246,7 @@ TEST_F(ExperimentsTest, MetricsExportIsByteIdenticalAcrossThreadCounts) {
     config.metrics = &registry;
     config.tracer = &tracer;
     RunResponseTimeSweep(env_, {1, 3}, config);
-    ChurnExperimentConfig churn;
-    churn.base = config;
-    RunChurnSweep(env_, {0.05}, churn);
+    RunChurnSweep(env_, {0.05}, config);
     return std::make_pair(MetricsSummaryJson(registry.Snapshot()),
                           OpTraceCsv(tracer.Drain()));
   };
@@ -318,7 +311,7 @@ TEST_F(ExperimentsTest, MetricsSnapshotCountsWorkload) {
   MetricsRegistry registry;
   ResponseTimeConfig config = SmallConfig(3);
   config.metrics = &registry;
-  RunChurnSweep(env_, {0.0}, {config, 99});
+  RunChurnSweep(env_, {0.0}, config);
   std::uint64_t inserts = 0, lookups = 0;
   for (const CounterSnapshot& c : registry.Snapshot().counters) {
     if (c.name == "dmap.inserts") inserts = c.value;

@@ -21,10 +21,10 @@ class OfferedLoadTest : public testing::Test {
     OfferedLoadConfig config;
     config.base.k = 3;
     config.base.workload.num_guids = 300;
-    config.base.serving.enabled = true;
-    config.base.serving.model = ServiceModel::kExponential;
-    config.base.serving.service_rate_per_s = 200.0;  // 5 ms mean service
-    config.base.serving.queue_depth = 8;
+    config.serving.enabled = true;
+    config.serving.model = ServiceModel::kExponential;
+    config.serving.service_rate_per_s = 200.0;  // 5 ms mean service
+    config.serving.queue_depth = 8;
     config.arrivals.horizon_s = 2.0;
     config.offered_rates_per_s = {200.0, 800.0, 3200.0};
     return config;
@@ -51,7 +51,7 @@ bool SamePoint(const OfferedLoadPoint& a, const OfferedLoadPoint& b) {
 
 TEST_F(OfferedLoadTest, RejectsDisabledServingAndBadRates) {
   OfferedLoadConfig config = Config();
-  config.base.serving.enabled = false;
+  config.serving.enabled = false;
   EXPECT_THROW(RunOfferedLoadSweep(env_, config), std::invalid_argument);
 
   config = Config();

@@ -400,7 +400,8 @@ TEST(PathOracleHubBackendTest, RttsMsOnTwoShardsMatchesSerialRun) {
     }
   }
 
-  PathOracle oracle(g, 64, /*num_shards=*/2);
+  PathOracle oracle(g);
+  oracle.SetNumShards(2);
   oracle.SetHubLabels(&labels);
   std::vector<double> got[2];
   const auto run = [&](unsigned shard) {

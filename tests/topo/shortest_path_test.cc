@@ -139,7 +139,8 @@ TEST(PathOracleTest, ReFetchAfterEvictionRecomputes) {
 
 TEST(PathOracleTest, ShardsCacheIndependently) {
   const AsGraph g = MakeDiamond();
-  PathOracle oracle(g, 8, /*num_shards=*/2);
+  PathOracle oracle(g, 8);
+  oracle.SetNumShards(2);
   EXPECT_EQ(oracle.num_shards(), 2u);
   oracle.LinkLatencyMs(0, 1, /*shard=*/0);
   EXPECT_EQ(oracle.dijkstra_runs(), 1u);
@@ -154,7 +155,8 @@ TEST(PathOracleTest, ShardsCacheIndependently) {
 
 TEST(PathOracleTest, ShardsAgreeOnValues) {
   const AsGraph g = GenerateInternetTopology(ScaledTopologyParams(300, 11));
-  PathOracle oracle(g, 8, 3);
+  PathOracle oracle(g, 8);
+  oracle.SetNumShards(3);
   for (const auto& [a, b] :
        std::vector<std::pair<AsId, AsId>>{{3, 250}, {17, 100}, {0, 299}}) {
     const double reference = oracle.RttMs(a, b, 0);

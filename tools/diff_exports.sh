@@ -12,7 +12,9 @@
 # (default: a fresh mktemp directory, printed at the end) for inspection.
 #
 # The list covers the refactor-sensitive surfaces: the pre-quorum golden
-# commands of tools/determinism_table.sh, fig4 and fig7 (the closed-form
+# commands of tools/determinism_table.sh (chaos_sweep under
+# --write-quorum=1, and fig4 at its defaults: fig4 times no insert, so it
+# takes no quorum flag), fig4 and fig7 (the closed-form
 # multi-K sweep, RunResponseTimeSweep), fig5
 # (LookupWithView under stale BGP views, which never reuses a GUID's
 # stored resolutions), fig6 (Algorithm 1 through the resolver's DIR-24-8
@@ -53,7 +55,7 @@ mkdir -p "$out"
 # repo root.
 commands=(
   "golden-chaos|chaos_sweep --scale 0.05 --threads 1 --write-quorum=1 --metrics-out metrics.json|metrics.json"
-  "golden-fig4|fig4_response_time --scale 0.05 --threads 1 --write-quorum=1 --metrics-out metrics.json|metrics.json"
+  "golden-fig4|fig4_response_time --scale 0.05 --threads 1 --metrics-out metrics.json|metrics.json"
   "fig4|fig4_response_time --scale 0.02 --threads 4 --metrics-out metrics.json --trace-out trace.csv|metrics.json trace.csv"
   "fig7|fig7_analytical --scale 0.05 --threads 4 --metrics-out metrics.json|metrics.json stdout"
   "fig5|fig5_churn --scale 0.05 --threads 4 --metrics-out metrics.json|metrics.json stdout"
