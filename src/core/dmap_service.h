@@ -201,7 +201,9 @@ struct BatchUpdateResult {
   double latency_ms = -1.0;  // completion of the slowest destination ack
   int guids = 0;
   // BatchUpdateRequests a gateway would send: one per distinct
-  // destination AS holding any of the batch's global replicas.
+  // destination AS holding any of the batch's global replicas. The wire
+  // (ProtocolNetwork) sends, and counts, several for an AS whose share
+  // exceeds a frame's 65,535-entry limit.
   std::uint64_t messages = 0;
   // The K-per-GUID InsertRequest singletons the batch replaced.
   std::uint64_t unbatched_messages = 0;

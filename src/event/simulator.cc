@@ -1,6 +1,9 @@
 #include "event/simulator.h"
 
+#include <algorithm>
+#include <memory>
 #include <stdexcept>
+#include <utility>
 
 namespace dmap {
 namespace {
@@ -22,11 +25,20 @@ struct RepeatingTick {
 }  // namespace
 
 bool EventHandle::Cancel() {
-  if (!record_ || record_->done) return false;
-  record_->done = true;
-  record_->action = nullptr;  // release captured state eagerly
-  if (record_->cancelled_counter) ++*record_->cancelled_counter;
+  if (!pending()) return false;
+  // The captures are released when `action` leaves scope, after the
+  // simulator's bookkeeping is consistent again.
+  const std::function<void()> action = sim_->Retire(slot_);
+  ++sim_->cancelled_;
   return true;
+}
+
+std::function<void()> Simulator::Retire(std::uint32_t slot) {
+  Slot& s = slots_[slot];
+  std::function<void()> action = std::exchange(s.action, nullptr);
+  ++s.generation;
+  free_slots_.push_back(slot);
+  return action;
 }
 
 EventHandle Simulator::ScheduleAt(SimTime when, std::function<void()> action) {
@@ -34,11 +46,18 @@ EventHandle Simulator::ScheduleAt(SimTime when, std::function<void()> action) {
     throw std::invalid_argument(
         "Simulator::ScheduleAt: time in the past or NaN");
   }
-  auto record = std::make_shared<EventHandle::Record>();
-  record->action = std::move(action);
-  record->cancelled_counter = cancelled_count_;
-  queue_.push(QueueEntry{when, next_seq_++, record});
-  return EventHandle(record);
+  std::uint32_t slot = std::uint32_t(slots_.size());
+  if (free_slots_.empty()) {
+    slots_.emplace_back();
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  Slot& s = slots_[slot];
+  s.action = std::move(action);
+  queue_.push_back(QueueEntry{when, next_seq_++, slot, s.generation});
+  std::push_heap(queue_.begin(), queue_.end(), Later{});
+  return EventHandle(this, slot, s.generation);
 }
 
 EventHandle Simulator::ScheduleRepeating(SimTime period,
@@ -56,20 +75,24 @@ EventHandle Simulator::ScheduleRepeating(SimTime period,
 }
 
 bool Simulator::SkipCancelled() {
-  while (!queue_.empty() && queue_.top().record->done) {
-    queue_.pop();
-    --*cancelled_count_;
+  while (!queue_.empty() &&
+         !Live(queue_.front().slot, queue_.front().generation)) {
+    std::pop_heap(queue_.begin(), queue_.end(), Later{});
+    queue_.pop_back();
+    --cancelled_;
   }
   return !queue_.empty();
 }
 
 bool Simulator::Step() {
   if (!SkipCancelled()) return false;
-  QueueEntry entry = queue_.top();
-  queue_.pop();
+  std::pop_heap(queue_.begin(), queue_.end(), Later{});
+  const QueueEntry entry = queue_.back();
+  queue_.pop_back();
   now_ = entry.when;
-  entry.record->done = true;
-  auto action = std::move(entry.record->action);
+  // Retired before it runs: the action may schedule into this very slot,
+  // and a handle to the running event already reads !pending().
+  const std::function<void()> action = Retire(entry.slot);
   ++executed_;
   action();
   return true;
@@ -86,7 +109,7 @@ std::uint64_t Simulator::RunUntil(SimTime deadline) {
   stop_requested_ = false;
   std::uint64_t n = 0;
   while (!stop_requested_ && SkipCancelled() &&
-         queue_.top().when <= deadline) {
+         queue_.front().when <= deadline) {
     Step();
     ++n;
   }
@@ -97,13 +120,11 @@ void Simulator::Stop() {
   stop_requested_ = true;
   // A discarded event is retired like a cancelled one, so a handle to it
   // reads !pending() and its Cancel() is a no-op.
-  while (!queue_.empty()) {
-    EventHandle::Record& record = *queue_.top().record;
-    record.done = true;
-    record.action = nullptr;
-    queue_.pop();
+  for (const QueueEntry& entry : queue_) {
+    if (Live(entry.slot, entry.generation)) Retire(entry.slot);
   }
-  *cancelled_count_ = 0;
+  queue_.clear();
+  cancelled_ = 0;
 }
 
 }  // namespace dmap

@@ -1,7 +1,7 @@
 #include "proto/messages.h"
 
-#include <algorithm>
-#include <cstring>
+#include <array>
+#include <stdexcept>
 
 namespace dmap {
 namespace {
@@ -13,33 +13,36 @@ constexpr std::uint8_t kMagic1 = 0xAB;
 // (types 7/8). Older frames are rejected, not interpreted.
 constexpr std::uint8_t kVersion = 3;
 
-// Batch counts ride a u16; a larger batch must be split by the sender.
-constexpr std::size_t kMaxBatchEntries = 0xFFFF;
+// Fixed field widths of the wire format.
+constexpr std::size_t kHeaderBytes = 2 + 1 + 1 + 8 + 4 + 4;
+constexpr std::size_t kGuidBytes = Guid::kWords * 4;
+constexpr std::size_t kNaBytes = 4 + 4;
+constexpr std::size_t kBatchCountBytes = 2;
 
+std::size_t EntryBytes(const MappingEntry& entry) {
+  return 8 + 4 + 1 + kNaBytes * std::size_t(entry.nas.size());
+}
+
+// Appends fields to a buffer reserved to the message's EncodedSize, so no
+// append reallocates.
 class Writer {
  public:
   explicit Writer(std::vector<std::uint8_t>& out) : out_(&out) {}
 
   void U8(std::uint8_t v) { out_->push_back(v); }
-  void U16(std::uint16_t v) {
-    out_->push_back(std::uint8_t(v));
-    out_->push_back(std::uint8_t(v >> 8));
-  }
-  void U32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) out_->push_back(std::uint8_t(v >> (8 * i)));
-  }
-  void U64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) out_->push_back(std::uint8_t(v >> (8 * i)));
-  }
+  void U16(std::uint16_t v) { Le<2>(v); }
+  void U32(std::uint32_t v) { Le<4>(v); }
+  void U64(std::uint64_t v) { Le<8>(v); }
   void WriteGuid(const Guid& guid) {
+    std::array<std::uint8_t, kGuidBytes> bytes{};
     for (int w = 0; w < Guid::kWords; ++w) {
       const std::uint32_t v = guid.word(w);
       // Big-endian within the GUID, matching its textual form.
-      out_->push_back(std::uint8_t(v >> 24));
-      out_->push_back(std::uint8_t(v >> 16));
-      out_->push_back(std::uint8_t(v >> 8));
-      out_->push_back(std::uint8_t(v));
+      for (int i = 0; i < 4; ++i) {
+        bytes[std::size_t(4 * w + i)] = std::uint8_t(v >> (24 - 8 * i));
+      }
     }
+    out_->insert(out_->end(), bytes.begin(), bytes.end());
   }
   void WriteEntry(const MappingEntry& entry) {
     U64(entry.version);
@@ -52,8 +55,25 @@ class Writer {
   }
 
  private:
+  template <int N, typename T>
+  void Le(T v) {
+    std::array<std::uint8_t, N> bytes{};
+    for (int i = 0; i < N; ++i) {
+      bytes[std::size_t(i)] = std::uint8_t(v >> (8 * i));
+    }
+    out_->insert(out_->end(), bytes.begin(), bytes.end());
+  }
+
   std::vector<std::uint8_t>* out_;
 };
+
+// The u16 count of a batch; a larger batch must be split by the sender.
+std::uint16_t BatchCount(std::size_t entries) {
+  if (entries > kMaxBatchEntries) {
+    throw std::length_error("Encode: batch of more than 65535 entries");
+  }
+  return std::uint16_t(entries);
+}
 
 class Reader {
  public:
@@ -169,8 +189,9 @@ MessageHeader& MutableHeaderOf(Message& message) {
                     message);
 }
 
-std::vector<std::uint8_t> Encode(const Message& message) {
-  std::vector<std::uint8_t> out;
+void EncodeInto(const Message& message, std::vector<std::uint8_t>& out) {
+  out.clear();
+  out.reserve(EncodedSize(message));
   Writer w(out);
   EncodeHeader(w, TypeOf(message), HeaderOf(message));
   std::visit(
@@ -196,14 +217,14 @@ std::vector<std::uint8_t> Encode(const Message& message) {
           w.U8(m.found ? 1 : 0);
           if (m.found) w.WriteEntry(m.entry);
         } else if constexpr (std::is_same_v<T, BatchUpdateRequest>) {
-          w.U16(std::uint16_t(std::min(m.entries.size(), kMaxBatchEntries)));
+          w.U16(BatchCount(m.entries.size()));
           for (const BatchUpdateEntry& e : m.entries) {
             w.WriteGuid(e.guid);
             w.WriteEntry(e.entry);
             w.U32(e.stored_address.value());
           }
         } else {  // BatchUpdateResponse
-          w.U16(std::uint16_t(std::min(m.guids.size(), kMaxBatchEntries)));
+          w.U16(BatchCount(m.guids.size()));
           for (std::size_t i = 0; i < m.guids.size(); ++i) {
             w.WriteGuid(m.guids[i]);
             w.U8(i < m.applied.size() && m.applied[i] ? 1 : 0);
@@ -211,11 +232,40 @@ std::vector<std::uint8_t> Encode(const Message& message) {
         }
       },
       message);
+}
+
+std::vector<std::uint8_t> Encode(const Message& message) {
+  std::vector<std::uint8_t> out;
+  EncodeInto(message, out);
   return out;
 }
 
 std::size_t EncodedSize(const Message& message) {
-  return Encode(message).size();
+  return kHeaderBytes +
+         std::visit(
+             [](const auto& m) -> std::size_t {
+               using T = std::decay_t<decltype(m)>;
+               if constexpr (std::is_same_v<T, InsertRequest>) {
+                 return kGuidBytes + EntryBytes(m.entry) + 4;
+               } else if constexpr (std::is_same_v<T, InsertAck>) {
+                 return kGuidBytes + 1;
+               } else if constexpr (std::is_same_v<T, LookupRequest> ||
+                                    std::is_same_v<T, MigrateRequest>) {
+                 return kGuidBytes;
+               } else if constexpr (std::is_same_v<T, LookupResponse> ||
+                                    std::is_same_v<T, MigrateResponse>) {
+                 return kGuidBytes + 1 + (m.found ? EntryBytes(m.entry) : 0);
+               } else if constexpr (std::is_same_v<T, BatchUpdateRequest>) {
+                 std::size_t bytes = kBatchCountBytes;
+                 for (const BatchUpdateEntry& e : m.entries) {
+                   bytes += kGuidBytes + EntryBytes(e.entry) + 4;
+                 }
+                 return bytes;
+               } else {  // BatchUpdateResponse
+                 return kBatchCountBytes + m.guids.size() * (kGuidBytes + 1);
+               }
+             },
+             message);
 }
 
 std::optional<Message> Decode(std::span<const std::uint8_t> bytes) {

@@ -117,14 +117,24 @@ MessageType TypeOf(const Message& message);
 const MessageHeader& HeaderOf(const Message& message);
 MessageHeader& MutableHeaderOf(Message& message);
 
-// Serialises to the wire format.
+// Batch counts ride a u16; a larger batch must be split by the sender.
+inline constexpr std::size_t kMaxBatchEntries = 0xFFFF;
+
+// Serialises to the wire format into `out`, replacing its contents. The
+// buffer is reserved to EncodedSize first, so a reused buffer that has
+// grown to the message's size encodes without allocating. Throws
+// std::length_error for a batch of more than kMaxBatchEntries entries.
+void EncodeInto(const Message& message, std::vector<std::uint8_t>& out);
+
+// Serialises to the wire format (EncodeInto into a fresh vector).
 std::vector<std::uint8_t> Encode(const Message& message);
 
 // Parses one message; nullopt on any malformation (bad magic/version/type,
 // truncation, trailing bytes, NA count out of range).
 std::optional<Message> Decode(std::span<const std::uint8_t> bytes);
 
-// Wire size in bytes (exactly what Encode produces).
+// Wire size in bytes (exactly what Encode produces), from the message's
+// field counts alone.
 std::size_t EncodedSize(const Message& message);
 
 }  // namespace dmap

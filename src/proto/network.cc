@@ -130,36 +130,12 @@ void ProtocolNetwork::Send(const Message& message) {
   const MessageHeader header = HeaderOf(message);
   ++messages_sent_;
   // Encode to wire bytes: real serialisation cost + traffic accounting.
-  std::vector<std::uint8_t> wire = Encode(message);
-  bytes_sent_ += wire.size();
+  EncodeInto(message, wire_);
+  bytes_sent_ += wire_.size();
 
-  // Each copy owns its bytes and decodes them at delivery.
-  const auto schedule = [&](double latency_ms,
-                            std::vector<std::uint8_t> bytes) {
-    sim_.Schedule(
-        SimTime::Millis(latency_ms),
-        [this, bytes = std::move(bytes), src = header.src, dst = header.dst] {
-          // The destination's state at *delivery* time decides: a failure
-          // landing while the message is in flight swallows it, a recovery
-          // lets it through. A pairwise partition between the endpoints
-          // swallows it the same way — both ASs are up, they just cannot
-          // hear each other.
-          if (failures_.IsFailedAt(dst, sim_.Now()) ||
-              failures_.IsPartitionedAt(src, dst, sim_.Now())) {
-            ++messages_dropped_;
-            Bump(delivery_drops_, ins_.delivery_drops);
-            return;
-          }
-          const std::optional<Message> decoded = Decode(bytes);
-          if (!decoded) {
-            throw std::logic_error("ProtocolNetwork: wire corruption");
-          }
-          Deliver(*decoded);
-        });
-  };
   if (injector_ == nullptr) {
     ++message_seq_;
-    schedule(oracle_.OneWayMs(header.src, header.dst), std::move(wire));
+    Transmit(header.src, header.dst, oracle_.OneWayMs(header.src, header.dst));
     return;
   }
   const MessageFate fate = injector_->FateOf(message_seq_++);
@@ -173,10 +149,47 @@ void ProtocolNetwork::Send(const Message& message) {
          fate.delays_ms.size() - 1);
   }
   const double latency = oracle_.OneWayMs(header.src, header.dst);
-  for (std::size_t copy = 0; copy < fate.delays_ms.size(); ++copy) {
-    const bool last = copy + 1 == fate.delays_ms.size();
-    schedule(latency + fate.delays_ms[copy], last ? std::move(wire) : wire);
+  for (const double delay_ms : fate.delays_ms) {
+    Transmit(header.src, header.dst, latency + delay_ms);
   }
+}
+
+void ProtocolNetwork::Transmit(AsId src, AsId dst, double latency_ms) {
+  std::uint32_t slot = std::uint32_t(in_flight_.size());
+  if (free_in_flight_.empty()) {
+    in_flight_.emplace_back();
+  } else {
+    slot = free_in_flight_.back();
+    free_in_flight_.pop_back();
+  }
+  // Each copy owns its bytes and decodes them at delivery.
+  InFlight& copy = in_flight_[slot];
+  copy.bytes.assign(wire_.begin(), wire_.end());
+  copy.src = src;
+  copy.dst = dst;
+  sim_.Schedule(SimTime::Millis(latency_ms), [this, slot] { Arrive(slot); });
+}
+
+void ProtocolNetwork::Arrive(std::uint32_t slot) {
+  const InFlight& copy = in_flight_[slot];
+  // The destination's state at *delivery* time decides: a failure landing
+  // while the message is in flight swallows it, a recovery lets it through.
+  // A pairwise partition between the endpoints swallows it the same way —
+  // both ASs are up, they just cannot hear each other.
+  if (failures_.IsFailedAt(copy.dst, sim_.Now()) ||
+      failures_.IsPartitionedAt(copy.src, copy.dst, sim_.Now())) {
+    free_in_flight_.push_back(slot);
+    ++messages_dropped_;
+    Bump(delivery_drops_, ins_.delivery_drops);
+    return;
+  }
+  const std::optional<Message> decoded = Decode(copy.bytes);
+  // Freed before delivery: Deliver may Send and grow the pool.
+  free_in_flight_.push_back(slot);
+  if (!decoded) {
+    throw std::logic_error("ProtocolNetwork: wire corruption");
+  }
+  Deliver(*decoded);
 }
 
 void ProtocolNetwork::Deliver(const Message& message) {
@@ -197,10 +210,11 @@ void ProtocolNetwork::Deliver(const Message& message) {
 
   const MessageHeader& header = HeaderOf(message);
   // Node-to-node protocol traffic. (Responses whose client op already
-  // completed also land here; nodes ignore them.)
-  std::vector<Message> responses;
-  nodes_[header.dst]->HandleMessage(message, &responses);
-  for (Message& response : responses) {
+  // completed also land here; nodes ignore them.) Sending schedules, never
+  // delivers, so the replies buffer is not reentered.
+  responses_.clear();
+  nodes_[header.dst]->HandleMessage(message, &responses_);
+  for (const Message& response : responses_) {
     // The node fills src/dst; just transmit.
     Send(response);
   }
@@ -766,14 +780,25 @@ void ProtocolNetwork::BatchUpdateAsync(
     }
   }
 
-  // One message per destination, each on a write slot like an insert's.
-  batch.messages = order.size();
+  // One message per destination, each on a write slot like an insert's. A
+  // frame counts its entries in a u16, so a destination's share above
+  // kMaxBatchEntries goes out as several messages, each on its own slot.
   std::vector<Message> requests;
   requests.reserve(order.size());
   for (const AsId dst : order) {
-    requests.push_back(BatchUpdateRequest{
-        MessageHeader{op.request_id, src_as, dst}, std::move(grouped[dst])});
+    const MessageHeader header{op.request_id, src_as, dst};
+    std::vector<BatchUpdateEntry>& entries = grouped[dst];
+    std::size_t sent = 0;
+    for (; entries.size() - sent > kMaxBatchEntries;
+         sent += kMaxBatchEntries) {
+      const auto first = entries.begin() + std::ptrdiff_t(sent);
+      requests.push_back(BatchUpdateRequest{
+          header, {first, first + std::ptrdiff_t(kMaxBatchEntries)}});
+    }
+    entries.erase(entries.begin(), entries.begin() + std::ptrdiff_t(sent));
+    requests.push_back(BatchUpdateRequest{header, std::move(entries)});
   }
+  batch.messages = requests.size();
   StartWrite(op, std::move(requests));
 }
 

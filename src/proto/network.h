@@ -113,8 +113,9 @@ class ProtocolNetwork {
 
   // Batched mobility handoff (the fast path): all of a migrating host's
   // GUID updates — every move must share one destination AS — grouped per
-  // replica-host AS into one BatchUpdateRequest each, so the wave costs
-  // |distinct replica ASes| messages instead of K*N singleton inserts.
+  // replica-host AS into one BatchUpdateRequest each (several when an AS's
+  // share exceeds kMaxBatchEntries), so the wave costs about |distinct
+  // replica ASes| messages instead of K*N singleton inserts.
   // Replicas apply the entries atomically under the same stamp gate as
   // singleton writes, so store contents are bit-identical to issuing the
   // updates one by one. Each message runs on a write slot with W = 1: the
@@ -317,6 +318,13 @@ class ProtocolNetwork {
   // any) decides drop/duplicate/extra delay per message; the destination's
   // failure state is checked when each copy is *delivered*.
   void Send(const Message& message);
+  // Copies the encoded bytes into an in-flight slot and schedules their
+  // delivery `latency_ms` from now.
+  void Transmit(AsId src, AsId dst, double latency_ms);
+  // The delivery event of in-flight slot `slot`: drops the copy if its
+  // destination is down or cut off from its source, else decodes it, frees
+  // the slot and delivers.
+  void Arrive(std::uint32_t slot);
   void Deliver(const Message& message);
 
   // The record of a client-written GUID, or nullptr.
@@ -424,6 +432,20 @@ class ProtocolNetwork {
   std::size_t route_head_ = 0;
   std::uint64_t route_base_ = 1;
   std::uint64_t next_client_request_ = 1;
+
+  // Send encodes into `wire_`; each delivered copy takes an in-flight slot
+  // whose bytes keep their capacity from message to message, so a warm
+  // network sends without allocating. A delivery event captures only
+  // {this, slot}, which std::function stores inline.
+  struct InFlight {
+    std::vector<std::uint8_t> bytes;
+    AsId src = kInvalidAs;
+    AsId dst = kInvalidAs;
+  };
+  std::vector<std::uint8_t> wire_;
+  std::vector<InFlight> in_flight_;
+  std::vector<std::uint32_t> free_in_flight_;
+  std::vector<Message> responses_;  // a node's replies to one delivery
 
   std::uint64_t messages_sent_ = 0;
   std::uint64_t bytes_sent_ = 0;

@@ -158,6 +158,98 @@ TEST(SimulatorTest, StopRetiresDiscardedHandles) {
   EXPECT_TRUE(sim.Empty());
 }
 
+// Schedules one event while `stale`'s event is retired (so it takes the
+// freed slot) and checks that the stale handle can neither see nor cancel
+// it, with PendingEvents exact at every step.
+void ExpectStaleHandleLeavesReusedSlotAlone(Simulator& sim,
+                                            EventHandle stale) {
+  ASSERT_EQ(sim.PendingEvents(), 0u);
+  bool ran = false;
+  const EventHandle fresh =
+      sim.Schedule(SimTime::Millis(1), [&ran] { ran = true; });
+  EXPECT_EQ(sim.PendingEvents(), 1u);
+  EXPECT_FALSE(stale.pending());
+  EXPECT_FALSE(stale.Cancel());
+  EXPECT_TRUE(fresh.pending());
+  EXPECT_EQ(sim.PendingEvents(), 1u);
+  EXPECT_EQ(sim.Run(), 1u);
+  EXPECT_TRUE(ran);
+  EXPECT_FALSE(stale.pending());
+  EXPECT_FALSE(stale.Cancel());
+  EXPECT_TRUE(sim.Empty());
+}
+
+TEST(SimulatorTest, HandleToRunEventCannotReachItsReusedSlot) {
+  Simulator sim;
+  const EventHandle ran = sim.Schedule(SimTime::Millis(1), [] {});
+  EXPECT_EQ(sim.Run(), 1u);
+  ExpectStaleHandleLeavesReusedSlotAlone(sim, ran);
+}
+
+TEST(SimulatorTest, HandleToCancelledEventCannotReachItsReusedSlot) {
+  Simulator sim;
+  EventHandle cancelled = sim.Schedule(SimTime::Millis(1), [] {});
+  EXPECT_TRUE(cancelled.Cancel());
+  // The cancelled entry is still in the queue, behind the slot's new
+  // generation; it must neither run nor count.
+  ExpectStaleHandleLeavesReusedSlotAlone(sim, cancelled);
+  EXPECT_EQ(sim.executed_events(), 1u);
+}
+
+TEST(SimulatorTest, HandlesDiscardedByStopCannotReachTheirReusedSlots) {
+  Simulator sim;
+  const EventHandle a = sim.Schedule(SimTime::Millis(1), [] {});
+  const EventHandle b = sim.Schedule(SimTime::Millis(2), [] {});
+  sim.Stop();
+  ExpectStaleHandleLeavesReusedSlotAlone(sim, a);
+  ExpectStaleHandleLeavesReusedSlotAlone(sim, b);
+}
+
+TEST(SimulatorTest, SlotReusedManyTimesKeepsEveryOldHandleStale) {
+  Simulator sim;
+  std::vector<EventHandle> old;
+  for (int i = 0; i < 100; ++i) {
+    old.push_back(sim.Schedule(SimTime::Millis(1), [] {}));
+    if (i % 2 == 0) {
+      EXPECT_TRUE(old.back().Cancel());
+    }
+    sim.Run();
+  }
+  int hits = 0;
+  const EventHandle live =
+      sim.Schedule(SimTime::Millis(1), [&hits] { ++hits; });
+  for (EventHandle& handle : old) {
+    EXPECT_FALSE(handle.pending());
+    EXPECT_FALSE(handle.Cancel());
+  }
+  EXPECT_TRUE(live.pending());
+  EXPECT_EQ(sim.PendingEvents(), 1u);
+  sim.Run();
+  EXPECT_EQ(hits, 1);
+}
+
+TEST(SimulatorTest, TiesBreakFifoAcrossReusedSlots) {
+  Simulator sim;
+  std::vector<int> order;
+  std::vector<EventHandle> handles;
+  for (int i = 0; i < 8; ++i) {
+    handles.push_back(
+        sim.Schedule(SimTime::Millis(5), [&order, i] { order.push_back(i); }));
+  }
+  // Freeing the even slots lets the next four events take them in an order
+  // unrelated to the order they are scheduled in.
+  for (int i = 0; i < 8; i += 2) {
+    EXPECT_TRUE(handles[std::size_t(i)].Cancel());
+  }
+  EXPECT_EQ(sim.PendingEvents(), 4u);
+  for (int i = 8; i < 12; ++i) {
+    sim.Schedule(SimTime::Millis(5), [&order, i] { order.push_back(i); });
+  }
+  EXPECT_EQ(sim.PendingEvents(), 8u);
+  EXPECT_EQ(sim.Run(), 8u);
+  EXPECT_EQ(order, (std::vector<int>{1, 3, 5, 7, 8, 9, 10, 11}));
+}
+
 TEST(SimulatorTest, StepExecutesExactlyOne) {
   Simulator sim;
   int executed = 0;

@@ -261,5 +261,40 @@ TEST_F(BatchUpdateTest, WireBatchMatchesSequentialInserts) {
   }
 }
 
+// A frame counts its entries in a u16, so a destination that receives more
+// than 65,535 entries in one wave gets several messages, each on its own
+// write slot. Two ASes, with AS 1 announcing the whole address space, put
+// every GUID's one global replica on AS 1.
+TEST(BatchUpdateSplitTest, OversizedDestinationShareIsSplitAcrossMessages) {
+  const std::vector<AsLink> links{{0, 1, 1.0}};
+  const AsGraph graph(2, links, {0.5, 0.5}, {1, 1});
+  PrefixTable table;
+  ASSERT_TRUE(table.Announce(Cidr(Ipv4Address(0x00000000u), 1), 1));
+  ASSERT_TRUE(table.Announce(Cidr(Ipv4Address(0x80000000u), 1), 1));
+  ProtocolNetworkOptions options;
+  options.k = 1;
+  ProtocolNetwork net(graph, table, options);
+
+  constexpr std::uint64_t kGuids = kMaxBatchEntries + 4'465;  // 70,000
+  std::vector<std::pair<Guid, NetworkAddress>> moves;
+  for (std::uint64_t i = 0; i < kGuids; ++i) {
+    moves.emplace_back(Guid::FromSequence(i), NetworkAddress{0, 7});
+  }
+  std::optional<BatchUpdateResult> wave;
+  net.BatchUpdateAsync(moves, [&](const BatchUpdateResult& r) { wave = r; });
+  net.simulator().Run();
+
+  ASSERT_TRUE(wave.has_value());
+  EXPECT_EQ(wave->entries, kGuids);
+  EXPECT_EQ(wave->entries_applied, kGuids);
+  EXPECT_EQ(wave->messages, 2u);
+  EXPECT_EQ(net.node(1).store().size(), kGuids);
+  for (const auto& [guid, na] : moves) {
+    const MappingEntry* entry = net.node(1).store().Lookup(guid);
+    ASSERT_NE(entry, nullptr);
+    EXPECT_TRUE(entry->nas == NaSet(na));
+  }
+}
+
 }  // namespace
 }  // namespace dmap

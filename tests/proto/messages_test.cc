@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <vector>
+
 namespace dmap {
 namespace {
 
@@ -244,6 +247,75 @@ TEST(MessagesTest, WireSizeMatchesPaperScale) {
   // header 20 + guid 20 + version 8 + writer 4 + count 1 + 5 * 8 +
   // stored addr 4 = 97.
   EXPECT_EQ(size, 97u);
+}
+
+// EncodedSize is computed from the field counts, not by encoding; it must
+// equal the encoder's output for all eight types, including the
+// variable-length corners: "GUID missing" replies, empty batches and a
+// full NA set.
+TEST(MessagesTest, EncodedSizeMatchesEncodeForEveryType) {
+  const Guid g = Guid::FromSequence(12);
+  const MappingEntry full = MakeEntry(NaSet::kMaxNas);
+  const MappingEntry bare = MakeEntry(0);
+  const MessageHeader h{77, 1, 2};
+  const BatchUpdateEntry e{g, full, Ipv4Address(0x0a000001u)};
+  const std::vector<Message> messages = {
+      InsertRequest{h, g, full, Ipv4Address(0x0a000001u)},
+      InsertRequest{h, g, bare, Ipv4Address(0)},
+      InsertAck{h, g, true},
+      LookupRequest{h, g},
+      LookupResponse{h, g, true, full},
+      LookupResponse{h, g, false, {}},
+      MigrateRequest{h, g},
+      MigrateResponse{h, g, true, full},
+      MigrateResponse{h, g, false, {}},
+      BatchUpdateRequest{h, {}},
+      BatchUpdateRequest{h, {e, e, {g, bare, Ipv4Address(0)}}},
+      BatchUpdateResponse{h, {}, {}},
+      BatchUpdateResponse{h, {g, g, g}, {1, 0, 1}},
+  };
+  std::vector<bool> seen(9, false);
+  for (std::size_t i = 0; i < messages.size(); ++i) {
+    EXPECT_EQ(Encode(messages[i]).size(), EncodedSize(messages[i]))
+        << "message " << i;
+    seen[std::size_t(TypeOf(messages[i]))] = true;
+  }
+  for (int type = 1; type <= 8; ++type) {
+    EXPECT_TRUE(seen[std::size_t(type)]) << "type " << type;
+  }
+  // header 20 + guid 20 + found 1 + version 8 + writer 4 + count 1 + 5 * 8.
+  EXPECT_EQ(EncodedSize(messages[4]), 94u);
+  EXPECT_EQ(EncodedSize(messages[5]), 41u);
+  EXPECT_EQ(EncodedSize(messages[9]), 22u);  // header + u16 count
+}
+
+// A batch's count rides a u16: 65,535 entries round-trip, and a larger
+// batch is refused at encoding rather than sent as a frame that no decoder
+// accepts.
+TEST(MessagesTest, BatchesAboveTheU16CountThrowOnEncode) {
+  BatchUpdateRequest request;
+  request.header = MessageHeader{5, 1, 2};
+  for (std::size_t i = 0; i < kMaxBatchEntries; ++i) {
+    request.entries.push_back(BatchUpdateEntry{
+        Guid::FromSequence(i), MakeEntry(1), Ipv4Address(std::uint32_t(i))});
+  }
+  const BatchUpdateRequest back = RoundTrip(request);
+  ASSERT_EQ(back.entries.size(), kMaxBatchEntries);
+  EXPECT_EQ(back.entries.back().guid, request.entries.back().guid);
+  EXPECT_EQ(back.entries.back().stored_address,
+            request.entries.back().stored_address);
+
+  BatchUpdateResponse response;
+  response.header = MessageHeader{6, 2, 1};
+  response.guids.assign(kMaxBatchEntries, Guid::FromSequence(3));
+  response.applied.assign(kMaxBatchEntries, 1);
+  EXPECT_EQ(RoundTrip(response).guids.size(), kMaxBatchEntries);
+
+  request.entries.push_back(request.entries.front());
+  EXPECT_THROW(Encode(Message{request}), std::length_error);
+  response.guids.push_back(Guid::FromSequence(4));
+  response.applied.push_back(0);
+  EXPECT_THROW(Encode(Message{response}), std::length_error);
 }
 
 }  // namespace
